@@ -12,6 +12,10 @@ from .volume import RoiMask, Volume3D
 FBN = "FBN"
 FBS = "FBS"
 
+# Upper bound on gray levels: GLCM alone holds 13 * ng^2 float64 values
+# (about 109 MB at 1024), so larger counts are refused before allocation.
+MAX_LEVELS = 1024
+
 
 @dataclass(frozen=True)
 class DiscretizationScheme:
@@ -137,4 +141,8 @@ def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> Disc
         raw += 1 - raw.min()
         levels[mask.flags] = raw
         ng = int(raw.max())
+    if ng > MAX_LEVELS:
+        raise InvalidScheme(
+            f"{scheme.describe()} gives {ng} gray levels, more than the {MAX_LEVELS} supported"
+        )
     return DiscretizedVolume(v.dims, v.spacing, levels, ng=ng, scheme=scheme, mask=mask)

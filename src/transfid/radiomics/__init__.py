@@ -13,11 +13,10 @@ from .ids import (
 from .intensity import intensity_statistics, local_intensity
 from .texture import (
     glcm_features,
-    gldzm_features,
     glrlm_features,
-    glszm_features,
     ngldm_features,
     ngtdm_features,
+    zone_features,
 )
 from .vector import FeatureVector
 
@@ -32,13 +31,12 @@ __all__ = [
     "extract_all",
     "family_counts",
     "glcm_features",
-    "gldzm_features",
     "glrlm_features",
-    "glszm_features",
     "intensity_histogram_features",
     "intensity_statistics",
     "ivh_features",
     "local_intensity",
     "ngldm_features",
     "ngtdm_features",
+    "zone_features",
 ]

@@ -36,36 +36,30 @@ def extract_all(
 
     results: dict[tuple[str, str], tuple[dict[str, float], set[str]]] = {}
 
-    def run(family: str, aggregation: str, compute) -> None:
+    def run(compute) -> None:
+        """Store compute()'s {(family, aggregation): (values, flags)}; a
+        family that raises stores nothing and reads as flagged NaNs below."""
         try:
-            results[(family, aggregation)] = compute()
+            results.update(compute())
         except Exception:
-            results[(family, aggregation)] = ({}, set())
+            pass
 
-    run("LI", AGG_NONE, lambda: (local_intensity(v, mask), set()))
-    run("IS", AGG_NONE, lambda: intensity_statistics(v, mask))
-    run("IVH", AGG_NONE, lambda: ivh_features(v, mask, settings.ivh_bins))
+    run(lambda: {("LI", AGG_NONE): (local_intensity(v, mask), set())})
+    run(lambda: {("IS", AGG_NONE): intensity_statistics(v, mask)})
+    run(lambda: {("IVH", AGG_NONE): ivh_features(v, mask, settings.ivh_bins)})
 
     d = discretize(v, mask, settings.scheme)
-    run("IH", AGG_NONE, lambda: intensity_histogram_features(d))
-    glcm = glcm_features(d)
-    glrlm = glrlm_features(d)
-    for agg in ("dir_avg", "dir_merged"):
-        results[("GLCM", agg)] = glcm[agg]
-        results[("GLRLM", agg)] = glrlm[agg]
-    try:
-        szm, dzm = zone_features(d)
-    except Exception:
-        szm = dzm = ({}, set())
-    results[("GLSZM", AGG_NONE)] = szm
-    results[("GLDZM", AGG_NONE)] = dzm
-    run("NGTDM", AGG_NONE, lambda: ngtdm_features(d))
-    run("NGLDM", AGG_NONE, lambda: ngldm_features(d, settings.ngldm_alpha))
+    run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
+    run(lambda: {("GLCM", agg): r for agg, r in glcm_features(d).items()})
+    run(lambda: {("GLRLM", agg): r for agg, r in glrlm_features(d).items()})
+    run(lambda: dict(zip((("GLSZM", AGG_NONE), ("GLDZM", AGG_NONE)), zone_features(d))))
+    run(lambda: {("NGTDM", AGG_NONE): ngtdm_features(d)})
+    run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, settings.ngldm_alpha)})
 
     values: dict[str, float] = {}
     flags: set[str] = set()
     for fid in ALL_FEATURE_IDS:
-        family_values, family_flags = results[(fid.family, fid.aggregation)]
+        family_values, family_flags = results.get((fid.family, fid.aggregation), ({}, set()))
         if fid.name in family_values:
             values[fid.key] = float(family_values[fid.name])
             if fid.name in family_flags:

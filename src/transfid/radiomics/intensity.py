@@ -1,6 +1,7 @@
 """Local-intensity and intensity-statistics features on continuous voxel values."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,20 +20,31 @@ def nearest_rank_percentile(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(idx, n - 1)])
 
 
+@functools.lru_cache(maxsize=4)
+def _sphere_geometry(
+    dims: tuple[int, int, int], spacing: tuple[float, float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(kernel, counts): the 1 cm^3 sphere kernel and, per voxel, how many
+    sphere voxels fall inside the volume. Both depend on the grid only, so
+    they are computed once per (dims, spacing) and returned read-only."""
+    half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
+    ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
+    dx, dy, dz = np.meshgrid(*ax, indexing="ij")
+    kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
+    counts = fftconvolve(np.ones(dims), kernel, mode="same")
+    kernel.flags.writeable = False
+    counts.flags.writeable = False
+    return kernel, counts
+
+
 def sphere_mean_map(v: Volume3D) -> np.ndarray:
     """Mean intensity over the 1 cm^3 sphere centered at each voxel.
 
     The sphere is intersected with the volume; means are taken over the
     voxels whose centers fall within the radius.
     """
-    sx, sy, sz = v.spacing
-    half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in (sx, sy, sz)]
-    ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, (sx, sy, sz))]
-    dx, dy, dz = np.meshgrid(*ax, indexing="ij")
-    kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
-
+    kernel, counts = _sphere_geometry(v.dims, v.spacing)
     sums = fftconvolve(v.values, kernel, mode="same")
-    counts = fftconvolve(np.ones(v.dims), kernel, mode="same")
     return sums / counts
 
 

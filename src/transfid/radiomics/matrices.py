@@ -1,13 +1,18 @@
 """Texture matrix construction on discretized volumes.
 
-All neighborhood machinery is 3D: 13 unique unit directions at Chebyshev
-distance 1 for co-occurrence and runs, the full 26-neighborhood for
-zones, tone differences, and dependence counts.
+All neighborhood machinery is 3D. Every pair builder (co-occurrence, runs,
+zones, dependence counts) walks the 13 unique unit directions at Chebyshev
+distance 1, which visits each unordered 26-neighbor pair once; symmetric
+tallies credit both ends of a pair. Zones of every level come from one
+connected-components labelling of the equal-level pairs, and the
+tone-difference table from separable 3x3x3 box sums of integer levels.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..preprocess import DiscretizedVolume
 
@@ -18,16 +23,6 @@ DIRECTIONS_13: tuple[tuple[int, int, int], ...] = tuple(
     for dz in (-1, 0, 1)
     if (dx, dy, dz) > (0, 0, 0)
 )
-
-OFFSETS_26: tuple[tuple[int, int, int], ...] = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0)
-)
-
-_STRUCTURE_26 = np.ones((3, 3, 3), dtype=bool)
 
 
 def shift_slices(
@@ -44,6 +39,15 @@ def shift_slices(
             src.append(slice(min(-o, d), d))
             dst.append(slice(0, max(0, d + o)))
     return tuple(src), tuple(dst)
+
+
+def _same_level_pairs(d: DiscretizedVolume, off: tuple[int, int, int]):
+    """(src, dst, same): the slice pair for `off` and, over it, where both
+    voxels are in the mask and share a gray level."""
+    lv = d.levels
+    m = d.mask.flags
+    src, dst = shift_slices(d.dims, off)
+    return src, dst, m[src] & m[dst] & (lv[src] == lv[dst])
 
 
 def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
@@ -69,31 +73,31 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     """Run-length count matrices (level x run length), one per direction.
 
     Runs are maximal collinear stretches of equal level, broken by the
-    mask boundary, the volume edge, or a level change.
+    mask boundary, the volume edge, or a level change. Each voxel's length
+    so far is carried one plane at a time along the direction's first
+    non-zero axis (positive for every direction in DIRECTIONS_13), so a
+    plane is final before the next one reads it; runs are tallied at the
+    voxels that do not continue.
     """
     lv = d.levels
     m = d.mask.flags
     ng = d.ng
-    dims = d.dims
     out = []
     for off in DIRECTIONS_13:
-        src, dst = shift_slices(dims, off)
-        cont = m[src] & m[dst] & (lv[src] == lv[dst])
+        src, dst, cont = _same_level_pairs(d, off)
+        length = m.astype(np.int32)
+        prev, nxt = length[src], length[dst]
+        axis = next(a for a, o in enumerate(off) if o)
+        lead = (slice(None),) * axis
+        for k in range(cont.shape[axis]):
+            at = lead + (k,)
+            np.add(nxt[at], prev[at], out=nxt[at], where=cont[at])
 
-        same_prev = np.zeros(dims, dtype=bool)
-        same_prev[dst] = cont
-        starts = m & ~same_prev
-        same_next = np.zeros(dims, dtype=bool)
+        same_next = np.zeros(d.dims, dtype=bool)
         same_next[src] = cont
         ends = m & ~same_next
-
-        ts, order_s = _line_sort(starts, off)
-        te, _ = _line_sort(ends, off)
-        step = off[0] ** 2 + off[1] ** 2 + off[2] ** 2
-        lengths = (te - ts) // step + 1
-
-        sx, sy, sz = np.nonzero(starts)
-        run_levels = lv[sx[order_s], sy[order_s], sz[order_s]]
+        run_levels = lv[ends]
+        lengths = length[ends]
 
         max_len = int(lengths.max())
         counts = np.bincount(
@@ -101,23 +105,6 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
         ).reshape(ng, max_len)
         out.append(counts.astype(np.float64))
     return out
-
-
-def _line_sort(where: np.ndarray, off: tuple[int, int, int]):
-    """Sort the selected voxels by (line identity, position along the line).
-
-    The cross product of a voxel coordinate with the direction is constant
-    along each line, giving a line key; the dot product orders voxels
-    within a line.
-    """
-    x, y, z = (a.astype(np.int64) for a in np.nonzero(where))
-    ox, oy, oz = off
-    t = x * ox + y * oy + z * oz
-    c1 = y * oz - z * oy
-    c2 = z * ox - x * oz
-    c3 = x * oy - y * ox
-    order = np.lexsort((t, c3, c2, c1))
-    return t[order], order
 
 
 def roi_border_distance(mask_flags: np.ndarray) -> np.ndarray:
@@ -130,31 +117,34 @@ def roi_border_distance(mask_flags: np.ndarray) -> np.ndarray:
 
 def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """(GLSZM, GLDZM): 26-connected equal-level zones tallied by size and
-    by minimum border distance."""
+    by minimum border distance.
+
+    ROI voxels are numbered in flat order; the equal-level pairs of the 13
+    directions are the edges of one graph whose connected components are
+    the zones of every level at once.
+    """
     lv = d.levels
+    m = d.mask.flags
     ng = d.ng
-    dist = roi_border_distance(d.mask.flags)
+    n = int(np.count_nonzero(m))
+    index = np.full(d.dims, -1, dtype=np.int32)
+    index[m] = np.arange(n, dtype=np.int32)
+    heads = []
+    tails = []
+    for off in DIRECTIONS_13:
+        src, dst, same = _same_level_pairs(d, off)
+        heads.append(index[src][same])
+        tails.append(index[dst][same])
+    heads = np.concatenate(heads)
+    tails = np.concatenate(tails)
+    graph = coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n))
+    n_zones, zone_of = connected_components(graph, directed=False)
 
-    zone_levels: list[int] = []
-    zone_sizes: list[np.ndarray] = []
-    zone_dists: list[np.ndarray] = []
-    for level in range(1, ng + 1):
-        present = lv == level
-        coords = np.nonzero(present)
-        if coords[0].size == 0:
-            continue
-        # label within the level's bounding box only
-        box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords)
-        labeled, n_zones = ndimage.label(present[box], structure=_STRUCTURE_26)
-        sizes = np.bincount(labeled.ravel())[1:]
-        mins = ndimage.minimum(dist[box], labels=labeled, index=np.arange(1, n_zones + 1))
-        zone_levels.extend([level] * n_zones)
-        zone_sizes.append(sizes)
-        zone_dists.append(np.atleast_1d(mins).astype(np.int64))
-
-    levels = np.asarray(zone_levels, dtype=np.int64)
-    sizes = np.concatenate(zone_sizes)
-    dists = np.concatenate(zone_dists)
+    sizes = np.bincount(zone_of, minlength=n_zones)
+    dists = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(dists, zone_of, roi_border_distance(m)[m])
+    levels = np.empty(n_zones, dtype=np.int64)
+    levels[zone_of] = lv[m]
 
     max_size = int(sizes.max())
     glszm = np.bincount((levels - 1) * max_size + (sizes - 1), minlength=ng * max_size)
@@ -166,6 +156,20 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _neighbor_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the in-bounds 26-neighborhood of each voxel (integer input
+    stays exact): a separable 3x3x3 box sum minus the voxel itself."""
+    box = a
+    for axis in range(3):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        wider = box.copy()
+        wider[tail] += box[head]
+        wider[head] += box[tail]
+        box = wider
+    return box - a
+
+
 def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """(n_i, s_i) per gray level: counted voxels and summed absolute
     differences from the in-mask 26-neighborhood average.
@@ -174,16 +178,11 @@ def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """
     lv = d.levels
     m = d.mask.flags
-    dims = d.dims
-    nbr_sum = np.zeros(dims)
-    nbr_cnt = np.zeros(dims, dtype=np.int64)
-    for off in OFFSETS_26:
-        src, dst = shift_slices(dims, off)
-        nbr_sum[src] += np.where(m[dst], lv[dst], 0)
-        nbr_cnt[src] += m[dst]
+    nbr_sum = _neighbor_sum(np.where(m, lv, 0))
+    nbr_cnt = _neighbor_sum(m.astype(np.int32))
 
     valid = m & (nbr_cnt > 0)
-    avg = np.zeros(dims)
+    avg = np.zeros(d.dims)
     np.divide(nbr_sum, nbr_cnt, out=avg, where=valid)
     diff = np.abs(lv - avg)[valid]
     levels = lv[valid]
@@ -200,11 +199,12 @@ def ngldm_matrix(d: DiscretizedVolume, alpha: int = 0) -> np.ndarray:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     lv = d.levels
     m = d.mask.flags
-    dims = d.dims
-    dep = np.zeros(dims, dtype=np.int64)
-    for off in OFFSETS_26:
-        src, dst = shift_slices(dims, off)
-        dep[src] += m[src] & m[dst] & (np.abs(lv[src] - lv[dst]) <= alpha)
+    dep = np.zeros(d.dims, dtype=np.uint8)  # at most 26
+    for off in DIRECTIONS_13:
+        src, dst = shift_slices(d.dims, off)
+        close = m[src] & m[dst] & (np.abs(lv[src] - lv[dst]) <= alpha)
+        dep[src] += close
+        dep[dst] += close
 
     levels = lv[m]
     counts = dep[m]

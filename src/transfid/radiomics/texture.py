@@ -299,14 +299,6 @@ def zone_features(
     return (szm, set()), (dzm, set())
 
 
-def glszm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
-    return zone_features(d)[0]
-
-
-def gldzm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
-    return zone_features(d)[1]
-
-
 def ngldm_features(d: DiscretizedVolume, alpha: int = 0) -> tuple[dict[str, float], set[str]]:
     counts = ngldm_matrix(d, alpha)
     generic = row_column_features(counts, d.mask.voxel_count)

@@ -4,6 +4,7 @@ import pytest
 
 from transfid.errors import CropLosesRoi, InvalidScheme
 from transfid.preprocess import (
+    MAX_LEVELS,
     DiscretizationScheme,
     crop_centered,
     discretize,
@@ -165,3 +166,13 @@ class TestDiscretize:
             DiscretizationScheme("FBS", width=0.0)
         with pytest.raises(InvalidScheme):
             DiscretizationScheme("quantile")
+
+    def test_level_count_bounded_before_allocation(self):
+        # two voxels and a tiny bin width: 10 001 levels, refused in discretize
+        vol = make_volume(np.array([0.0, 1.0]).reshape(2, 1, 1))
+        mask = make_mask(np.ones((2, 1, 1), dtype=bool))
+        with pytest.raises(InvalidScheme, match="10001 gray levels"):
+            discretize(vol, mask, DiscretizationScheme("FBS", width=1e-4))
+        with pytest.raises(InvalidScheme):
+            discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS + 1))
+        assert discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS)).ng == MAX_LEVELS

@@ -20,12 +20,11 @@ from transfid.radiomics.matrices import (
 from transfid.radiomics.texture import (
     glcm_features,
     glcm_features_from_matrix,
-    gldzm_features,
     glrlm_features,
-    glszm_features,
     ngldm_features,
     ngtdm_features,
     row_column_features,
+    zone_features,
 )
 
 from conftest import make_mask, make_volume
@@ -274,7 +273,7 @@ class TestGlrlm:
 class TestZones:
     def test_constant_cube_single_zone(self):
         d = make_disc(np.ones((2, 2, 2), dtype=int), ng=1)
-        feats, _ = glszm_features(d)
+        feats, _ = zone_features(d)[0]
         assert feats["zone_percentage"] == pytest.approx(1.0 / 8.0)
 
     def test_checkerboard_diagonal_connectivity(self):
@@ -288,7 +287,7 @@ class TestZones:
         levels = np.zeros((3, 3, 3), dtype=int)
         levels[1, 1, 1] = 1
         d = make_disc(levels, ng=1)
-        feats, _ = gldzm_features(d)
+        feats, _ = zone_features(d)[1]
         assert feats["small_distance_emphasis"] == 1.0
 
     def test_full_cube_zone_distance_is_min(self):
@@ -298,8 +297,7 @@ class TestZones:
 
     def test_random_vs_flood_fill_oracle(self, rng):
         d = random_discretized(rng, ng=4, mask_density=0.6)
-        szm_got, _ = glszm_features(d)
-        dzm_got, _ = gldzm_features(d)
+        (szm_got, _), (dzm_got, _) = zone_features(d)
         glszm, gldzm = oracles.zone_matrices(d.levels, d.mask.flags, d.ng)
         szm_exp = oracles.row_column_features(glszm, d.mask.voxel_count)
         dzm_exp = oracles.row_column_features(gldzm, d.mask.voxel_count)

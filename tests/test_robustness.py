@@ -9,6 +9,7 @@ from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, discretize
 from transfid.radiomics import ALL_FEATURE_KEYS, ExtractionSettings, extract_all
 from transfid.radiomics import extract as extract_module
+from transfid.radiomics import texture as texture_module
 
 from conftest import make_mask, make_volume
 
@@ -125,3 +126,23 @@ class TestFamilyFailureDegradation:
                 assert vec.is_flagged(key)
             elif not vec.is_flagged(key):
                 assert math.isfinite(vec[key])
+
+    def test_failing_directional_family_is_contained(self, monkeypatch):
+        v, m = generate_phantom(33, (6, 6, 6))
+        settings = ExtractionSettings(scheme=DiscretizationScheme("FBN", 4))
+        intact = extract_all(v, m, settings)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic matrix failure")
+
+        monkeypatch.setattr(texture_module, "glrlm_matrices", boom)
+        vec = extract_all(v, m, settings)
+        glrlm_keys = [key for key in ALL_FEATURE_KEYS if key.startswith("glrlm.")]
+        assert len(glrlm_keys) == 32
+        for key in glrlm_keys:
+            assert math.isnan(vec[key]) and vec.is_flagged(key)
+        others = [key for key in ALL_FEATURE_KEYS if not key.startswith("glrlm.")]
+        assert len(others) == 154
+        for key in others:
+            assert vec.is_flagged(key) == intact.is_flagged(key), key
+            np.testing.assert_equal(vec[key], intact[key], err_msg=key)
