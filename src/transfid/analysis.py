@@ -15,7 +15,13 @@ from .iqa import MetricSet, compute_metrics
 from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
 from .preprocess import crop_centered, min_max_normalize
-from .radiomics import ALL_FEATURE_IDS, ExtractionSettings, FeatureVector, extract_all
+from .radiomics import (
+    ALL_FEATURE_IDS,
+    ALL_FEATURE_KEYS,
+    ExtractionSettings,
+    FeatureVector,
+    extract_all,
+)
 from .stats import PairedSample, TestResult, paired_t_test, spearman_rho
 from .volume import RoiMask, Volume3D
 
@@ -36,14 +42,27 @@ class PatientResult:
 
 @dataclass
 class CohortTable:
-    """Feature vectors per (patient, source) and metrics per (patient, network)."""
+    """Feature values per source and metrics per (patient, network).
+
+    `features[source]` is a (len(patients), 186) float array: row i holds
+    patient i's features in registry order, NaN where a value is undefined
+    or the patient has no row for that source.
+    """
 
     patients: list[str]
     sources: list[str]
     networks: list[str]
-    cells: dict[tuple[str, str], FeatureVector]
+    features: dict[str, np.ndarray]
     metrics: dict[tuple[str, str], MetricSet]
     exclusions: list[tuple[str, str]] = field(default_factory=list)
+
+
+def feature_table(n_patients: int, rows) -> np.ndarray:
+    """(n_patients, 186) array from (patient row, 186 values) pairs; NaN elsewhere."""
+    table = np.full((n_patients, len(ALL_FEATURE_KEYS)), np.nan)
+    for i, values in rows:
+        table[i] = values
+    return table
 
 
 @dataclass(frozen=True)
@@ -156,30 +175,29 @@ def build_cohort(
     results = run_pipeline(records, config, jobs=jobs)
 
     patients: list[str] = []
-    sources: list[str] = [ORIGINAL_SOURCE]
-    cells: dict[tuple[str, str], FeatureVector] = {}
+    rows: dict[str, list[tuple[int, list[float]]]] = {ORIGINAL_SOURCE: []}
     metrics: dict[tuple[str, str], MetricSet] = {}
     exclusions: list[tuple[str, str]] = []
     for record, result in zip(records, results):
         if result.error is not None:
             exclusions.append((record.patient_id, result.error))
             continue
+        row = len(patients)
         patients.append(record.patient_id)
         for source in record.source_paths:
-            if source not in sources:
-                sources.append(source)
-            cells[(record.patient_id, source)] = result.features[source]
+            vector = result.features[source]
+            rows.setdefault(source, []).append((row, [vector[k] for k in ALL_FEATURE_KEYS]))
         for network, metric_set in result.metrics.items():
             metrics[(record.patient_id, network)] = metric_set
 
     if not patients:
         raise CohortTooSmall("no patient could be processed")
-    networks = [s for s in sources if s != ORIGINAL_SOURCE]
+    sources = list(rows)
     return CohortTable(
         patients=patients,
         sources=sources,
-        networks=networks,
-        cells=cells,
+        networks=[s for s in sources if s != ORIGINAL_SOURCE],
+        features={source: feature_table(len(patients), r) for source, r in rows.items()},
         metrics=metrics,
         exclusions=exclusions,
     )
@@ -195,33 +213,26 @@ def concordance(table: CohortTable) -> list[ConcordanceRecord]:
     if len(table.patients) < 2:
         raise CohortTooSmall(f"concordance needs >= 2 patients, got {len(table.patients)}")
 
+    original = table.features[ORIGINAL_SOURCE]
+    finite = np.isfinite(original)
+    pairs = {n: (table.features[n], finite & np.isfinite(table.features[n])) for n in table.networks}
     records = []
-    for fid in ALL_FEATURE_IDS:
-        key = fid.key
+    for j, fid in enumerate(ALL_FEATURE_IDS):
         rho: dict[str, float] = {}
         n_eff: dict[str, int] = {}
         degenerate: dict[str, bool] = {}
-        for network in table.networks:
-            xs, ys = [], []
-            for pid in table.patients:
-                orig = table.cells.get((pid, ORIGINAL_SOURCE))
-                synth = table.cells.get((pid, network))
-                if orig is None or synth is None:
-                    continue
-                x, y = orig[key], synth[key]
-                if math.isfinite(x) and math.isfinite(y):
-                    xs.append(x)
-                    ys.append(y)
-            n_eff[network] = len(xs)
-            if len(xs) < 2:
+        for network, (synthetic, usable) in pairs.items():
+            ok = usable[:, j]
+            n_eff[network] = int(np.count_nonzero(ok))
+            if n_eff[network] < 2:
                 rho[network] = math.nan
                 degenerate[network] = True
                 continue
-            value = spearman_rho(PairedSample(np.array(xs), np.array(ys)))
+            value = spearman_rho(PairedSample(original[ok, j], synthetic[ok, j]))
             rho[network] = value
             degenerate[network] = math.isnan(value)
         records.append(
-            ConcordanceRecord(feature_key=key, rho=rho, n_effective=n_eff, degenerate=degenerate)
+            ConcordanceRecord(feature_key=fid.key, rho=rho, n_effective=n_eff, degenerate=degenerate)
         )
     return records
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from importlib import resources
@@ -15,13 +16,14 @@ import numpy as np
 
 from . import analysis
 from .config import DEFAULTS, RunConfig
-from .errors import ConfigError, TransfidError
+from .errors import CohortTooSmall, ConfigError, TransfidError
 from .iqa import MetricSet, mae, mse, psnr, ssim3d
 from .manifest import ORIGINAL_SOURCE, parse_manifest
 from .nifti import save_nifti
 from .phantom import generate_phantom
 from .preprocess import DiscretizationScheme
-from .radiomics import ALL_FEATURE_KEYS, ExtractionSettings, FeatureVector, extract_all
+from .radiomics import ALL_FEATURE_KEYS, ExtractionSettings, extract_all
+from .radiomics import FeatureVector  # noqa: F401  (perfbench/layers.py probes cli.FeatureVector)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +61,23 @@ def _sorted_sources(record) -> list[str]:
     return [ORIGINAL_SOURCE] + sorted(record.synthetic_sources)
 
 
+def _processed(records, results) -> list:
+    """(record, result) of each processed patient; warns about each excluded one.
+
+    Raises CohortTooSmall when every patient was excluded, so that no
+    output file is written and the command exits 2.
+    """
+    kept = []
+    for record, result in zip(records, results):
+        if result.error is not None:
+            print(f"warning: excluded patient {record.patient_id}: {result.error}", file=sys.stderr)
+        else:
+            kept.append((record, result))
+    if not kept:
+        raise CohortTooSmall("no patient could be processed")
+    return kept
+
+
 def cmd_extract(args) -> int:
     config = _load_config(args.config)
     records = parse_manifest(args.manifest)
@@ -68,10 +87,7 @@ def cmd_extract(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["patient_id", "source", *ALL_FEATURE_KEYS, "flags"])
-    for record, result in zip(records, results):
-        if result.error is not None:
-            print(f"warning: excluded patient {record.patient_id}: {result.error}", file=sys.stderr)
-            continue
+    for record, result in _processed(records, results):
         for source in _sorted_sources(record):
             vector = result.features[source]
             row = [record.patient_id, source]
@@ -91,10 +107,7 @@ def cmd_metrics(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["patient_id", "network", *METRIC_COLUMNS])
-    for record, result in zip(records, results):
-        if result.error is not None:
-            print(f"warning: excluded patient {record.patient_id}: {result.error}", file=sys.stderr)
-            continue
+    for record, result in _processed(records, results):
         for network in sorted(result.metrics):
             m = result.metrics[network]
             writer.writerow(
@@ -105,51 +118,107 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _read_features_csv(path: str) -> tuple[list[str], list[str], dict]:
-    """Rebuild feature vectors from an extract CSV."""
-    patients: list[str] = []
-    sources: list[str] = []
-    cells: dict[tuple[str, str], FeatureVector] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [k for k in ALL_FEATURE_KEYS if k not in (reader.fieldnames or [])]
-        if missing:
-            raise TransfidError(f"{path}: missing feature columns, e.g. {missing[0]}")
+def _csv_rows(fh, path: str, needed: tuple[str, ...]):
+    """(column index of the header, iterator of (line number, row)) of a CSV.
+
+    The header must name every column in `needed`; blank lines are
+    skipped, and a row whose width differs from the header's is an error.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    index = {name: i for i, name in enumerate(header)}
+    missing = [name for name in needed if name not in index]
+    if missing:
+        raise TransfidError(f"{path}: header lacks column {missing[0]!r}")
+
+    def rows():
         for row in reader:
-            pid = row["patient_id"]
-            source = row["source"]
-            if pid not in patients:
-                patients.append(pid)
-            if source not in sources:
-                sources.append(source)
-            flags = frozenset(f for f in (row.get("flags") or "").split(";") if f)
-            values = {}
-            for key in ALL_FEATURE_KEYS:
-                cell = row[key]
-                values[key] = float(cell) if cell not in ("", None) else math.nan
-            flags = flags | {k for k, v in values.items() if math.isnan(v)}
-            cells[(pid, source)] = FeatureVector(values=values, flags=flags)
-    if ORIGINAL_SOURCE not in sources:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise TransfidError(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, the header has {len(header)}"
+                )
+            yield reader.line_num, row
+
+    return index, rows()
+
+
+def _number(cell: str, column: str, path: str, line: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}") from None
+
+
+def _feature_values(cells: tuple[str, ...], path: str, line: int) -> np.ndarray:
+    """One row's 186 feature cells as floats; an empty cell reads as NaN."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return np.array(
+            [
+                _number(cell, key, path, line) if cell else math.nan
+                for key, cell in zip(ALL_FEATURE_KEYS, cells)
+            ]
+        )
+
+
+def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
+    """Per-source feature arrays from an extract CSV.
+
+    Returns (patients, sources, features), patients and sources in
+    first-seen order; `features[source]` is a (len(patients), 186) array
+    in registry order, NaN where a cell is empty or the (patient, source)
+    row is missing.
+    """
+    patients: dict[str, int] = {}
+    rows: dict[str, list[tuple[int, np.ndarray]]] = {}
+    seen: set[tuple[str, str]] = set()
+    known = frozenset(ALL_FEATURE_KEYS)
+    with open(path, newline="", encoding="utf-8") as fh:
+        index, lines = _csv_rows(fh, path, ("patient_id", "source", *ALL_FEATURE_KEYS))
+        pid_at, source_at, flags_at = index["patient_id"], index["source"], index.get("flags")
+        feature_cells = operator.itemgetter(*(index[key] for key in ALL_FEATURE_KEYS))
+        for line, row in lines:
+            pid, source = row[pid_at], row[source_at]
+            if (pid, source) in seen:
+                raise TransfidError(
+                    f"{path}, line {line}: duplicate row for patient {pid!r}, source {source!r}"
+                )
+            seen.add((pid, source))
+            if flags_at is not None:
+                unknown = [f for f in row[flags_at].split(";") if f and f not in known]
+                if unknown:
+                    raise TransfidError(
+                        f"{path}, line {line}: unknown feature {unknown[0]!r} in flags"
+                    )
+            values = _feature_values(feature_cells(row), path, line)
+            rows.setdefault(source, []).append((patients.setdefault(pid, len(patients)), values))
+    if ORIGINAL_SOURCE not in rows:
         raise TransfidError(f"{path}: no {ORIGINAL_SOURCE} rows")
-    return patients, sources, cells
+    features = {source: analysis.feature_table(len(patients), r) for source, r in rows.items()}
+    return list(patients), list(rows), features
 
 
 def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
     metrics: dict[tuple[str, str], MetricSet] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"patient_id", "network", *METRIC_COLUMNS}
-        if not needed.issubset(reader.fieldnames or []):
-            raise TransfidError(f"{path}: header must contain {sorted(needed)}")
-        for row in reader:
-            metrics[(row["patient_id"], row["network"])] = MetricSet(
-                **{name: float(row[name]) for name in METRIC_COLUMNS}
+        index, lines = _csv_rows(fh, path, ("patient_id", "network", *METRIC_COLUMNS))
+        for line, row in lines:
+            pid, network = row[index["patient_id"]], row[index["network"]]
+            if (pid, network) in metrics:
+                raise TransfidError(
+                    f"{path}, line {line}: duplicate row for patient {pid!r}, network {network!r}"
+                )
+            metrics[(pid, network)] = MetricSet(
+                **{name: _number(row[index[name]], name, path, line) for name in METRIC_COLUMNS}
             )
     return metrics
 
 
 def cmd_analyze(args) -> int:
-    patients, sources, cells = _read_features_csv(args.features)
+    patients, sources, features = _read_features_csv(args.features)
     metrics = _read_metrics_csv(args.metrics)
     networks = sorted({s for s in sources if s != ORIGINAL_SOURCE})
 
@@ -157,7 +226,7 @@ def cmd_analyze(args) -> int:
         patients=patients,
         sources=sources,
         networks=networks,
-        cells=cells,
+        features=features,
         metrics=metrics,
     )
     ranked = analysis.rank_networks(table)
@@ -191,6 +260,17 @@ def cmd_analyze(args) -> int:
     summary_path = Path(args.summary) if args.summary else Path(args.out).with_suffix(".summary.json")
     _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
+
+
+def _threshold(text: str) -> float:
+    """--threshold: a rho in [-1, 1], the bound config.py puts on analysis.threshold."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not -1.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [-1, 1], got {text}")
+    return value
 
 
 def _parse_triple(text: str, kind, name: str):
@@ -299,7 +379,7 @@ def build_parser() -> _Parser:
     p_analyze.add_argument("--features", required=True)
     p_analyze.add_argument("--metrics", required=True)
     p_analyze.add_argument("--out", required=True)
-    p_analyze.add_argument("--threshold", type=float, default=0.5)
+    p_analyze.add_argument("--threshold", type=_threshold, default=0.5)
     p_analyze.add_argument("--summary", default=None)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -5,7 +5,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from ..volume import RoiMask, Volume3D
 
@@ -20,6 +20,27 @@ def nearest_rank_percentile(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(idx, n - 1)])
 
 
+def _convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """`scipy.signal.fftconvolve(values, kernel, mode="same")` for real arrays
+    of equal rank, made of the same `scipy.fft` calls and so bit-identical.
+
+    Importing scipy.signal takes 0.6-1.1 s and scipy.fft about 0.05 s;
+    every command imports this module.
+    """
+    s1, s2 = values.shape, kernel.shape
+    # an axis where either side has length 1 is broadcast in the product, not transformed
+    axes = [a for a in range(values.ndim) if s1[a] != 1 and s2[a] != 1]
+    full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a]) for a in range(values.ndim)]
+    if axes:
+        fshape = [fft.next_fast_len(full[a], True) for a in axes]
+        product = fft.rfftn(values, fshape, axes=axes) * fft.rfftn(kernel, fshape, axes=axes)
+        out = fft.irfftn(product, fshape, axes=axes)[tuple(slice(n) for n in full)]
+    else:
+        out = values * kernel
+    start = [(n - s) // 2 for n, s in zip(out.shape, s1)]
+    return out[tuple(slice(b, b + s) for b, s in zip(start, s1))].copy()
+
+
 @functools.lru_cache(maxsize=4)
 def _sphere_geometry(
     dims: tuple[int, int, int], spacing: tuple[float, float, float]
@@ -31,7 +52,7 @@ def _sphere_geometry(
     ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
-    counts = fftconvolve(np.ones(dims), kernel, mode="same")
+    counts = _convolve_same(np.ones(dims), kernel)
     kernel.flags.writeable = False
     counts.flags.writeable = False
     return kernel, counts
@@ -44,7 +65,7 @@ def sphere_mean_map(v: Volume3D) -> np.ndarray:
     voxels whose centers fall within the radius.
     """
     kernel, counts = _sphere_geometry(v.dims, v.spacing)
-    sums = fftconvolve(v.values, kernel, mode="same")
+    sums = _convolve_same(v.values, kernel)
     return sums / counts
 
 

@@ -45,18 +45,23 @@ class TestResult:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties replaced by the mean of the ranks they span."""
+    """Ranks 1..n with ties replaced by the mean of the ranks they span.
+
+    The ranks are exact half-integers: a tie group spanning sorted
+    positions start..end gets 0.5 * (start + end) + 1. Every member of a
+    group gets that rank whatever its place in the group, so the sort need
+    not be stable; numpy's default sort is 2-4x faster than its stable one
+    on fresh data. NaN has no rank: each NaN is a group of its own.
+    """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.concatenate((starts[1:], [values.size])) - 1
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # ranks i+1 .. j+1 averaged
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

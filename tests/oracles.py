@@ -667,17 +667,18 @@ def ssim3d(a, b, window=5, k1=0.01, k2=0.03, dynamic_range=1.0, sigma=1.5):
     return total / (dims[0] * dims[1] * dims[2])
 
 
+def ranks(v):
+    """Average ranks by counting: (number below) + (number equal + 1) / 2."""
+    out = []
+    for xi in v:
+        less = sum(1 for yi in v if yi < xi)
+        equal = sum(1 for yi in v if yi == xi)
+        out.append(less + (equal + 1) / 2.0)
+    return out
+
+
 def spearman(x, y):
     """Hand-ranked Pearson correlation with average ranks."""
-
-    def ranks(v):
-        out = []
-        for xi in v:
-            less = sum(1 for yi in v if yi < xi)
-            equal = sum(1 for yi in v if yi == xi)
-            out.append(less + (equal + 1) / 2.0)
-        return out
-
     rx, ry = ranks(x), ranks(y)
     n = len(x)
     mx = sum(rx) / n

@@ -40,15 +40,10 @@ def table_with_feature_values(per_network: dict[str, np.ndarray], originals: np.
     """All 186 features share the same per-patient value pattern."""
     patients = [f"p{i}" for i in range(len(originals))]
     networks = sorted(per_network)
-    cells = {}
-    for i, pid in enumerate(patients):
-        cells[(pid, ORIGINAL_SOURCE)] = FeatureVector(
-            values={k: float(originals[i]) for k in ALL_FEATURE_KEYS}
-        )
-        for network, series in per_network.items():
-            cells[(pid, network)] = FeatureVector(
-                values={k: float(series[i]) for k in ALL_FEATURE_KEYS}
-            )
+    features = {
+        source: np.repeat(np.asarray(series, dtype=float)[:, None], len(ALL_FEATURE_KEYS), axis=1)
+        for source, series in [(ORIGINAL_SOURCE, originals), *per_network.items()]
+    }
     metrics = {
         (pid, network): MetricSet(mae=0.1, mse=0.01, ssim=0.5, psnr=20.0)
         for pid in patients
@@ -58,7 +53,7 @@ def table_with_feature_values(per_network: dict[str, np.ndarray], originals: np.
         patients=patients,
         sources=[ORIGINAL_SOURCE, *networks],
         networks=networks,
-        cells=cells,
+        features=features,
         metrics=metrics,
     )
 
@@ -135,7 +130,8 @@ class TestBuildCohort:
         table = build_cohort(manifest, RunConfig.from_dict({"ssim": {"window": 1}}))
         assert table.patients == ["p0", "p1"]
         assert table.networks == ["synth_a"]
-        assert len(table.cells) == 4
+        assert set(table.features) == {ORIGINAL_SOURCE, "synth_a"}
+        assert all(a.shape == (2, 186) for a in table.features.values())
         assert len(table.metrics) == 2
 
     def test_identity_translation_metrics(self, tmp_path):
@@ -199,12 +195,8 @@ class TestConcordance:
     def test_nan_features_dropped_pairwise(self):
         originals = np.array([1.0, 2.0, 3.0])
         table = table_with_feature_values({"net": np.array([1.0, 2.0, 3.0])}, originals)
-        # poison one patient's synthetic vector with flagged NaNs
-        nan_vec = FeatureVector(
-            values={k: math.nan for k in ALL_FEATURE_KEYS},
-            flags=frozenset(ALL_FEATURE_KEYS),
-        )
-        table.cells[("p1", "net")] = nan_vec
+        # poison one patient's synthetic row with NaNs
+        table.features["net"][1, :] = math.nan
         records = concordance(table)
         for record in records:
             assert record.n_effective["net"] == 2
@@ -231,7 +223,7 @@ class TestRankNetworks:
             patients=patients,
             sources=[ORIGINAL_SOURCE, *networks],
             networks=networks,
-            cells={},
+            features={},
             metrics=metrics,
         )
 
@@ -322,7 +314,7 @@ class TestCompareNetworks:
             patients=patients,
             sources=[ORIGINAL_SOURCE, "a", "b"],
             networks=["a", "b"],
-            cells={},
+            features={},
             metrics=metrics,
         )
 

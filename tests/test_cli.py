@@ -3,10 +3,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transfid
 from transfid.cli import main
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import load_nifti, save_nifti
@@ -246,3 +251,127 @@ class TestExitCodes:
             "analyze", "--features", str(bad), "--metrics", str(metrics),
             "--out", str(tmp_path / "g.csv"),
         ]) == 2
+
+    def test_threshold_outside_rho_range_is_usage_error(self, tmp_path, capsys):
+        features, metrics = write_analyze_inputs(tmp_path)
+        for value in ("1.5", "-1.01", "nan", "abc"):
+            assert main([
+                "analyze", "--features", str(features), "--metrics", str(metrics),
+                "--out", str(tmp_path / "g.csv"), "--threshold", value,
+            ]) == 1
+            assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    def test_every_patient_excluded_is_data_error(self, tmp_path, capsys, command):
+        v, m = generate_phantom(7, (8, 8, 8))
+        orig, mask = tmp_path / "o.nii", tmp_path / "m.nii"
+        save_nifti(orig, v)
+        save_nifti(mask, v.with_values(m.flags.astype(float)))
+        # extract: FBS at this width needs thousands of gray levels; metrics: no synthetic file
+        synth = orig if command == "extract" else tmp_path / "missing.nii"
+        manifest = tmp_path / "man.csv"
+        manifest.write_text(
+            "patient_id,source,path\n"
+            f"p1,{ORIGINAL_SOURCE},{orig}\np1,mask,{mask}\np1,synth_a,{synth}\n"
+        )
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"discretize": {"mode": "FBS", "bin_width": 0.0001}}))
+        out = tmp_path / "out.csv"
+        assert main([
+            command, "--manifest", str(manifest), "--config", str(config), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "warning: excluded patient p1" in err
+        assert err.rstrip().endswith("transfid: error: no patient could be processed")
+        assert not out.exists()
+
+
+def write_analyze_inputs(tmp_path, features_rows=None, metrics_rows=None):
+    """Valid analyze inputs for 3 patients x 1 network, with optional extra rows."""
+    header = ["patient_id", "source", *ALL_FEATURE_KEYS, "flags"]
+    rows = [header]
+    for i in range(3):
+        for source in (ORIGINAL_SOURCE, "synth_a"):
+            rows.append([f"p{i}", source, *(str(i + j) for j in range(len(ALL_FEATURE_KEYS))), ""])
+    rows += features_rows or []
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    metric_rows = ["patient_id,network,mae,mse,ssim,psnr"]
+    metric_rows += [f"p{i},synth_a,0.1,0.01,0.9,20" for i in range(3)]
+    metric_rows += metrics_rows or []
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join(metric_rows) + "\n")
+    return features, metrics
+
+
+def feature_row(pid, source, cells=None, flags=""):
+    values = cells or ["1"] * len(ALL_FEATURE_KEYS)
+    return [pid, source, *values, flags]
+
+
+class TestAnalyzeInputHazards:
+    """Each bad analyze input exits 2 with a message naming file and line."""
+
+    def _run(self, tmp_path, capsys, features_rows=None, metrics_rows=None):
+        features, metrics = write_analyze_inputs(tmp_path, features_rows, metrics_rows)
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert (tmp_path / "g.csv").exists() == (code == 0)
+        return code, capsys.readouterr().err, features, metrics
+
+    def test_duplicate_feature_row(self, tmp_path, capsys):
+        code, err, features, _ = self._run(
+            tmp_path, capsys, features_rows=[feature_row("p1", "synth_a")]
+        )
+        assert code == 2
+        assert f"{features}, line 8: duplicate row for patient 'p1', source 'synth_a'" in err
+
+    def test_duplicate_metric_row(self, tmp_path, capsys):
+        code, err, _, metrics = self._run(
+            tmp_path, capsys, metrics_rows=["p0,synth_a,0.2,0.04,0.8,14"]
+        )
+        assert code == 2
+        assert f"{metrics}, line 5: duplicate row for patient 'p0', network 'synth_a'" in err
+
+    @pytest.mark.parametrize("cell", ["", "n/a"])
+    def test_bad_metric_cell(self, tmp_path, capsys, cell):
+        code, err, _, metrics = self._run(
+            tmp_path, capsys, metrics_rows=[f"p3,synth_a,0.2,0.04,{cell},14"]
+        )
+        assert code == 2
+        assert f"{metrics}, line 5: ssim is not a number: {cell!r}" in err
+
+    def test_non_numeric_feature_cell(self, tmp_path, capsys):
+        cells = ["1"] * len(ALL_FEATURE_KEYS)
+        cells[5] = "x1"
+        code, err, features, _ = self._run(
+            tmp_path, capsys, features_rows=[feature_row("p3", ORIGINAL_SOURCE, cells)]
+        )
+        assert code == 2
+        assert f"{features}, line 8: {ALL_FEATURE_KEYS[5]} is not a number: 'x1'" in err
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        row = feature_row("p3", ORIGINAL_SOURCE, flags=f"{ALL_FEATURE_KEYS[0]};glcm.bogus")
+        code, err, features, _ = self._run(tmp_path, capsys, features_rows=[row])
+        assert code == 2
+        assert f"{features}, line 8: unknown feature 'glcm.bogus' in flags" in err
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    """`import transfid.cli` must not pay for scipy.signal or scipy.stats (~1 s)."""
+    src = str(Path(transfid.__file__).resolve().parents[1])
+    code = (
+        "import sys, transfid.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import oracles
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
-from transfid.radiomics.intensity import intensity_statistics, local_intensity
+from transfid.radiomics.intensity import _convolve_same, intensity_statistics, local_intensity
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
     glcm_matrices,
@@ -91,6 +91,17 @@ class TestLocalIntensity:
         got = local_intensity(vol, make_mask(flags))
         # center must be x=1 (first in flat order); its sphere holds only itself
         assert got["local_peak"] == 1.0
+
+    def test_convolution_is_bit_identical_to_fftconvolve(self, rng):
+        from scipy.signal import fftconvolve
+
+        shapes = [((1, 1, 1), (1, 1, 1)), ((5, 1, 4), (1, 3, 3)), ((4, 4, 4), (1, 1, 1))]
+        shapes += [(tuple(rng.integers(1, 10, 3)), tuple(rng.integers(1, 8, 3))) for _ in range(40)]
+        for values_shape, kernel_shape in shapes:
+            values = rng.random(values_shape)
+            kernel = (rng.random(kernel_shape) < 0.7).astype(float)
+            expected = fftconvolve(values, kernel, mode="same")
+            assert np.array_equal(_convolve_same(values, kernel), expected)
 
 
 class TestIntensityStatistics:
