@@ -263,7 +263,7 @@ def cmd_analyze(args) -> int:
 
 
 def _threshold(text: str) -> float:
-    """--threshold: a rho in [-1, 1], the bound config.py puts on analysis.threshold."""
+    """--threshold: a rho in [-1, 1]; NaN fails the range test too."""
     try:
         value = float(text)
     except ValueError:

@@ -35,7 +35,6 @@ DEFAULTS: dict = {
     },
     "ivh": {"bins": 1000},
     "ngldm": {"alpha": 0},
-    "analysis": {"threshold": 0.5},
     "jobs": 0,
 }
 
@@ -70,7 +69,7 @@ def _is_number(value) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for preprocessing, metrics, extraction, analysis."""
+    """Validated settings for preprocessing, metrics and extraction."""
 
     normalize: bool = True
     normalize_after_crop: bool = True
@@ -81,7 +80,6 @@ class RunConfig:
     psnr_peak: float = 1.0
     ivh_bins: int = 1000
     ngldm_alpha: int = 0
-    threshold: float = 0.5
     jobs: int = 0
     raw: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULTS)))
 
@@ -133,11 +131,6 @@ class RunConfig:
         _require(_is_int(ivh_bins) and ivh_bins >= 1, "ivh.bins must be an int >= 1")
         alpha = cfg["ngldm"]["alpha"]
         _require(_is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
-        threshold = cfg["analysis"]["threshold"]
-        _require(
-            _is_number(threshold) and -1.0 <= threshold <= 1.0,
-            "analysis.threshold must lie in [-1, 1]",
-        )
         peak = cfg["metrics"]["psnr_peak"]
         _require(_is_number(peak) and peak > 0, "metrics.psnr_peak must be positive")
         jobs = cfg["jobs"]
@@ -156,7 +149,6 @@ class RunConfig:
             psnr_peak=float(peak),
             ivh_bins=ivh_bins,
             ngldm_alpha=alpha,
-            threshold=float(threshold),
             jobs=jobs,
             raw=cfg,
         )

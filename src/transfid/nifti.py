@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMask, MalformedHeader, NonFiniteVoxel, UnsupportedDatatype
+from .errors import DimsMismatch, EmptyMask, MalformedHeader, NonFiniteVoxel, UnsupportedDatatype
 from .volume import RoiMask, Volume3D
 
 HEADER_SIZE = 348
@@ -93,8 +93,6 @@ def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
     """Load an ROI mask stored as a volume; nonzero voxels are inside."""
     vol = load_nifti(path)
     if vol.dims != reference.dims:
-        from .errors import DimsMismatch
-
         raise DimsMismatch(f"{path}: mask dims {vol.dims} != reference dims {reference.dims}")
     flags = vol.values != 0.0
     if not flags.any():

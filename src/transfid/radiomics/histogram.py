@@ -7,9 +7,8 @@ import numpy as np
 
 from ..preprocess import DiscretizedVolume
 from ..volume import RoiMask, Volume3D
+from .ids import IVH_NAMES
 from .intensity import basic_distribution_stats
-
-IVH_NAMES = ("v10", "v90", "i10", "i90", "v10_minus_v90", "i10_minus_i90", "area_under_curve")
 
 
 def level_histogram(d: DiscretizedVolume) -> np.ndarray:

@@ -115,84 +115,90 @@ GLCM_NAMES = (
     "sum_variance",
 )
 
-GLRLM_NAMES = (
-    "grey_level_non_uniformity",
-    "grey_level_non_uniformity_normalised",
-    "grey_level_variance",
-    "high_grey_level_run_emphasis",
-    "long_run_emphasis",
-    "long_run_high_grey_level_emphasis",
-    "long_run_low_grey_level_emphasis",
-    "low_grey_level_run_emphasis",
-    "run_entropy",
-    "run_length_non_uniformity",
-    "run_length_non_uniformity_normalised",
-    "run_length_variance",
-    "run_percentage",
-    "short_run_emphasis",
-    "short_run_high_grey_level_emphasis",
-    "short_run_low_grey_level_emphasis",
-)
+# The run, zone and dependence families share one set of formulas
+# (texture.row_column_features). Each maps its IBSI names to their generic keys.
+GLRLM_GENERIC = {
+    "grey_level_non_uniformity": "level_non_uniformity",
+    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
+    "grey_level_variance": "level_variance",
+    "high_grey_level_run_emphasis": "high_level_emphasis",
+    "long_run_emphasis": "large_emphasis",
+    "long_run_high_grey_level_emphasis": "large_high_emphasis",
+    "long_run_low_grey_level_emphasis": "large_low_emphasis",
+    "low_grey_level_run_emphasis": "low_level_emphasis",
+    "run_entropy": "entropy",
+    "run_length_non_uniformity": "magnitude_non_uniformity",
+    "run_length_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
+    "run_length_variance": "magnitude_variance",
+    "run_percentage": "percentage",
+    "short_run_emphasis": "small_emphasis",
+    "short_run_high_grey_level_emphasis": "small_high_emphasis",
+    "short_run_low_grey_level_emphasis": "small_low_emphasis",
+}
+GLRLM_NAMES = tuple(GLRLM_GENERIC)
 
-GLSZM_NAMES = (
-    "grey_level_non_uniformity",
-    "grey_level_non_uniformity_normalised",
-    "grey_level_variance",
-    "high_grey_level_zone_emphasis",
-    "large_zone_emphasis",
-    "large_zone_high_grey_level_emphasis",
-    "large_zone_low_grey_level_emphasis",
-    "low_grey_level_zone_emphasis",
-    "small_zone_emphasis",
-    "small_zone_high_grey_level_emphasis",
-    "small_zone_low_grey_level_emphasis",
-    "zone_percentage",
-    "zone_size_entropy",
-    "zone_size_non_uniformity",
-    "zone_size_non_uniformity_normalised",
-    "zone_size_variance",
-)
+GLSZM_GENERIC = {
+    "grey_level_non_uniformity": "level_non_uniformity",
+    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
+    "grey_level_variance": "level_variance",
+    "high_grey_level_zone_emphasis": "high_level_emphasis",
+    "large_zone_emphasis": "large_emphasis",
+    "large_zone_high_grey_level_emphasis": "large_high_emphasis",
+    "large_zone_low_grey_level_emphasis": "large_low_emphasis",
+    "low_grey_level_zone_emphasis": "low_level_emphasis",
+    "small_zone_emphasis": "small_emphasis",
+    "small_zone_high_grey_level_emphasis": "small_high_emphasis",
+    "small_zone_low_grey_level_emphasis": "small_low_emphasis",
+    "zone_percentage": "percentage",
+    "zone_size_entropy": "entropy",
+    "zone_size_non_uniformity": "magnitude_non_uniformity",
+    "zone_size_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
+    "zone_size_variance": "magnitude_variance",
+}
+GLSZM_NAMES = tuple(GLSZM_GENERIC)
 
-GLDZM_NAMES = (
-    "grey_level_non_uniformity",
-    "grey_level_non_uniformity_normalised",
-    "grey_level_variance",
-    "high_grey_level_zone_emphasis",
-    "large_distance_emphasis",
-    "large_distance_high_grey_level_emphasis",
-    "large_distance_low_grey_level_emphasis",
-    "low_grey_level_zone_emphasis",
-    "small_distance_emphasis",
-    "small_distance_high_grey_level_emphasis",
-    "small_distance_low_grey_level_emphasis",
-    "zone_distance_entropy",
-    "zone_distance_non_uniformity",
-    "zone_distance_non_uniformity_normalised",
-    "zone_distance_variance",
-    "zone_percentage",
-)
+GLDZM_GENERIC = {
+    "grey_level_non_uniformity": "level_non_uniformity",
+    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
+    "grey_level_variance": "level_variance",
+    "high_grey_level_zone_emphasis": "high_level_emphasis",
+    "large_distance_emphasis": "large_emphasis",
+    "large_distance_high_grey_level_emphasis": "large_high_emphasis",
+    "large_distance_low_grey_level_emphasis": "large_low_emphasis",
+    "low_grey_level_zone_emphasis": "low_level_emphasis",
+    "small_distance_emphasis": "small_emphasis",
+    "small_distance_high_grey_level_emphasis": "small_high_emphasis",
+    "small_distance_low_grey_level_emphasis": "small_low_emphasis",
+    "zone_distance_entropy": "entropy",
+    "zone_distance_non_uniformity": "magnitude_non_uniformity",
+    "zone_distance_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
+    "zone_distance_variance": "magnitude_variance",
+    "zone_percentage": "percentage",
+}
+GLDZM_NAMES = tuple(GLDZM_GENERIC)
 
 NGTDM_NAMES = ("busyness", "coarseness", "complexity", "contrast", "strength")
 
-NGLDM_NAMES = (
-    "dependence_count_energy",
-    "dependence_count_entropy",
-    "dependence_count_non_uniformity",
-    "dependence_count_non_uniformity_normalised",
-    "dependence_count_percentage",
-    "dependence_count_variance",
-    "grey_level_non_uniformity",
-    "grey_level_non_uniformity_normalised",
-    "grey_level_variance",
-    "high_dependence_emphasis",
-    "high_dependence_high_grey_level_emphasis",
-    "high_dependence_low_grey_level_emphasis",
-    "high_grey_level_count_emphasis",
-    "low_dependence_emphasis",
-    "low_dependence_high_grey_level_emphasis",
-    "low_dependence_low_grey_level_emphasis",
-    "low_grey_level_count_emphasis",
-)
+NGLDM_GENERIC = {
+    "dependence_count_energy": "energy",
+    "dependence_count_entropy": "entropy",
+    "dependence_count_non_uniformity": "magnitude_non_uniformity",
+    "dependence_count_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
+    "dependence_count_percentage": "percentage",
+    "dependence_count_variance": "magnitude_variance",
+    "grey_level_non_uniformity": "level_non_uniformity",
+    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
+    "grey_level_variance": "level_variance",
+    "high_dependence_emphasis": "large_emphasis",
+    "high_dependence_high_grey_level_emphasis": "large_high_emphasis",
+    "high_dependence_low_grey_level_emphasis": "large_low_emphasis",
+    "high_grey_level_count_emphasis": "high_level_emphasis",
+    "low_dependence_emphasis": "small_emphasis",
+    "low_dependence_high_grey_level_emphasis": "small_high_emphasis",
+    "low_dependence_low_grey_level_emphasis": "small_low_emphasis",
+    "low_grey_level_count_emphasis": "low_level_emphasis",
+}
+NGLDM_NAMES = tuple(NGLDM_GENERIC)
 
 _FAMILY_NAMES = {
     "LI": LI_NAMES,

@@ -6,7 +6,15 @@ import math
 import numpy as np
 
 from ..preprocess import DiscretizedVolume
-from .ids import GLCM_NAMES, GLDZM_NAMES, GLRLM_NAMES, GLSZM_NAMES, NGLDM_NAMES, NGTDM_NAMES
+from .ids import (
+    GLCM_NAMES,
+    GLDZM_GENERIC,
+    GLRLM_GENERIC,
+    GLRLM_NAMES,
+    GLSZM_GENERIC,
+    NGLDM_GENERIC,
+    NGTDM_NAMES,
+)
 from .matrices import (
     DIRECTIONS_13,
     glcm_matrices,
@@ -155,7 +163,8 @@ def row_column_features(counts: np.ndarray, n_voxels: int) -> dict[str, float]:
     """Shared level-by-magnitude emphasis formulas (runs, zones, dependence).
 
     Generic names: rows are gray levels i, columns are magnitudes j
-    (run length, zone size, distance, or dependence count + 1).
+    (run length, zone size, distance, or dependence count + 1). The
+    `*_GENERIC` tables in ids.py map each family's IBSI names onto them.
     """
     ns = counts.sum()
     p = counts / ns
@@ -189,84 +198,6 @@ def row_column_features(counts: np.ndarray, n_voxels: int) -> dict[str, float]:
     }
 
 
-_GLRLM_MAP = {
-    "short_run_emphasis": "small_emphasis",
-    "long_run_emphasis": "large_emphasis",
-    "low_grey_level_run_emphasis": "low_level_emphasis",
-    "high_grey_level_run_emphasis": "high_level_emphasis",
-    "short_run_low_grey_level_emphasis": "small_low_emphasis",
-    "short_run_high_grey_level_emphasis": "small_high_emphasis",
-    "long_run_low_grey_level_emphasis": "large_low_emphasis",
-    "long_run_high_grey_level_emphasis": "large_high_emphasis",
-    "grey_level_non_uniformity": "level_non_uniformity",
-    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
-    "run_length_non_uniformity": "magnitude_non_uniformity",
-    "run_length_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
-    "run_percentage": "percentage",
-    "grey_level_variance": "level_variance",
-    "run_length_variance": "magnitude_variance",
-    "run_entropy": "entropy",
-}
-
-_GLSZM_MAP = {
-    "small_zone_emphasis": "small_emphasis",
-    "large_zone_emphasis": "large_emphasis",
-    "low_grey_level_zone_emphasis": "low_level_emphasis",
-    "high_grey_level_zone_emphasis": "high_level_emphasis",
-    "small_zone_low_grey_level_emphasis": "small_low_emphasis",
-    "small_zone_high_grey_level_emphasis": "small_high_emphasis",
-    "large_zone_low_grey_level_emphasis": "large_low_emphasis",
-    "large_zone_high_grey_level_emphasis": "large_high_emphasis",
-    "grey_level_non_uniformity": "level_non_uniformity",
-    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
-    "zone_size_non_uniformity": "magnitude_non_uniformity",
-    "zone_size_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
-    "zone_percentage": "percentage",
-    "grey_level_variance": "level_variance",
-    "zone_size_variance": "magnitude_variance",
-    "zone_size_entropy": "entropy",
-}
-
-_GLDZM_MAP = {
-    "small_distance_emphasis": "small_emphasis",
-    "large_distance_emphasis": "large_emphasis",
-    "low_grey_level_zone_emphasis": "low_level_emphasis",
-    "high_grey_level_zone_emphasis": "high_level_emphasis",
-    "small_distance_low_grey_level_emphasis": "small_low_emphasis",
-    "small_distance_high_grey_level_emphasis": "small_high_emphasis",
-    "large_distance_low_grey_level_emphasis": "large_low_emphasis",
-    "large_distance_high_grey_level_emphasis": "large_high_emphasis",
-    "grey_level_non_uniformity": "level_non_uniformity",
-    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
-    "zone_distance_non_uniformity": "magnitude_non_uniformity",
-    "zone_distance_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
-    "zone_percentage": "percentage",
-    "grey_level_variance": "level_variance",
-    "zone_distance_variance": "magnitude_variance",
-    "zone_distance_entropy": "entropy",
-}
-
-_NGLDM_MAP = {
-    "low_dependence_emphasis": "small_emphasis",
-    "high_dependence_emphasis": "large_emphasis",
-    "low_grey_level_count_emphasis": "low_level_emphasis",
-    "high_grey_level_count_emphasis": "high_level_emphasis",
-    "low_dependence_low_grey_level_emphasis": "small_low_emphasis",
-    "low_dependence_high_grey_level_emphasis": "small_high_emphasis",
-    "high_dependence_low_grey_level_emphasis": "large_low_emphasis",
-    "high_dependence_high_grey_level_emphasis": "large_high_emphasis",
-    "grey_level_non_uniformity": "level_non_uniformity",
-    "grey_level_non_uniformity_normalised": "level_non_uniformity_normalised",
-    "dependence_count_non_uniformity": "magnitude_non_uniformity",
-    "dependence_count_non_uniformity_normalised": "magnitude_non_uniformity_normalised",
-    "dependence_count_percentage": "percentage",
-    "grey_level_variance": "level_variance",
-    "dependence_count_variance": "magnitude_variance",
-    "dependence_count_entropy": "entropy",
-    "dependence_count_energy": "energy",
-}
-
-
 def _mapped(generic: dict[str, float], mapping: dict[str, str]) -> dict[str, float]:
     return {name: generic[src] for name, src in mapping.items()}
 
@@ -281,7 +212,7 @@ def glrlm_features(d: DiscretizedVolume) -> dict[str, tuple[dict[str, float], se
 
     def from_matrix(counts: np.ndarray, nv_scale: int = 1):
         generic = row_column_features(counts, n_voxels * nv_scale)
-        return _mapped(generic, _GLRLM_MAP), set()
+        return _mapped(generic, GLRLM_GENERIC), set()
 
     return _aggregate_directional(
         glrlm_matrices(d), from_matrix, GLRLM_NAMES, merged_nv_scale=len(DIRECTIONS_13)
@@ -294,21 +225,15 @@ def zone_features(
     """(GLSZM, GLDZM) feature sets from a single zone decomposition."""
     glszm, gldzm = zone_matrices(d)
     n_voxels = d.mask.voxel_count
-    szm = _mapped(row_column_features(glszm, n_voxels), _GLSZM_MAP)
-    dzm = _mapped(row_column_features(gldzm, n_voxels), _GLDZM_MAP)
+    szm = _mapped(row_column_features(glszm, n_voxels), GLSZM_GENERIC)
+    dzm = _mapped(row_column_features(gldzm, n_voxels), GLDZM_GENERIC)
     return (szm, set()), (dzm, set())
 
 
 def ngldm_features(d: DiscretizedVolume, alpha: int = 0) -> tuple[dict[str, float], set[str]]:
     counts = ngldm_matrix(d, alpha)
     generic = row_column_features(counts, d.mask.voxel_count)
-    return _mapped(generic, _NGLDM_MAP), set()
-
-
-assert set(_GLRLM_MAP) == set(GLRLM_NAMES)
-assert set(_GLSZM_MAP) == set(GLSZM_NAMES)
-assert set(_GLDZM_MAP) == set(GLDZM_NAMES)
-assert set(_NGLDM_MAP) == set(NGLDM_NAMES)
+    return _mapped(generic, NGLDM_GENERIC), set()
 
 
 def ngtdm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:

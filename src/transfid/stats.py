@@ -8,9 +8,6 @@ import numpy as np
 
 from .errors import EmptyInput, TooFewSamples
 
-_BETA_TOL = 1e-12
-_BETA_MAX_ITER = 300
-
 
 @dataclass(frozen=True)
 class PairedSample:
@@ -84,72 +81,13 @@ def spearman_rho(s: PairedSample) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_sf(t: float, df: int) -> float:
     """Upper tail P(T > t) of Student's t with df degrees of freedom."""
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    x = df / (df + t * t)
-    half_tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return half_tail if t >= 0 else 1.0 - half_tail
+    # imported here: no command runs a t-test, so none should pay for
+    # loading scipy.special
+    from scipy.special import stdtr
+
+    return float(stdtr(df, -t))
 
 
 def paired_t_test(s: PairedSample) -> TestResult:

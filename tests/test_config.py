@@ -15,13 +15,11 @@ class TestDefaults:
         assert cfg.ssim_params.window == 5
         assert cfg.ivh_bins == 1000
         assert cfg.ngldm_alpha == 0
-        assert cfg.threshold == 0.5
         assert cfg.jobs == 0
 
     def test_partial_override(self):
-        cfg = RunConfig.from_dict({"discretize": {"bins": 64}, "analysis": {"threshold": 0.75}})
+        cfg = RunConfig.from_dict({"discretize": {"bins": 64}})
         assert cfg.scheme.bins == 64
-        assert cfg.threshold == 0.75
         assert cfg.ssim_params.k1 == 0.01
 
     def test_fbs_scheme(self):
@@ -65,6 +63,11 @@ class TestValidation:
     def test_rejected(self, data):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(data)
+
+    def test_analysis_section_is_unknown(self):
+        # analyze takes its threshold from --threshold only
+        with pytest.raises(ConfigError, match="unknown config key: analysis"):
+            RunConfig.from_dict({"analysis": {"threshold": 0.5}})
 
     def test_non_object_root(self):
         with pytest.raises(ConfigError):

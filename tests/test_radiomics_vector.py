@@ -1,6 +1,7 @@
 """Whole-vector contracts: counts, ordering, invariances, degenerate ROIs."""
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from transfid.volume import RoiMask
 
 from conftest import make_mask, make_volume
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "phantom16_golden.json"
+GOLDEN_PATH = resources.files("transfid.data").joinpath("selftest_golden.json")
 
 
 def settings(ng=8, alpha=0):
