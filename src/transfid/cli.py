@@ -18,7 +18,7 @@ from . import analysis
 from .config import DEFAULTS, RunConfig
 from .errors import CohortTooSmall, ConfigError, TransfidError
 from .iqa import MetricSet, mae, mse, psnr, ssim3d
-from .manifest import ORIGINAL_SOURCE, parse_manifest
+from .manifest import ORIGINAL_SOURCE, open_csv, parse_manifest
 from .nifti import save_nifti
 from .phantom import generate_phantom
 from .preprocess import DiscretizationScheme
@@ -176,7 +176,7 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
     rows: dict[str, list[tuple[int, np.ndarray]]] = {}
     seen: set[tuple[str, str]] = set()
     known = frozenset(ALL_FEATURE_KEYS)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         index, lines = _csv_rows(fh, path, ("patient_id", "source", *ALL_FEATURE_KEYS))
         pid_at, source_at, flags_at = index["patient_id"], index["source"], index.get("flags")
         feature_cells = operator.itemgetter(*(index[key] for key in ALL_FEATURE_KEYS))
@@ -203,7 +203,7 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
 
 def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
     metrics: dict[tuple[str, str], MetricSet] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         index, lines = _csv_rows(fh, path, ("patient_id", "network", *METRIC_COLUMNS))
         for line, row in lines:
             pid, network = row[index["patient_id"]], row[index["network"]]

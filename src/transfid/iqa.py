@@ -1,6 +1,7 @@
 """Pairwise image-quality metrics over 3D volumes: MAE, MSE, SSIM, PSNR."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,17 +65,39 @@ def _select(v: Volume3D, mask: RoiMask | None) -> np.ndarray:
     return v.values[mask.flags]
 
 
+def _difference(a: Volume3D, b: Volume3D, mask: RoiMask | None) -> np.ndarray:
+    _check_pair(a, b)
+    return _select(a, mask) - _select(b, mask)
+
+
+def _psnr_db(err: float, peak: float) -> float:
+    """psnr() from an MSE already computed."""
+    if peak <= 0:
+        raise ValueError(f"peak must be positive, got {peak}")
+    if err == 0.0:
+        return math.inf
+    return 20.0 * math.log10(peak) - 10.0 * math.log10(err)
+
+
 def mae(a: Volume3D, b: Volume3D, mask: RoiMask | None = None) -> float:
     """Mean absolute voxel difference."""
-    _check_pair(a, b)
-    return float(np.mean(np.abs(_select(a, mask) - _select(b, mask))))
+    return float(np.mean(np.abs(_difference(a, b, mask))))
 
 
 def mse(a: Volume3D, b: Volume3D, mask: RoiMask | None = None) -> float:
     """Mean squared voxel difference."""
-    _check_pair(a, b)
-    diff = _select(a, mask) - _select(b, mask)
+    diff = _difference(a, b, mask)
     return float(np.mean(diff * diff))
+
+
+def _absolute_and_squared_error(
+    a: Volume3D, b: Volume3D, mask: RoiMask | None
+) -> tuple[float, float]:
+    """(MAE, MSE) from one voxel difference, bit-identical to mae() and mse()."""
+    diff = _difference(a, b, mask)
+    abs_err = float(np.mean(np.abs(diff)))
+    diff *= diff
+    return abs_err, float(np.mean(diff))
 
 
 def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0, mask: RoiMask | None = None) -> float:
@@ -83,17 +106,7 @@ def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0, mask: RoiMask | None = Non
     Computed as 20*log10(peak) - 10*log10(mse), so psnr(a, b, 1.0) equals
     -10*log10(mse(a, b)) exactly.
     """
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
-    err = mse(a, b, mask)
-    if err == 0.0:
-        return math.inf
-    return 20.0 * math.log10(peak) - 10.0 * math.log10(err)
-
-
-def _gaussian_taps(params: SsimParams) -> np.ndarray:
-    i = np.arange(-params.window, params.window + 1, dtype=np.float64)
-    return np.exp(-(i * i) / (2.0 * params.sigma * params.sigma))
+    return _psnr_db(mse(a, b, mask), peak)
 
 
 def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -101,6 +114,51 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     for axis in range(3):
         out = correlate1d(out, taps, axis=axis, mode="constant", cval=0.0)
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _window_geometry(
+    dims: tuple[int, int, int], window: int, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(taps, weight): the 1-D Gaussian taps and, per voxel, the summed weight
+    of the in-bounds part of its window. Both depend on the grid only, so they
+    are computed once per (dims, window, sigma) and returned read-only."""
+    i = np.arange(-window, window + 1, dtype=np.float64)
+    taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
+    weight = _windowed_sums(np.ones(dims), taps)
+    taps.flags.writeable = False
+    weight.flags.writeable = False
+    return taps, weight
+
+
+# The last original's window moments: (values, window, sigma, mean, variance).
+# One slot, because a caller scores every network of a patient against one
+# original before it moves on. The entry holds `values` itself, so that array
+# cannot be freed and its id reused while the entry lives. It is read once and
+# replaced whole, so a caller on another thread sees a consistent entry.
+_original_memo: tuple | None = None
+
+
+def _original_moments(
+    values: np.ndarray, params: SsimParams, taps: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed mean and variance of `values`, memoized for read-only arrays."""
+    global _original_memo
+    memo = _original_memo
+    if memo is not None and memo[0] is values and memo[1:3] == (params.window, params.sigma):
+        return memo[3], memo[4]
+    # drop the old entry first, so two originals' moments are never alive at once
+    _original_memo = memo = None
+    mu = _windowed_sums(values, taps)
+    mu /= weight
+    var = _windowed_sums(values * values, taps)
+    var /= weight
+    var -= mu * mu
+    mu.flags.writeable = False
+    var.flags.writeable = False
+    if not values.flags.writeable:
+        _original_memo = (values, params.window, params.sigma, mu, var)
+    return mu, var
 
 
 def ssim3d(
@@ -114,30 +172,53 @@ def ssim3d(
     Each voxel-centered window uses weights renormalized over the in-bounds
     portion; weighted first and second moments feed the standard SSIM form.
     With `mask`, the per-voxel map is averaged over in-mask centers only.
+
+    The window weights depend on the grid only and are cached; the moments
+    of `a` are kept until another original is scored, so scoring N networks
+    against one original costs 2 + 3N windowed sums, not 6N.
     """
     _check_pair(a, b)
     size = 2 * params.window + 1
     if any(d < size for d in a.dims):
         raise VolumeTooSmall(f"dims {a.dims} smaller than the {size}^3 SSIM window")
-
-    taps = _gaussian_taps(params)
-    weight = _windowed_sums(np.ones(a.dims), taps)
-    av, bv = a.values, b.values
-    mu_a = _windowed_sums(av, taps) / weight
-    mu_b = _windowed_sums(bv, taps) / weight
-    var_a = _windowed_sums(av * av, taps) / weight - mu_a * mu_a
-    var_b = _windowed_sums(bv * bv, taps) / weight - mu_b * mu_b
-    cov = _windowed_sums(av * bv, taps) / weight - mu_a * mu_b
-
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
-    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
     if mask is not None:
         mask.check_aligned(a)
-        return float(np.mean(ssim_map[mask.flags]))
-    return float(np.mean(ssim_map))
+
+    taps, weight = _window_geometry(a.dims, params.window, params.sigma)
+    mu_a, var_a = _original_moments(a.values, params, taps, weight)
+    c1 = (params.k1 * params.dynamic_range) ** 2
+    c2 = (params.k2 * params.dynamic_range) ** 2
+    # The map is ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)).
+    # Each factor is built in place, with the same operations in the same
+    # order as that expression; at most five maps of this call are alive at once.
+    av, bv = a.values, b.values
+    mu_b = _windowed_sums(bv, taps)
+    mu_b /= weight
+    var_b = _windowed_sums(bv * bv, taps)
+    var_b /= weight
+    mu_b_sq = mu_b * mu_b
+    var_b -= mu_b_sq
+    var_b += var_a
+    var_b += c2
+    den = mu_a * mu_a
+    den += mu_b_sq
+    den += c1
+    den *= var_b
+    del var_b, mu_b_sq
+    cov = _windowed_sums(av * bv, taps)
+    cov /= weight
+    num = mu_a * mu_b
+    cov -= num
+    np.multiply(mu_a, 2.0, out=num)
+    num *= mu_b
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    num /= den
+    if mask is not None:
+        return float(np.mean(num[mask.flags]))
+    return float(np.mean(num))
 
 
 def compute_metrics(
@@ -147,11 +228,13 @@ def compute_metrics(
     peak: float = 1.0,
     mask: RoiMask | None = None,
 ) -> MetricSet:
+    """All four metrics of one pair; MAE and MSE come from one voxel difference."""
+    abs_err, err = _absolute_and_squared_error(original, synthetic, mask)
     return MetricSet(
-        mae=mae(original, synthetic, mask),
-        mse=mse(original, synthetic, mask),
+        mae=abs_err,
+        mse=err,
         ssim=ssim3d(original, synthetic, ssim_params, mask),
-        psnr=psnr(original, synthetic, peak, mask),
+        psnr=_psnr_db(err, peak),
     )
 
 

@@ -7,11 +7,19 @@ synthetic network output.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateEntry, ManifestError, MissingMask, MissingOriginal, MissingSynthetic
+from .errors import (
+    DuplicateEntry,
+    ManifestError,
+    MissingMask,
+    MissingOriginal,
+    MissingSynthetic,
+    TransfidError,
+)
 
 ORIGINAL_SOURCE = "original_mri"
 MASK_SOURCE = "mask"
@@ -39,11 +47,23 @@ class PatientRecord:
         return [s for s in self.source_paths if s != ORIGINAL_SOURCE]
 
 
+@contextlib.contextmanager
+def open_csv(path: str | Path):
+    """Open a UTF-8 CSV for reading; a byte that is not UTF-8 or a cell
+    over the csv module's size limit, met while the file is read, becomes
+    a TransfidError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TransfidError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
+
+
 def parse_manifest(path: str | Path) -> list[PatientRecord]:
     """Parse the manifest, preserving first-appearance patient order."""
     rows: dict[str, dict[str, str]] = {}
     masks: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         required = {"patient_id", "source", "path"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -359,6 +359,20 @@ class TestAnalyzeInputHazards:
         assert code == 2
         assert f"{features}, line 8: unknown feature 'glcm.bogus' in flags" in err
 
+    @pytest.mark.parametrize("which", ["features", "metrics"])
+    @pytest.mark.parametrize("junk", [b"\xff\xfe,1\n", b'"' + b"x" * 200_000 + b'"\n'])
+    def test_unreadable_csv(self, tmp_path, capsys, which, junk):
+        # a byte that is not UTF-8, and a cell over the csv module's size limit
+        features, metrics = write_analyze_inputs(tmp_path)
+        bad = features if which == "features" else metrics
+        bad.write_bytes(bad.read_bytes() + junk)
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        assert f"{bad}: not a readable UTF-8 CSV file" in capsys.readouterr().err
+
 
 def test_cli_import_skips_scipy_signal_and_stats():
     """`import transfid.cli` must not pay for scipy.signal or scipy.stats (~1 s)."""

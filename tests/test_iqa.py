@@ -1,12 +1,16 @@
 """MAE, MSE, PSNR, SSIM, and cohort summaries."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
+from transfid import iqa
 from transfid.errors import DimsMismatch, EmptyInput, VolumeTooSmall
-from transfid.iqa import MetricSet, SsimParams, mae, mse, psnr, ssim3d, summarize
+from transfid.iqa import MetricSet, SsimParams, compute_metrics, mae, mse, psnr, ssim3d, summarize
+from transfid.volume import Volume3D
 
 from conftest import make_mask, make_volume
 
@@ -161,6 +165,101 @@ class TestSsim3d:
         masked = ssim3d(a, b, mask=make_mask(flags))
         assert masked != full
         assert -1.0 <= masked <= 1.0
+
+
+def fresh_copy(vol):
+    """The same voxels in a new values array, which the moments memo has not seen."""
+    return Volume3D(vol.dims, vol.spacing, vol.values)
+
+
+class TestSharedOriginal:
+    """ssim3d keeps the grid's window weights and the last original's moments."""
+
+    def test_interleaved_calls_equal_memo_misses(self, rng):
+        originals = [make_volume(rng.random((12, 13, 11))) for _ in range(2)]
+        networks = [
+            make_volume(np.clip(originals[0].values + rng.normal(0, s, (12, 13, 11)), 0, 1))
+            for s in (0.05, 0.2)
+        ]
+        params = [SsimParams(), SsimParams(window=2, sigma=0.8, k2=0.05)]
+        flags = np.zeros((12, 13, 11), dtype=bool)
+        flags[2:9, 3:10, 1:7] = True
+        masks = [None, make_mask(flags)]
+        cases = [(o, n, p, m) for o in range(2) for n in range(2) for p in range(2) for m in range(2)]
+        expected = {
+            case: ssim3d(fresh_copy(originals[case[0]]), networks[case[1]], params[case[2]], masks[case[3]])
+            for case in cases
+        }
+        # runs of hits on one original across networks, params and masks, then
+        # calls that alternate between the two originals
+        alternating = [c for pair in zip(cases[:8], cases[8:]) for c in pair]
+        for case in cases + cases[::-1] + alternating:
+            o, n, p, m = case
+            assert ssim3d(originals[o], networks[n], params[p], masks[m]) == expected[case]
+
+    def test_symmetry_exact_through_the_memo(self, rng):
+        a = make_volume(rng.random((12, 12, 12)))
+        b = make_volume(rng.random((12, 12, 12)))
+        first = ssim3d(a, b)
+        assert ssim3d(a, b) == first  # a hit
+        assert ssim3d(b, a) == first
+        assert ssim3d(b, a) == first
+
+    def test_memo_keeps_one_original(self, rng):
+        a = make_volume(rng.random((11, 11, 11)))
+        b = make_volume(rng.random((11, 11, 11)))
+        ssim3d(a, b)
+        values = weakref.ref(a.values)
+        del a
+        gc.collect()
+        assert values() is not None  # held, so its id cannot be reused
+        other = make_volume(rng.random((11, 11, 11)))
+        ssim3d(other, b)
+        gc.collect()
+        assert values() is None
+
+    def test_writeable_values_are_not_memoized(self, rng):
+        a = make_volume(rng.random((11, 11, 11)))
+        b = make_volume(rng.random((11, 11, 11)))
+        a.values.flags.writeable = True  # Volume3D owns the array, so this is allowed
+        ssim3d(a, b)
+        a.values[3:8, 3:8, 3:8] = 0.0
+        assert ssim3d(a, b) == ssim3d(fresh_copy(a), b)
+
+    def test_windowed_sums_per_original_and_network(self, rng, monkeypatch):
+        calls = []
+        counted = iqa._windowed_sums
+        monkeypatch.setattr(
+            iqa, "_windowed_sums", lambda arr, taps: calls.append(1) or counted(arr, taps)
+        )
+        dims = (11, 12, 13)
+        networks = [make_volume(rng.random(dims)) for _ in range(3)]
+
+        iqa._window_geometry.cache_clear()
+        original = make_volume(rng.random(dims))
+        for network in networks:
+            compute_metrics(original, network)
+        assert len(calls) == 1 + 2 + 3 * 3  # weight map, original, three per network
+
+        calls.clear()
+        original = make_volume(rng.random(dims))
+        for network in networks:
+            ssim3d(original, network)
+        assert len(calls) == 2 + 3 * 3  # the weight map is cached for the grid
+
+    def test_compute_metrics_equals_the_four_functions(self, rng):
+        a = make_volume(rng.random((12, 12, 12)))
+        b = make_volume(np.clip(a.values + rng.normal(0, 0.1, a.dims), 0, 1))
+        flags = rng.random(a.dims) < 0.4
+        flags[6, 6, 6] = True
+        for mask in (None, make_mask(flags)):
+            got = compute_metrics(a, b, SsimParams(window=2), 0.5, mask)
+            assert got == MetricSet(
+                mae=mae(a, b, mask),
+                mse=mse(a, b, mask),
+                ssim=ssim3d(a, b, SsimParams(window=2), mask),
+                psnr=psnr(a, b, 0.5, mask),
+            )
 
 
 class TestSummarize:
