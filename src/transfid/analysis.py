@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,16 +141,6 @@ def _worker(args: tuple[PatientRecord, RunConfig, bool, bool]) -> PatientResult:
     return process_patient(record, config, want_features, want_metrics)
 
 
-def resolve_jobs(jobs: int | None, config: RunConfig) -> int:
-    """Worker count: --jobs flag, then TRANSFID_JOBS, then config; 0 = auto."""
-    for candidate in (jobs, os.environ.get("TRANSFID_JOBS"), config.jobs):
-        if candidate in (None, ""):
-            continue
-        n = int(candidate)
-        return n if n > 0 else max(1, os.cpu_count() or 1)
-    return 1
-
-
 def run_pipeline(
     records: list[PatientRecord],
     config: RunConfig,
@@ -159,11 +148,16 @@ def run_pipeline(
     want_features: bool = True,
     want_metrics: bool = True,
 ) -> list[PatientResult]:
-    """Process all patients, optionally in parallel, in manifest order."""
+    """Process all patients in manifest order, on at most `jobs` workers.
+
+    The pool gets no more workers than there are patients: it starts all
+    of them at the first task.
+    """
     args = [(r, config, want_features, want_metrics) for r in records]
-    if jobs <= 1 or len(records) <= 1:
+    workers = min(jobs, len(records))
+    if workers <= 1:
         return [_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, args))
 
 

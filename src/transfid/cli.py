@@ -18,7 +18,7 @@ from . import analysis
 from .config import DEFAULTS, RunConfig
 from .errors import CohortTooSmall, ConfigError, TransfidError
 from .iqa import MetricSet, mae, mse, psnr, ssim3d
-from .manifest import ORIGINAL_SOURCE, open_csv, parse_manifest
+from .manifest import ORIGINAL_SOURCE, csv_rows, open_csv, parse_manifest
 from .nifti import save_nifti
 from .phantom import generate_phantom
 from .preprocess import DiscretizationScheme
@@ -53,20 +53,20 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_config(path: str | None) -> RunConfig:
-    return RunConfig.from_json(path) if path else RunConfig.from_dict({})
+def _write_csv(path: str, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(Path(path), buf.getvalue())
 
 
-def _sorted_sources(record) -> list[str]:
-    return [ORIGINAL_SOURCE] + sorted(record.synthetic_sources)
-
-
-def _processed(records, results) -> list:
-    """(record, result) of each processed patient; warns about each excluded one.
-
-    Raises CohortTooSmall when every patient was excluded, so that no
-    output file is written and the command exits 2.
-    """
+def _run_cohort(args, header: list[str], rows_of, **want) -> int:
+    """Run the pipeline and write `rows_of(record, result)` for each processed
+    patient; warn about each excluded one, and write nothing if all are."""
+    config = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict({})
+    records = parse_manifest(args.manifest)
+    results = analysis.run_pipeline(records, config, jobs=args.jobs, **want)
     kept = []
     for record, result in zip(records, results):
         if result.error is not None:
@@ -75,73 +75,35 @@ def _processed(records, results) -> list:
             kept.append((record, result))
     if not kept:
         raise CohortTooSmall("no patient could be processed")
-    return kept
+    _write_csv(args.out, header, (row for pair in kept for row in rows_of(*pair)))
+    return EXIT_OK
+
+
+def _feature_rows(record, result):
+    for source in [ORIGINAL_SOURCE] + sorted(record.synthetic_sources):
+        vector = result.features[source]
+        yield [
+            record.patient_id,
+            source,
+            *(_fmt(vector[key], 12) for key in ALL_FEATURE_KEYS),
+            ";".join(k for k in ALL_FEATURE_KEYS if k in vector.flags),
+        ]
+
+
+def _metric_rows(record, result):
+    for network in sorted(result.metrics):
+        m = result.metrics[network]
+        yield [record.patient_id, network, *(_fmt(getattr(m, name), 9) for name in METRIC_COLUMNS)]
 
 
 def cmd_extract(args) -> int:
-    config = _load_config(args.config)
-    records = parse_manifest(args.manifest)
-    jobs = analysis.resolve_jobs(args.jobs, config)
-    results = analysis.run_pipeline(records, config, jobs=jobs, want_metrics=False)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "source", *ALL_FEATURE_KEYS, "flags"])
-    for record, result in _processed(records, results):
-        for source in _sorted_sources(record):
-            vector = result.features[source]
-            row = [record.patient_id, source]
-            row.extend(_fmt(vector[key], 12) for key in ALL_FEATURE_KEYS)
-            row.append(";".join(k for k in ALL_FEATURE_KEYS if k in vector.flags))
-            writer.writerow(row)
-    _atomic_write(Path(args.out), buf.getvalue())
-    return EXIT_OK
+    header = ["patient_id", "source", *ALL_FEATURE_KEYS, "flags"]
+    return _run_cohort(args, header, _feature_rows, want_metrics=False)
 
 
 def cmd_metrics(args) -> int:
-    config = _load_config(args.config)
-    records = parse_manifest(args.manifest)
-    jobs = analysis.resolve_jobs(args.jobs, config)
-    results = analysis.run_pipeline(records, config, jobs=jobs, want_features=False)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "network", *METRIC_COLUMNS])
-    for record, result in _processed(records, results):
-        for network in sorted(result.metrics):
-            m = result.metrics[network]
-            writer.writerow(
-                [record.patient_id, network]
-                + [_fmt(getattr(m, name), 9) for name in METRIC_COLUMNS]
-            )
-    _atomic_write(Path(args.out), buf.getvalue())
-    return EXIT_OK
-
-
-def _csv_rows(fh, path: str, needed: tuple[str, ...]):
-    """(column index of the header, iterator of (line number, row)) of a CSV.
-
-    The header must name every column in `needed`; blank lines are
-    skipped, and a row whose width differs from the header's is an error.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    index = {name: i for i, name in enumerate(header)}
-    missing = [name for name in needed if name not in index]
-    if missing:
-        raise TransfidError(f"{path}: header lacks column {missing[0]!r}")
-
-    def rows():
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TransfidError(
-                    f"{path}, line {reader.line_num}: {len(row)} cells, the header has {len(header)}"
-                )
-            yield reader.line_num, row
-
-    return index, rows()
+    header = ["patient_id", "network", *METRIC_COLUMNS]
+    return _run_cohort(args, header, _metric_rows, want_features=False)
 
 
 def _number(cell: str, column: str, path: str, line: int) -> float:
@@ -151,17 +113,19 @@ def _number(cell: str, column: str, path: str, line: int) -> float:
         raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}") from None
 
 
+_EMPTY_AS_NAN = {"": "nan"}  # .get(cell, cell) turns '' into 'nan', any other cell into itself
+
+
 def _feature_values(cells: tuple[str, ...], path: str, line: int) -> np.ndarray:
-    """One row's 186 feature cells as floats; an empty cell reads as NaN."""
+    """One row's 186 feature cells as floats; an empty cell reads as NaN.
+    A row that fails is walked cell by cell only to name the bad cell."""
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
+        return np.fromiter(map(float, map(_EMPTY_AS_NAN.get, cells, cells)), np.float64, len(cells))
     except ValueError:
-        return np.array(
-            [
-                _number(cell, key, path, line) if cell else math.nan
-                for key, cell in zip(ALL_FEATURE_KEYS, cells)
-            ]
-        )
+        for key, cell in zip(ALL_FEATURE_KEYS, cells):
+            if cell:
+                _number(cell, key, path, line)
+        raise
 
 
 def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
@@ -177,7 +141,7 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
     seen: set[tuple[str, str]] = set()
     known = frozenset(ALL_FEATURE_KEYS)
     with open_csv(path) as fh:
-        index, lines = _csv_rows(fh, path, ("patient_id", "source", *ALL_FEATURE_KEYS))
+        index, lines = csv_rows(fh, path, ("patient_id", "source", *ALL_FEATURE_KEYS))
         pid_at, source_at, flags_at = index["patient_id"], index["source"], index.get("flags")
         feature_cells = operator.itemgetter(*(index[key] for key in ALL_FEATURE_KEYS))
         for line, row in lines:
@@ -204,7 +168,7 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
 def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
     metrics: dict[tuple[str, str], MetricSet] = {}
     with open_csv(path) as fh:
-        index, lines = _csv_rows(fh, path, ("patient_id", "network", *METRIC_COLUMNS))
+        index, lines = csv_rows(fh, path, ("patient_id", "network", *METRIC_COLUMNS))
         for line, row in lines:
             pid, network = row[index["patient_id"]], row[index["network"]]
             if (pid, network) in metrics:
@@ -234,22 +198,15 @@ def cmd_analyze(args) -> int:
     records = analysis.concordance(table)
     assignments = analysis.classify_groups(records, top, threshold=args.threshold)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["feature_id", "group"]
-        + [f"rho_{n}" for n in networks]
-        + [f"pass_{n}" for n in networks]
-        + ["anomalous"]
+    header = ["feature_id", "group", *(f"rho_{n}" for n in networks), *(f"pass_{n}" for n in networks)]
+    rows = (
+        [record.feature_key, assignment.group]
+        + [_fmt(record.rho[n], 9) for n in networks]
+        + [str(assignment.passes[n]).lower() for n in networks]
+        + [str(assignment.anomalous).lower()]
+        for record, assignment in zip(records, assignments)
     )
-    for record, assignment in zip(records, assignments):
-        writer.writerow(
-            [record.feature_key, assignment.group]
-            + [_fmt(record.rho[n], 9) for n in networks]
-            + [str(assignment.passes[n]).lower() for n in networks]
-            + [str(assignment.anomalous).lower()]
-        )
-    _atomic_write(Path(args.out), buf.getvalue())
+    _write_csv(args.out, header + ["anomalous"], rows)
 
     summary = {
         "threshold": args.threshold,
@@ -273,17 +230,41 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _parse_triple(text: str, kind, name: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise TransfidError(f"{name} must be three comma-separated values, got {text!r}")
-    return tuple(kind(p) for p in parts)
+def _count(text: str, hint: str = "") -> int:
+    """--seed, and --jobs through _jobs: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}{hint}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """--jobs: a worker count, 0 = one per CPU."""
+    return _count(text, " (its default is TRANSFID_JOBS)") or os.cpu_count() or 1
+
+
+def _triple(kind, low: float, high: float):
+    """Type of a flag taking three comma-separated numbers in [low, high]."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(map(kind, text.split(",")))
+        except ValueError:
+            values = ()
+        if len(values) != 3 or not all(low <= v <= high for v in values):
+            raise argparse.ArgumentTypeError(
+                f"must be three comma-separated {kind.__name__} values in [{low:g}, {high:g}], got {text!r}"
+            )
+        return values
+
+    return parse
 
 
 def cmd_phantom(args) -> int:
-    dims = _parse_triple(args.dims, int, "--dims")
-    spacing = _parse_triple(args.spacing, float, "--spacing")
-    volume, mask = generate_phantom(args.seed, dims, spacing)
+    volume, mask = generate_phantom(args.seed, args.dims, args.spacing)
 
     out = Path(args.out)
     mask_out = Path(args.mask_out) if args.mask_out else out.with_name(out.stem + "_mask" + out.suffix)
@@ -360,19 +341,21 @@ def cmd_selftest(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="transfid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # a string default goes through the flag's type, so TRANSFID_JOBS is checked like --jobs
+    jobs_default = os.environ.get("TRANSFID_JOBS") or "0"
 
     p_extract = sub.add_parser("extract", help="extract 186 features per (patient, source)")
     p_extract.add_argument("--manifest", required=True)
     p_extract.add_argument("--config", default=None)
     p_extract.add_argument("--out", required=True)
-    p_extract.add_argument("--jobs", type=int, default=None)
+    p_extract.add_argument("--jobs", type=_jobs, default=jobs_default)
     p_extract.set_defaults(func=cmd_extract)
 
     p_metrics = sub.add_parser("metrics", help="compute MAE/MSE/SSIM/PSNR per (patient, network)")
     p_metrics.add_argument("--manifest", required=True)
     p_metrics.add_argument("--config", default=None)
     p_metrics.add_argument("--out", required=True)
-    p_metrics.add_argument("--jobs", type=int, default=None)
+    p_metrics.add_argument("--jobs", type=_jobs, default=jobs_default)
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_analyze = sub.add_parser("analyze", help="concordance and discovery-group classification")
@@ -384,9 +367,12 @@ def build_parser() -> _Parser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_phantom = sub.add_parser("phantom", help="write a deterministic test volume and mask")
-    p_phantom.add_argument("--seed", type=int, required=True)
-    p_phantom.add_argument("--dims", default="16,16,16")
-    p_phantom.add_argument("--spacing", default="1,1,1")
+    p_phantom.add_argument("--seed", type=_count, required=True)
+    # a NIfTI-1 header stores each voxel count as an int16 and each spacing as a float32
+    p_phantom.add_argument("--dims", type=_triple(int, 1, 32767), default="16,16,16")
+    float32 = np.finfo(np.float32)
+    spacing = _triple(float, float(float32.tiny), float(float32.max))
+    p_phantom.add_argument("--spacing", type=spacing, default="1,1,1")
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--mask-out", default=None)
     p_phantom.set_defaults(func=cmd_phantom)

@@ -35,7 +35,6 @@ DEFAULTS: dict = {
     },
     "ivh": {"bins": 1000},
     "ngldm": {"alpha": 0},
-    "jobs": 0,
 }
 
 
@@ -80,7 +79,6 @@ class RunConfig:
     psnr_peak: float = 1.0
     ivh_bins: int = 1000
     ngldm_alpha: int = 0
-    jobs: int = 0
     raw: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULTS)))
 
     @classmethod
@@ -133,8 +131,6 @@ class RunConfig:
         _require(_is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
         peak = cfg["metrics"]["psnr_peak"]
         _require(_is_number(peak) and peak > 0, "metrics.psnr_peak must be positive")
-        jobs = cfg["jobs"]
-        _require(_is_int(jobs) and jobs >= 0, "jobs must be an int >= 0 (0 = auto)")
         for key in ("normalize", "normalize_after_crop"):
             _require(isinstance(cfg["preprocess"][key], bool), f"preprocess.{key} must be a bool")
         _require(isinstance(cfg["metrics"]["roi_only"], bool), "metrics.roi_only must be a bool")
@@ -149,7 +145,6 @@ class RunConfig:
             psnr_peak=float(peak),
             ivh_bins=ivh_bins,
             ngldm_alpha=alpha,
-            jobs=jobs,
             raw=cfg,
         )
 
@@ -157,8 +152,8 @@ class RunConfig:
     def from_json(cls, path: str | Path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
         return cls.from_dict(data)
 
     def config_hash(self) -> str:

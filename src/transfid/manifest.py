@@ -1,14 +1,15 @@
 """Cohort manifest parsing.
 
 The manifest is a UTF-8 CSV with header ``patient_id,source,path`` and one
-row per (patient, source). The source named "mask" carries the ROI path;
-"original_mri" is the reference image; every other source is treated as a
-synthetic network output.
+row per (patient, source), each as wide as the header. The source named
+"mask" carries the ROI path; "original_mri" is the reference image; every
+other source is treated as a synthetic network output.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,30 +60,53 @@ def open_csv(path: str | Path):
         raise TransfidError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
 
 
+def csv_rows(fh, path: str | Path, needed: tuple[str, ...]):
+    """(column index of the header, iterator of (line number, row)) of a CSV.
+
+    The header must name every column in `needed`; blank lines are
+    skipped, a row's line number is its physical line in the file, and a
+    row whose width differs from the header's is an error.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    index = {name: i for i, name in enumerate(header)}
+    missing = [name for name in needed if name not in index]
+    if missing:
+        raise TransfidError(f"{path}: header lacks column {missing[0]!r}")
+
+    def rows():
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise TransfidError(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, the header has {len(header)}"
+                )
+            yield reader.line_num, row
+
+    return index, rows()
+
+
 def parse_manifest(path: str | Path) -> list[PatientRecord]:
     """Parse the manifest, preserving first-appearance patient order."""
     rows: dict[str, dict[str, str]] = {}
     masks: dict[str, str] = {}
     with open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "source", "path"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ManifestError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            pid = (row["patient_id"] or "").strip()
-            source = (row["source"] or "").strip()
-            file_path = (row["path"] or "").strip()
+        index, lines = csv_rows(fh, path, ("patient_id", "source", "path"))
+        cells = operator.itemgetter(index["patient_id"], index["source"], index["path"])
+        for line, row in lines:
+            pid, source, file_path = (cell.strip() for cell in cells(row))
             if not pid or not source or not file_path:
-                raise ManifestError(f"{path}:{lineno}: empty patient_id/source/path")
+                raise ManifestError(f"{path}, line {line}: empty patient_id/source/path")
             if source == MASK_SOURCE:
                 if pid in masks:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate mask for patient {pid!r}")
+                    raise DuplicateEntry(f"{path}, line {line}: duplicate mask for patient {pid!r}")
                 rows.setdefault(pid, {})
                 masks[pid] = file_path
             else:
                 sources = rows.setdefault(pid, {})
                 if source in sources:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate ({pid!r}, {source!r})")
+                    raise DuplicateEntry(f"{path}, line {line}: duplicate ({pid!r}, {source!r})")
                 sources[source] = file_path
 
     return [

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .ids import ALL_FEATURE_KEYS, EXPECTED_FAMILY_COUNTS
+from .ids import ALL_FEATURE_KEYS
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,6 @@ class FeatureVector:
             if len(keys) != len(ALL_FEATURE_KEYS):
                 raise ValueError(f"feature vector has {len(keys)} entries, expected 186")
             raise ValueError("feature vector keys are not in canonical order")
-        counts = {family: 0 for family in EXPECTED_FAMILY_COUNTS}
-        for key in keys:
-            counts[key.split(".", 1)[0].upper()] += 1
-        if counts != EXPECTED_FAMILY_COUNTS:
-            raise ValueError(f"family counts off: {counts}")
         for key, value in self.values.items():
             if math.isnan(value) and key not in self.flags:
                 raise ValueError(f"NaN feature {key} lacks a degeneracy flag")

@@ -6,6 +6,7 @@ Fortran-order raveling of the array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ class Volume3D:
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+            raise ValueError(f"spacing must be three positive finite reals, got {self.spacing}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != dims:
             if values.size == dims[0] * dims[1] * dims[2]:

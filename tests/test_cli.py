@@ -106,6 +106,33 @@ class TestPipeline:
             outs.append((features.read_bytes(), metrics.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_pool_starts_no_more_workers_than_patients(self, tmp_path, cohort, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Runs tasks in-process and records the worker count it was asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("transfid.analysis.ProcessPoolExecutor", RecordingPool)
+        manifest, config = cohort
+        for jobs in ("4", "500", "1"):
+            assert main([
+                "metrics", "--manifest", str(manifest), "--config", str(config),
+                "--out", str(tmp_path / "m.csv"), "--jobs", jobs,
+            ]) == 0
+        assert started == [2, 2]
+
     def test_crop_config_flows_through_extract(self, tmp_path, cohort):
         manifest, _ = cohort
         config = tmp_path / "crop_config.json"
@@ -261,6 +288,33 @@ class TestExitCodes:
             ]) == 1
             assert "--threshold" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [
+            (["phantom", "--seed", "1", "--dims", "a,b,c"], None, "--dims"),
+            (["phantom", "--seed", "1", "--dims", "0,4,4"], None, "--dims"),
+            (["phantom", "--seed", "1", "--dims", "8,8"], None, "--dims"),
+            (["phantom", "--seed", "1", "--dims", "40000,1,1"], None, "--dims"),
+            (["phantom", "--seed", "1", "--spacing", "1,1,x"], None, "--spacing"),
+            (["phantom", "--seed", "1", "--spacing", "0,1,1"], None, "--spacing"),
+            (["phantom", "--seed", "1", "--spacing", "nan,1,1"], None, "--spacing"),
+            (["phantom", "--seed", "1", "--spacing", "1e39,1,1"], None, "--spacing"),
+            (["phantom", "--seed", "1", "--spacing", "1e-50,1,1"], None, "--spacing"),
+            (["phantom", "--seed", "-1"], None, "--seed"),
+            (["metrics", "--manifest", "m.csv"], "abc", "TRANSFID_JOBS"),
+            (["metrics", "--manifest", "m.csv", "--jobs", "-1"], None, "--jobs"),
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, env, named):
+        if env is None:
+            monkeypatch.delenv("TRANSFID_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TRANSFID_JOBS", env)
+        assert main([*argv, "--out", str(tmp_path / "out.nii")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["extract", "metrics"])
     def test_every_patient_excluded_is_data_error(self, tmp_path, capsys, command):

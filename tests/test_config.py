@@ -1,7 +1,7 @@
 """RunConfig schema validation and hashing."""
 import pytest
 
-from transfid.analysis import resolve_jobs
+from transfid.cli import build_parser, main
 from transfid.config import RunConfig
 from transfid.errors import ConfigError
 
@@ -15,7 +15,6 @@ class TestDefaults:
         assert cfg.ssim_params.window == 5
         assert cfg.ivh_bins == 1000
         assert cfg.ngldm_alpha == 0
-        assert cfg.jobs == 0
 
     def test_partial_override(self):
         cfg = RunConfig.from_dict({"discretize": {"bins": 64}})
@@ -79,6 +78,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_json(path)
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"ivh": {"bins": 8}}\xff\n')
+        with pytest.raises(ConfigError, match="not UTF-8 JSON"):
+            RunConfig.from_json(config)
+        assert main([
+            "metrics", "--manifest", str(tmp_path / "none.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "transfid: config error" in err and "Traceback" not in err
+
 
 class TestHash:
     def test_stable_for_equal_configs(self):
@@ -98,24 +109,29 @@ class TestHash:
 
 
 class TestJobsResolution:
+    """Workers come from --jobs, then TRANSFID_JOBS, then one per CPU; no config key."""
+
+    @staticmethod
+    def jobs(*flags):
+        argv = ["extract", "--manifest", "m.csv", "--out", "o.csv", *flags]
+        return build_parser().parse_args(argv).jobs
+
     def test_flag_wins(self, monkeypatch):
         monkeypatch.setenv("TRANSFID_JOBS", "7")
-        cfg = RunConfig.from_dict({"jobs": 4})
-        assert resolve_jobs(2, cfg) == 2
+        assert self.jobs("--jobs", "2") == 2
 
     def test_env_is_fallback_for_flag(self, monkeypatch):
         monkeypatch.setenv("TRANSFID_JOBS", "3")
-        cfg = RunConfig.from_dict({"jobs": 4})
-        assert resolve_jobs(None, cfg) == 3
+        assert self.jobs() == 3
 
-    def test_config_next(self, monkeypatch):
-        monkeypatch.delenv("TRANSFID_JOBS", raising=False)
-        cfg = RunConfig.from_dict({"jobs": 4})
-        assert resolve_jobs(None, cfg) == 4
+    def test_config_has_no_jobs_key(self):
+        with pytest.raises(ConfigError, match="unknown config key: jobs"):
+            RunConfig.from_dict({"jobs": 4})
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.delenv("TRANSFID_JOBS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 6)
-        cfg = RunConfig.from_dict({})
-        assert resolve_jobs(0, cfg) == 6
-        assert resolve_jobs(None, cfg) == 6  # default config jobs=0 -> auto
+        assert self.jobs("--jobs", "0") == 6
+        assert self.jobs() == 6
+        monkeypatch.setenv("TRANSFID_JOBS", "")  # an empty variable reads as unset
+        assert self.jobs() == 6

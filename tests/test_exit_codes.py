@@ -1,14 +1,19 @@
-"""Property tests: malformed inputs map to a TransfidError and exit code 2.
+"""Property tests: malformed inputs map to a TransfidError and exit code 2,
+and malformed arguments to exit code 1.
 
 Random bytes of the 348-byte NIfTI-1 header are overwritten, and manifests
 are written from random rows (stray columns, empty cells, quotes, bytes
 that are not UTF-8). The loaders must return a value or raise a
 TransfidError; `transfid metrics` must exit 0 or 2 and never raise.
+Argument strings are drawn for `phantom` and `metrics`; `main` must
+return 0, 1 or 2 and never raise.
 """
 import contextlib
 import io
 import json
+import os
 import tempfile
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -113,3 +118,42 @@ def test_malformed_manifest(data):
         # relative file names resolve against the cohort directory
         with contextlib.chdir(root):
             assert run_metrics(root, manifest) in (0, 2)
+
+
+# text that int() and float() cannot read as a number, so no drawn value exceeds 32 per axis
+no_digits = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+axis = st.one_of(
+    st.integers(-32, 32).map(str),
+    st.floats(-32, 32).map(repr),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "")),
+    no_digits,
+)
+triples = st.one_of(st.tuples(axis, axis, axis), st.lists(axis, max_size=4)).map(",".join)
+counts = st.one_of(st.integers(-3, 2**70).map(str), no_digits)
+
+
+@st.composite
+def argument_lists(draw):
+    """(argv without --out, TRANSFID_JOBS or None): phantom with drawn seed, dims
+    and spacing, or metrics on a missing manifest with drawn --jobs."""
+    if draw(st.booleans()):
+        argv = ["phantom", "--seed", draw(counts), "--dims", draw(triples), "--spacing", draw(triples)]
+    else:
+        argv = ["metrics", "--manifest", "missing.csv"]
+        if draw(st.booleans()):
+            argv += ["--jobs", draw(counts)]
+    return argv, draw(st.one_of(st.none(), counts))
+
+
+@PROPERTY
+@given(case=argument_lists())
+@example(case=(["phantom", "--seed", "3", "--dims", "4,5,6", "--spacing", "0.5,1,2"], None))
+def test_arguments_map_to_exit_codes(case):
+    argv, jobs_env = case
+    env = {"TRANSFID_JOBS": jobs_env} if jobs_env is not None else {}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if jobs_env is None:
+            os.environ.pop("TRANSFID_JOBS", None)
+        with contextlib.chdir(tmp), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--out", "out.nii"]) in (0, 1, 2)

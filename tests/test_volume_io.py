@@ -13,6 +13,7 @@ from transfid.errors import (
     MissingOriginal,
     MissingSynthetic,
     NonFiniteVoxel,
+    TransfidError,
     UnsupportedDatatype,
 )
 from transfid.manifest import parse_manifest
@@ -204,8 +205,9 @@ class TestTypes:
             Volume3D((2, 2, 2), (1, 1, 1), values)
 
     def test_volume_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            Volume3D((2, 2, 2), (1, -1, 1), np.zeros((2, 2, 2)))
+        for spacing in ((1, -1, 1), (np.inf, 1, 1), (1, np.nan, 1)):
+            with pytest.raises(ValueError):
+                Volume3D((2, 2, 2), spacing, np.zeros((2, 2, 2)))
 
     def test_mask_must_be_non_empty(self):
         with pytest.raises(EmptyMask):
@@ -282,6 +284,20 @@ class TestManifest:
             ],
         )
         with pytest.raises(DuplicateEntry):
+            parse_manifest(manifest)
+
+    def test_error_names_physical_line(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "patient_id,source,path\np1,original_mri,a.nii\n\n\np1,original_mri,b.nii\n"
+        )
+        with pytest.raises(DuplicateEntry, match=r"m\.csv, line 5: duplicate"):
+            parse_manifest(manifest)
+
+    def test_row_wider_than_header(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        _write_manifest(manifest, [("p1", "original_mri", "a.nii", "EXTRA")])
+        with pytest.raises(TransfidError, match=r"m\.csv, line 2: 4 cells, the header has 3"):
             parse_manifest(manifest)
 
     def test_quoted_fields(self, tmp_path):
