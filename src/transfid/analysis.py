@@ -115,6 +115,8 @@ def process_patient(
             vol = original if source == ORIGINAL_SOURCE else load_nifti(path)
             mask.check_aligned(vol)
             processed[source] = preprocess_pair(vol, mask, config)
+        # only the preprocessed volumes are used from here on
+        del original, vol
 
         if want_features:
             for source, (vol, roi) in processed.items():

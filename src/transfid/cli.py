@@ -19,7 +19,7 @@ from .config import DEFAULTS, RunConfig
 from .errors import CohortTooSmall, ConfigError, TransfidError
 from .iqa import MetricSet, mae, mse, psnr, ssim3d
 from .manifest import ORIGINAL_SOURCE, csv_rows, open_csv, parse_manifest
-from .nifti import save_nifti
+from .nifti import MAX_DIM, MAX_SPACING, MIN_SPACING, save_nifti
 from .phantom import generate_phantom
 from .preprocess import DiscretizationScheme
 from .radiomics import ALL_FEATURE_KEYS, ExtractionSettings, extract_all
@@ -368,11 +368,8 @@ def build_parser() -> _Parser:
 
     p_phantom = sub.add_parser("phantom", help="write a deterministic test volume and mask")
     p_phantom.add_argument("--seed", type=_count, required=True)
-    # a NIfTI-1 header stores each voxel count as an int16 and each spacing as a float32
-    p_phantom.add_argument("--dims", type=_triple(int, 1, 32767), default="16,16,16")
-    float32 = np.finfo(np.float32)
-    spacing = _triple(float, float(float32.tiny), float(float32.max))
-    p_phantom.add_argument("--spacing", type=spacing, default="1,1,1")
+    p_phantom.add_argument("--dims", type=_triple(int, 1, MAX_DIM), default="16,16,16")
+    p_phantom.add_argument("--spacing", type=_triple(float, MIN_SPACING, MAX_SPACING), default="1,1,1")
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--mask-out", default=None)
     p_phantom.set_defaults(func=cmd_phantom)

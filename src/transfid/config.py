@@ -152,6 +152,8 @@ class RunConfig:
     def from_json(cls, path: str | Path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
         return cls.from_dict(data)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimsMismatch, EmptyMask, MalformedHeader, NonFiniteVoxel, UnsupportedDatatype
-from .volume import RoiMask, Volume3D
+from .volume import RoiMask, Volume3D, _adopt
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -27,6 +27,11 @@ _DTYPES = {
 }
 
 _WRITE_CODES = {"float32": (16, 32, "f4"), "float64": (64, 64, "f8")}
+
+# the header stores each voxel count as an int16 and each spacing as a float32
+MAX_DIM = 32767
+MIN_SPACING = float(np.finfo(np.float32).tiny)
+MAX_SPACING = float(np.finfo(np.float32).max)
 
 
 def _detect_byte_order(header: bytes) -> str:
@@ -81,12 +86,15 @@ def load_nifti(path: str | Path) -> Volume3D:
     if len(raw) < offset + count * dtype.itemsize:
         raise MalformedHeader(f"{path}: file truncated, expected {count} voxels")
 
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).astype(np.float64)
+    stored = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+    # one conversion straight into the C-ordered array the volume keeps
+    data = stored.reshape((nx, ny, nz), order="F").astype(np.float64, order="C")
     if scl_slope != 0.0:
-        data = data * float(scl_slope) + float(scl_inter)
+        data *= float(scl_slope)
+        data += float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise NonFiniteVoxel(f"{path}: volume contains NaN/Inf voxels")
-    return Volume3D((nx, ny, nz), spacing, data.reshape((nx, ny, nz), order="F"))
+    return _adopt((nx, ny, nz), spacing, data)
 
 
 def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
@@ -109,6 +117,13 @@ def save_nifti(path: str | Path, volume: Volume3D, dtype: str = "float64") -> No
         raise UnsupportedDatatype(f"writer supports float32/float64, got {dtype}")
     code, bitpix, np_code = _WRITE_CODES[dtype]
     nx, ny, nz = volume.dims
+    if max(volume.dims) > MAX_DIM:
+        raise ValueError(f"dims {volume.dims} exceed the header's limit of {MAX_DIM} per axis")
+    if not all(MIN_SPACING <= s <= MAX_SPACING for s in volume.spacing):
+        raise ValueError(
+            f"spacing {volume.spacing} is outside the header's float32 range "
+            f"[{MIN_SPACING:g}, {MAX_SPACING:g}]"
+        )
 
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CropLosesRoi, InvalidScheme
-from .volume import RoiMask, Volume3D
+from .volume import RoiMask, Volume3D, _adopt
 
 FBN = "FBN"
 FBS = "FBS"
@@ -73,8 +73,10 @@ def min_max_normalize(v: Volume3D) -> Volume3D:
     lo = float(v.values.min())
     hi = float(v.values.max())
     if hi == lo:
-        return v.with_values(np.zeros(v.dims))
-    return v.with_values((v.values - lo) / (hi - lo))
+        return _adopt(v.dims, v.spacing, np.zeros(v.dims))
+    out = v.values - lo
+    out /= hi - lo
+    return _adopt(v.dims, v.spacing, out)
 
 
 def _round_half_up(x: float) -> int:
@@ -116,7 +118,7 @@ def crop_centered(
         out_flags[dst] = mask.flags[src]
     if not out_flags.any():
         raise CropLosesRoi(f"crop to {target} at centroid {center} removed the whole ROI")
-    return Volume3D(target, v.spacing, out_vals), RoiMask(target, out_flags)
+    return _adopt(target, v.spacing, out_vals), RoiMask(target, out_flags)
 
 
 def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> DiscretizedVolume:

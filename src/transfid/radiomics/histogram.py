@@ -11,17 +11,18 @@ from .ids import IVH_NAMES
 from .intensity import basic_distribution_stats
 
 
-def level_histogram(d: DiscretizedVolume) -> np.ndarray:
-    """Counts per gray level 1..Ng (including empty levels)."""
-    return np.bincount(d.roi_levels, minlength=d.ng + 1)[1:].astype(np.float64)
-
-
 def intensity_histogram_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
     """The 23 histogram features over discrete gray levels."""
-    levels = d.roi_levels.astype(np.float64)
-    features, flagged = basic_distribution_stats(levels)
+    roi_levels = d.roi_levels
+    levels = roi_levels.astype(np.float64)
+    tally = np.bincount(roi_levels, minlength=d.ng + 1)[1:]
+    # the distinct values are the levels 1..ng, so neither a sort nor a search is needed
+    distinct = np.arange(1, d.ng + 1, dtype=np.float64)
+    features, flagged = basic_distribution_stats(
+        levels, np.repeat(distinct, tally), distinct, roi_levels - 1
+    )
 
-    counts = level_histogram(d)
+    counts = tally.astype(np.float64)
     n = levels.size
     p = counts / n
     occupied = p > 0

@@ -88,8 +88,31 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 
-def basic_distribution_stats(values: np.ndarray) -> tuple[dict[str, float], set[str]]:
+def sorted_with_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted x, distinct values, inverse) with x == distinct[inverse]."""
+    srt = np.sort(x)
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    inverse = np.empty(x.size, dtype=np.intp)
+    # x[order] equals srt value for value, so srt's group numbers carry over
+    inverse[np.argsort(x)] = np.cumsum(first) - 1
+    return srt, srt[first], inverse
+
+
+def basic_distribution_stats(
+    values: np.ndarray,
+    srt: np.ndarray,
+    distinct: np.ndarray,
+    inverse: np.ndarray,
+) -> tuple[dict[str, float], set[str]]:
     """The 16 order/moment statistics shared by the IS and IH families.
+
+    `srt` is `values` sorted ascending, and `distinct[inverse]` equals
+    `values`: the third and fourth powers of the centered values are taken
+    once per distinct value and gathered. That is the same array as the
+    elementwise powers (libm `pow`, the bulk of the cost on a large ROI), so
+    the means keep their bits.
 
     Returns (features, flagged names). Skewness, kurtosis, and the
     coefficient of variation are NaN-flagged when the variance is zero;
@@ -97,7 +120,6 @@ def basic_distribution_stats(values: np.ndarray) -> tuple[dict[str, float], set[
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
-    srt = np.sort(x)
     flagged: set[str] = set()
 
     mean = float(np.mean(x))
@@ -110,8 +132,11 @@ def basic_distribution_stats(values: np.ndarray) -> tuple[dict[str, float], set[
     median = float(np.median(srt))
 
     if var > 0.0:
-        skewness = float(np.mean(centered**3)) / var**1.5
-        kurtosis = float(np.mean(centered**4)) / var**2 - 3.0
+        # each power array is freed before the next is made
+        table = distinct - mean
+        m3, m4 = np.mean((table**3)[inverse]), np.mean((table**4)[inverse])
+        skewness = float(m3) / var**1.5
+        kurtosis = float(m4) / var**2 - 3.0
     else:
         skewness = kurtosis = math.nan
         flagged.update(("skewness", "kurtosis"))
@@ -155,7 +180,7 @@ def intensity_statistics(v: Volume3D, mask: RoiMask) -> tuple[dict[str, float], 
     """The 18 intensity-based statistics over ROI voxel values."""
     mask.check_aligned(v)
     roi = v.values[mask.flags]
-    features, flagged = basic_distribution_stats(roi)
+    features, flagged = basic_distribution_stats(roi, *sorted_with_inverse(roi))
     features["energy"] = float(np.sum(roi * roi))
     features["root_mean_square"] = float(np.sqrt(np.mean(roi * roi)))
     return features, flagged

@@ -115,6 +115,29 @@ def roi_border_distance(mask_flags: np.ndarray) -> np.ndarray:
     return np.asarray(dist)[1:-1, 1:-1, 1:-1].astype(np.int64)
 
 
+def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails): `index` at both ends of every in-mask equal-level
+    pair, direction by direction in DIRECTIONS_13 order, and within one
+    direction in flat order of the first end.
+
+    Each direction's pairs are found as flat positions of the whole grid,
+    so both ends are read from the flat numbering with one gather each.
+    """
+    flat_index = index.ravel()
+    _, ny, nz = d.dims
+    same_at = np.empty(d.dims, dtype=bool)
+    heads = []
+    tails = []
+    for off in DIRECTIONS_13:
+        src, _, same = _same_level_pairs(d, off)
+        same_at.fill(False)
+        same_at[src] = same
+        pos = np.flatnonzero(same_at)
+        heads.append(flat_index[pos])
+        tails.append(flat_index[pos + (off[0] * ny + off[1]) * nz + off[2]])
+    return np.concatenate(heads), np.concatenate(tails)
+
+
 def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """(GLSZM, GLDZM): 26-connected equal-level zones tallied by size and
     by minimum border distance.
@@ -129,14 +152,7 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     n = int(np.count_nonzero(m))
     index = np.full(d.dims, -1, dtype=np.int32)
     index[m] = np.arange(n, dtype=np.int32)
-    heads = []
-    tails = []
-    for off in DIRECTIONS_13:
-        src, dst, same = _same_level_pairs(d, off)
-        heads.append(index[src][same])
-        tails.append(index[dst][same])
-    heads = np.concatenate(heads)
-    tails = np.concatenate(tails)
+    heads, tails = equal_level_edges(d, index)
     graph = coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n))
     n_zones, zone_of = connected_components(graph, directed=False)
 

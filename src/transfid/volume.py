@@ -23,6 +23,12 @@ class Volume3D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self._settle(own=False)
+
+    def _settle(self, own: bool) -> None:
+        """Check the fields and freeze them. The values are copied into a
+        C-ordered array unless `own` says the caller handed over a fresh
+        array that nothing else holds."""
         dims = tuple(int(d) for d in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or any(d <= 0 for d in dims):
@@ -37,7 +43,7 @@ class Volume3D:
                 raise ValueError(f"value count {values.size} does not match dims {dims}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteVoxel("volume contains NaN or infinite values")
-        values = values.copy()
+        values = np.ascontiguousarray(values) if own else values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -54,6 +60,20 @@ class Volume3D:
     def with_values(self, values: np.ndarray) -> "Volume3D":
         """New volume on the same grid with different values."""
         return Volume3D(self.dims, self.spacing, values)
+
+
+def _adopt(dims, spacing, values: np.ndarray) -> Volume3D:
+    """A Volume3D that keeps `values` without the defensive copy.
+
+    Only for an array the caller has just created and never touches again:
+    the volume makes it read-only and shares it.
+    """
+    volume = object.__new__(Volume3D)
+    object.__setattr__(volume, "dims", dims)
+    object.__setattr__(volume, "spacing", spacing)
+    object.__setattr__(volume, "values", values)
+    volume._settle(own=True)
+    return volume
 
 
 @dataclass(frozen=True)

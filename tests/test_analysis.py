@@ -1,5 +1,6 @@
 """Cohort assembly, concordance, network ranking, and grouping."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ class TestPreprocessPair:
         out_vol, out_mask = preprocess_pair(vol, mask, RunConfig.from_dict({}))
         assert out_vol.dims == (6, 6, 6)
         assert out_mask.voxel_count == 216
+
+
+class TestProcessPatient:
+    def test_raw_volumes_are_released_before_the_per_source_work(self, tmp_path, monkeypatch):
+        from transfid import analysis, nifti
+        from transfid.manifest import parse_manifest
+
+        (record,) = parse_manifest(write_cohort(tmp_path, n_patients=1, networks=("a", "b")))
+        loaded = []
+
+        def load(path):
+            volume = nifti.load_nifti(path)
+            loaded.append(weakref.ref(volume))
+            return volume
+
+        def metrics(*args, **kwargs):
+            # normalization made new volumes, so nothing may still hold a raw one
+            assert [ref() for ref in loaded] == [None] * 3
+            return MetricSet(mae=0.0, mse=0.0, ssim=1.0, psnr=math.inf)
+
+        monkeypatch.setattr(analysis, "load_nifti", load)
+        monkeypatch.setattr(analysis, "compute_metrics", metrics)
+        result = analysis.process_patient(record, RunConfig.from_dict({}), want_features=False)
+        assert result.error is None and sorted(result.metrics) == ["a", "b"]
 
 
 class TestBuildCohort:

@@ -90,6 +90,21 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "transfid: config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, kind):
+        config = tmp_path / "c.json"
+        if kind == "directory":
+            config.mkdir()
+        with pytest.raises(ConfigError, match="c.json"):
+            RunConfig.from_json(config)
+        assert main([
+            "metrics", "--manifest", str(tmp_path / "none.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "transfid: config error" in err and str(config) in err
+        assert "Traceback" not in err
+
 
 class TestHash:
     def test_stable_for_equal_configs(self):

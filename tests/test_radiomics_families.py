@@ -8,13 +8,21 @@ import oracles
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
-from transfid.radiomics.intensity import _convolve_same, intensity_statistics, local_intensity
+from transfid.radiomics.intensity import (
+    _convolve_same,
+    intensity_statistics,
+    local_intensity,
+    nearest_rank_percentile,
+    sorted_with_inverse,
+)
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
+    equal_level_edges,
     glcm_matrices,
     glrlm_matrices,
     ngldm_matrix,
     ngtdm_table,
+    shift_slices,
     zone_matrices,
 )
 from transfid.radiomics.texture import (
@@ -372,3 +380,156 @@ class TestNgldm:
             matrix = oracles.ngldm_matrix(d.levels, d.mask.flags, d.ng, alpha)
             generic = oracles.row_column_features(matrix, d.mask.voxel_count)
             assert_close_dict(got, {n: generic[s] for n, s in oracles.NGLDM_MAP.items()})
+
+
+def _elementwise_distribution_stats(values):
+    """The IS/IH order and moment statistics with the powers taken voxel by
+    voxel, as they were computed before the per-distinct-value table."""
+    x = np.asarray(values, dtype=np.float64)
+    srt = np.sort(x)
+    flagged = set()
+    mean = float(np.mean(x))
+    centered = x - mean
+    var = float(np.mean(centered**2))
+    p10 = nearest_rank_percentile(srt, 10)
+    p25 = nearest_rank_percentile(srt, 25)
+    p75 = nearest_rank_percentile(srt, 75)
+    p90 = nearest_rank_percentile(srt, 90)
+    median = float(np.median(srt))
+    if var > 0.0:
+        skewness = float(np.mean(centered**3)) / var**1.5
+        kurtosis = float(np.mean(centered**4)) / var**2 - 3.0
+    else:
+        skewness = kurtosis = math.nan
+        flagged.update(("skewness", "kurtosis"))
+    if var > 0.0 and mean != 0.0:
+        cov = math.sqrt(var) / mean
+    else:
+        cov = math.nan
+        flagged.add("coefficient_of_variation")
+    if p25 + p75 != 0.0:
+        qcd = (p75 - p25) / (p75 + p25)
+    else:
+        qcd = math.nan
+        flagged.add("quartile_coefficient_of_dispersion")
+    robust = x[(x >= p10) & (x <= p90)]
+    features = {
+        "mean": mean,
+        "variance": var,
+        "skewness": skewness,
+        "kurtosis": kurtosis,
+        "median": median,
+        "minimum": float(srt[0]),
+        "percentile_10": p10,
+        "percentile_90": p90,
+        "maximum": float(srt[-1]),
+        "interquartile_range": p75 - p25,
+        "range": float(srt[-1] - srt[0]),
+        "mean_absolute_deviation": float(np.mean(np.abs(centered))),
+        "robust_mean_absolute_deviation": float(np.mean(np.abs(robust - np.mean(robust)))),
+        "median_absolute_deviation": float(np.mean(np.abs(x - median))),
+        "coefficient_of_variation": cov,
+        "quartile_coefficient_of_dispersion": qcd,
+    }
+    return features, flagged
+
+
+def assert_same_bits(got, expected):
+    """Equal dicts of floats, NaN matching NaN."""
+    assert set(got) == set(expected)
+    for name, e in expected.items():
+        assert got[name] == e or (math.isnan(got[name]) and math.isnan(e)), name
+
+
+def _moment_inputs():
+    rng = np.random.default_rng(77)
+    stored = rng.integers(-1000, 3000, 20_000).astype(np.int16).astype(np.float64)
+    lo, hi = stored.min(), stored.max()
+    return {
+        "int16": stored,
+        "int16_normalized": (stored - lo) / (hi - lo),
+        "all_distinct_floats": rng.random(5_000),
+        "constant": np.full(64, 0.3),
+        "single_voxel": np.array([2.5]),
+        "negative": -rng.integers(1, 40, 3_000).astype(np.float64) * 0.7,
+        "fbs_levels_1024": rng.integers(1, 1025, 30_000).astype(np.float64),
+    }
+
+
+class TestExactMoments:
+    """The third and fourth powers gathered from a per-distinct-value table
+    are the elementwise powers, so every IS and IH moment keeps its bits."""
+
+    @pytest.mark.parametrize("name, values", list(_moment_inputs().items()))
+    def test_gathered_powers_equal_elementwise(self, name, values):
+        srt, distinct, inverse = sorted_with_inverse(values)
+        assert np.array_equal(srt, np.sort(values))
+        assert np.array_equal(distinct, np.unique(values))
+        assert np.array_equal(distinct[inverse], values)
+        centered = values - np.mean(values)
+        table = distinct - np.mean(values)
+        assert np.array_equal((table**3)[inverse], centered**3)
+        assert np.array_equal((table**4)[inverse], centered**4)
+
+    @pytest.mark.parametrize("name, values", list(_moment_inputs().items()))
+    def test_intensity_statistics_equal_elementwise_formulas(self, name, values):
+        vol = make_volume(values.reshape(-1, 1, 1))
+        got, flagged = intensity_statistics(vol, make_mask(np.ones(vol.dims, bool)))
+        expected, expected_flagged = _elementwise_distribution_stats(values)
+        expected["energy"] = float(np.sum(values * values))
+        expected["root_mean_square"] = float(np.sqrt(np.mean(values * values)))
+        assert_same_bits(got, expected)
+        assert flagged == expected_flagged
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_phantom_intensity_statistics_equal_elementwise_formulas(self, seed):
+        v, m = generate_phantom(seed, (12, 10, 8))
+        got, _ = intensity_statistics(v, m)
+        expected, _ = _elementwise_distribution_stats(v.values[m.flags])
+        assert_same_bits({k: got[k] for k in expected}, expected)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            DiscretizationScheme("FBN", 2),
+            DiscretizationScheme("FBS", width=10.0),
+            DiscretizationScheme("FBN", 32),
+            DiscretizationScheme("FBS", width=0.01),
+            DiscretizationScheme("FBS", width=0.001),
+        ],
+    )
+    def test_histogram_moments_equal_elementwise_formulas(self, scheme):
+        v, m = generate_phantom(4, (14, 12, 10))
+        d = discretize(v, m, scheme)
+        got, _ = intensity_histogram_features(d)
+        expected, _ = _elementwise_distribution_stats(d.roi_levels.astype(np.float64))
+        assert_same_bits({k: got[k] for k in expected}, expected)
+
+    def test_histogram_at_1024_levels(self, rng):
+        levels = rng.integers(1, 1025, (20, 20, 20))
+        d = make_disc(levels, ng=1024)
+        got, _ = intensity_histogram_features(d)
+        expected, _ = _elementwise_distribution_stats(d.roi_levels.astype(np.float64))
+        assert_same_bits({k: got[k] for k in expected}, expected)
+
+
+class TestZoneEdges:
+    @staticmethod
+    def gathered_edges(d, index):
+        """The edge arrays as built by gathering `index` over each slice pair."""
+        heads, tails = [], []
+        for off in DIRECTIONS_13:
+            src, dst = shift_slices(d.dims, off)
+            same = d.mask.flags[src] & d.mask.flags[dst] & (d.levels[src] == d.levels[dst])
+            heads.append(index[src][same])
+            tails.append(index[dst][same])
+        return np.concatenate(heads), np.concatenate(tails)
+
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (1, 9, 4), (5, 1, 1), (3, 3, 3)])
+    def test_flat_positions_give_the_gathered_edges(self, rng, dims):
+        d = random_discretized(rng, dims=dims, ng=3, mask_density=0.7)
+        index = np.full(d.dims, -1, dtype=np.int32)
+        index[d.mask.flags] = np.arange(d.mask.voxel_count, dtype=np.int32)
+        got = equal_level_edges(d, index)
+        expected = self.gathered_edges(d, index)
+        assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expected))

@@ -1,5 +1,6 @@
 """NIfTI reader/writer, volume types, and manifest parsing."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,58 @@ class TestLoadNifti:
             y = int(rng.integers(0, dims[1]))
             z = int(rng.integers(0, dims[2]))
             assert flat[x + dims[0] * (y + dims[1] * z)] == vol.value_at(x, y, z)
+
+
+class TestSaveNiftiHeaderFields:
+    """A value the header cannot hold is refused before any byte is written."""
+
+    @pytest.mark.parametrize(
+        "dims, spacing, field",
+        [
+            ((40000, 1, 1), (1.0, 1.0, 1.0), "dims"),
+            ((2, 2, 2), (1e39, 1.0, 1.0), "spacing"),
+            ((2, 2, 2), (1.0, 1e-50, 1.0), "spacing"),
+        ],
+    )
+    def test_out_of_range_field_raises(self, tmp_path, dims, spacing, field):
+        path = tmp_path / "bad.nii"
+        vol = Volume3D(dims, spacing, np.zeros(dims))
+        with pytest.raises(ValueError, match=field):
+            save_nifti(path, vol)
+        assert not path.exists()
+
+    def test_extreme_valid_fields_round_trip(self, tmp_path):
+        float32 = np.finfo(np.float32)
+        vol = Volume3D((2, 1, 1), (float(float32.tiny), float(float32.max), 1.0), np.arange(2.0))
+        path = tmp_path / "edge.nii"
+        save_nifti(path, vol)
+        assert load_nifti(path).spacing == vol.spacing
+
+
+class TestVolumeOwnership:
+    def test_constructor_copies_the_callers_array(self):
+        values = np.zeros((2, 2, 2))
+        vol = Volume3D((2, 2, 2), (1, 1, 1), values)
+        values[0, 0, 0] = 5.0
+        assert vol.values[0, 0, 0] == 0.0 and values.flags.writeable
+
+    def test_load_keeps_the_decoded_array_without_a_copy(self, tmp_path):
+        dims = (64, 64, 32)
+        stored = np.arange(np.prod(dims), dtype=np.int16).reshape(dims) % 3000
+        path = tmp_path / "v.nii"
+        write_nifti_reference(path, stored, datatype=4, np_dtype="<i2")
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            vol = load_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(vol.values, stored)
+        assert vol.values.flags.c_contiguous and not vol.values.flags.writeable
+        # the file's bytes, the float64 values and the finiteness mask; a second
+        # float64 copy would add another values.nbytes
+        assert peak < file_bytes + 1.25 * vol.values.nbytes
 
 
 class TestLoadMask:
