@@ -33,6 +33,9 @@ MAX_DIM = 32767
 MIN_SPACING = float(np.finfo(np.float32).tiny)
 MAX_SPACING = float(np.finfo(np.float32).max)
 
+# stored mask voxels converted to float64 at a time (whole z planes)
+MASK_CHUNK = 1 << 16
+
 
 def _detect_byte_order(header: bytes) -> str:
     for order in ("<", ">"):
@@ -42,12 +45,10 @@ def _detect_byte_order(header: bytes) -> str:
     raise MalformedHeader("sizeof_hdr is not 348 in either byte order")
 
 
-def load_nifti(path: str | Path) -> Volume3D:
-    """Load a 3D volume from an uncompressed NIfTI-1 file.
-
-    scl_slope/scl_inter are applied when scl_slope != 0; spacing comes
-    from pixdim[1..3]. Volumes with NaN/Inf voxels are rejected.
-    """
+def _read_stored(path: str | Path):
+    """(dims, spacing, stored, scl_slope, scl_inter) of an uncompressed
+    NIfTI-1 file, with `stored` the raw voxels as a 1-D view of the file's
+    bytes in x-fastest order."""
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_SIZE:
         raise MalformedHeader(f"{path}: file shorter than the 348-byte header")
@@ -87,25 +88,57 @@ def load_nifti(path: str | Path) -> Volume3D:
         raise MalformedHeader(f"{path}: file truncated, expected {count} voxels")
 
     stored = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    # one conversion straight into the C-ordered array the volume keeps
-    data = stored.reshape((nx, ny, nz), order="F").astype(np.float64, order="C")
+    return (nx, ny, nz), spacing, stored, scl_slope, scl_inter
+
+
+def _scale_checked(data: np.ndarray, scl_slope: float, scl_inter: float, path) -> None:
+    """Apply scl_slope/scl_inter to float64 voxels in place when scl_slope
+    != 0, then reject NaN/Inf (including values the scaling overflows)."""
     if scl_slope != 0.0:
-        data *= float(scl_slope)
-        data += float(scl_inter)
+        with np.errstate(over="ignore"):
+            data *= float(scl_slope)
+            data += float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise NonFiniteVoxel(f"{path}: volume contains NaN/Inf voxels")
-    return _adopt((nx, ny, nz), spacing, data)
+
+
+def load_nifti(path: str | Path) -> Volume3D:
+    """Load a 3D volume from an uncompressed NIfTI-1 file.
+
+    scl_slope/scl_inter are applied when scl_slope != 0; spacing comes
+    from pixdim[1..3]. Volumes with NaN/Inf voxels are rejected.
+    """
+    dims, spacing, stored, scl_slope, scl_inter = _read_stored(path)
+    # one conversion straight into the C-ordered array the volume keeps
+    data = stored.reshape(dims, order="F").astype(np.float64, order="C")
+    _scale_checked(data, scl_slope, scl_inter, path)
+    return _adopt(dims, spacing, data)
 
 
 def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
-    """Load an ROI mask stored as a volume; nonzero voxels are inside."""
-    vol = load_nifti(path)
-    if vol.dims != reference.dims:
-        raise DimsMismatch(f"{path}: mask dims {vol.dims} != reference dims {reference.dims}")
-    flags = vol.values != 0.0
+    """Load an ROI mask stored as a volume; voxels whose value, as
+    load_nifti reads it, is nonzero are inside.
+
+    The stored voxels go through load_nifti's conversion and scaling in
+    one reused float64 slab of about MASK_CHUNK voxels, so a scaled stored
+    1 can read as 0 and NaN/Inf is rejected as there, without a float64
+    copy of the whole volume.
+    """
+    dims, _, stored, scl_slope, scl_inter = _read_stored(path)
+    stored = stored.reshape(dims, order="F")
+    flags = np.empty(dims, dtype=bool)
+    planes = min(dims[2], max(1, MASK_CHUNK // (dims[0] * dims[1])))
+    slab = np.empty((dims[0], dims[1], planes))
+    for z in range(0, dims[2], planes):
+        values = slab[:, :, : min(planes, dims[2] - z)]
+        values[...] = stored[:, :, z : z + planes]
+        _scale_checked(values, scl_slope, scl_inter, path)
+        np.not_equal(values, 0.0, out=flags[:, :, z : z + planes])
+    if dims != reference.dims:
+        raise DimsMismatch(f"{path}: mask dims {dims} != reference dims {reference.dims}")
     if not flags.any():
         raise EmptyMask(f"{path}: mask has no nonzero voxels")
-    return RoiMask(vol.dims, flags)
+    return RoiMask(dims, flags)
 
 
 def save_nifti(path: str | Path, volume: Volume3D, dtype: str = "float64") -> None:

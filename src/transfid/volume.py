@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,10 +101,12 @@ class RoiMask:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "flags", flags)
 
-    @property
+    @cached_property
     def voxel_count(self) -> int:
-        return int(self.flags.sum())
+        """Voxels in the ROI, counted once per mask (the flags are frozen)."""
+        return int(np.count_nonzero(self.flags))
 
     def check_aligned(self, volume: Volume3D) -> None:
         if self.dims != volume.dims:
             raise DimsMismatch(f"mask dims {self.dims} != volume dims {volume.dims}")
+

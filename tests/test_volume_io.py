@@ -249,6 +249,79 @@ class TestLoadMask:
         with pytest.raises(DimsMismatch):
             load_mask(path, ref)
 
+    @staticmethod
+    def load_mask_through_volume(path, reference):
+        """The rule load_mask keeps: nonzero voxels of the volume that
+        load_nifti reads, with its errors first."""
+        vol = load_nifti(path)
+        if vol.dims != reference.dims:
+            raise DimsMismatch("dims")
+        flags = vol.values != 0.0
+        if not flags.any():
+            raise EmptyMask("empty")
+        return RoiMask(vol.dims, flags)
+
+    @staticmethod
+    def outcome(load, path, reference):
+        try:
+            return load(path, reference).flags
+        except TransfidError as exc:
+            return type(exc)
+
+    # stored voxels, writer options and the reference grid's dims; 84 000
+    # voxels span two MASK_CHUNKs, the second one partly filled
+    STORED = {
+        "int16": (np.array([0, 1, -3, 0, 7, 0], dtype=np.int16), dict(datatype=4, np_dtype="<i2"), None),
+        "uint16": (np.array([0, 65535, 2, 0, 0, 1], dtype=np.uint16), dict(datatype=512, np_dtype="<u2"), None),
+        "int32_big_endian": (np.array([0, 0, 70000, 0, -1, 0], dtype=np.int32),
+                             dict(datatype=8, np_dtype="<i4", big_endian=True), None),
+        "float32_nan": (np.array([0, 1, np.nan, 0, 1, 0], dtype=np.float32), {}, None),
+        "int16_two_chunks": ((np.arange(84_000) % 7 == 3).astype(np.int16), dict(datatype=4, np_dtype="<i2"), None),
+        "float32_inf_second_chunk": (np.r_[np.ones(83_999), np.inf].astype(np.float32), {}, (70, 40, 30)),
+        "float32_negative_zero": (np.array([-0.0, 0.0, -0.0, 0.0, 0.0, 2.5], dtype=np.float32), {}, None),
+        "scaled_one_reads_zero": (np.array([1, 2, 1, 3, 0, 1], dtype=np.int16),
+                                  dict(datatype=4, np_dtype="<i2", scl_slope=1.0, scl_inter=-1.0), None),
+        "scaled_all_zero": (np.array([2, 2, 2, 2, 2, 2], dtype=np.int16),
+                            dict(datatype=4, np_dtype="<i2", scl_slope=0.5, scl_inter=-1.0), None),
+        "scaled_overflow": (np.array([0, 1e308, 0, 0, 0, 0]),
+                            dict(datatype=64, np_dtype="<f8", scl_slope=10.0), None),
+        "empty": (np.zeros(6, dtype=np.int16), dict(datatype=4, np_dtype="<i2"), None),
+        "dims_mismatch": (np.ones(6, dtype=np.int16), dict(datatype=4, np_dtype="<i2"), (2, 3, 2)),
+        "nan_and_dims_mismatch": (np.array([np.nan, 1, 1, 1, 1, 1], dtype=np.float32), {}, (6, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STORED))
+    def test_same_outcome_as_through_the_volume(self, tmp_path, case):
+        stored, options, ref_dims = self.STORED[case]
+        dims = (70, 40, 30) if stored.size == 84_000 else (3, 2, 1)
+        path = tmp_path / "mask.nii"
+        write_nifti_reference(path, stored.reshape(dims, order="F"), **options)
+        ref = make_volume(np.zeros(ref_dims or dims))
+        expected = self.outcome(self.load_mask_through_volume, path, ref)
+        got = self.outcome(load_mask, path, ref)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    def test_no_float64_copy_of_the_volume(self, tmp_path):
+        dims = (128, 128, 64)
+        stored = (np.arange(np.prod(dims)) % 5 == 0).astype(np.int16).reshape(dims)
+        path = tmp_path / "mask.nii"
+        write_nifti_reference(path, stored, datatype=4, np_dtype="<i2")
+        file_bytes = path.stat().st_size
+        ref = make_volume(np.zeros(dims))
+        tracemalloc.start()
+        try:
+            mask = load_mask(path, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(mask.flags, stored != 0)
+        # the file's bytes, the flags, the mask's copy of them and one
+        # 0.5 MiB float64 slab; a float64 volume is 8 bytes a voxel
+        assert peak < file_bytes + stored.size + 2**21
+
 
 class TestTypes:
     def test_volume_rejects_nan(self):
