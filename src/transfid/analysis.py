@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,10 @@ def preprocess_pair(
 def process_patient(
     record: PatientRecord, config: RunConfig, want_features: bool = True, want_metrics: bool = True
 ) -> PatientResult:
-    """Load, preprocess, extract, and score one patient; never raises on data errors."""
+    """Load, preprocess, extract, and score one patient; never raises on data errors.
+
+    Each network is loaded, extracted and scored against the original before
+    the next one is loaded, so a worker holds the original and one network."""
     result = PatientResult(patient_id=record.patient_id)
     settings = ExtractionSettings(
         scheme=config.scheme,
@@ -110,37 +114,24 @@ def process_patient(
     try:
         original = load_nifti(record.source_paths[ORIGINAL_SOURCE])
         mask = load_mask(record.mask_path, original)
-        processed: dict[str, tuple[Volume3D, RoiMask]] = {}
-        for source, path in record.source_paths.items():
-            vol = original if source == ORIGINAL_SOURCE else load_nifti(path)
-            mask.check_aligned(vol)
-            processed[source] = preprocess_pair(vol, mask, config)
-        # only the preprocessed volumes are used from here on
-        del original, vol
-
+        original, roi = preprocess_pair(original, mask, config)
         if want_features:
-            for source, (vol, roi) in processed.items():
-                result.features[source] = extract_all(vol, roi, settings)
-        if want_metrics:
-            orig_vol, orig_roi = processed[ORIGINAL_SOURCE]
-            metric_mask = orig_roi if config.metrics_roi_only else None
-            for source in record.synthetic_sources:
-                synth_vol, _ = processed[source]
+            result.features[ORIGINAL_SOURCE] = extract_all(original, roi, settings)
+        metric_mask = roi if config.metrics_roi_only else None
+        for source in record.synthetic_sources:
+            network = load_nifti(record.source_paths[source])
+            mask.check_aligned(network)
+            network, network_roi = preprocess_pair(network, mask, config)
+            if want_features:
+                result.features[source] = extract_all(network, network_roi, settings)
+            if want_metrics:
                 result.metrics[source] = compute_metrics(
-                    orig_vol,
-                    synth_vol,
-                    ssim_params=config.ssim_params,
-                    peak=config.psnr_peak,
-                    mask=metric_mask,
+                    original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
                 )
-    except (TransfidError, OSError, ValueError) as exc:
+            del network  # the next network loads beside the original only
+    except (TransfidError, OSError, ValueError, MemoryError) as exc:
         return PatientResult(patient_id=record.patient_id, error=f"{type(exc).__name__}: {exc}")
     return result
-
-
-def _worker(args: tuple[PatientRecord, RunConfig, bool, bool]) -> PatientResult:
-    record, config, want_features, want_metrics = args
-    return process_patient(record, config, want_features, want_metrics)
 
 
 def run_pipeline(
@@ -155,12 +146,12 @@ def run_pipeline(
     The pool gets no more workers than there are patients: it starts all
     of them at the first task.
     """
-    args = [(r, config, want_features, want_metrics) for r in records]
+    work = partial(process_patient, config=config, want_features=want_features, want_metrics=want_metrics)
     workers = min(jobs, len(records))
     if workers <= 1:
-        return [_worker(a) for a in args]
+        return [work(r) for r in records]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, args))
+        return list(pool.map(work, records))
 
 
 def build_cohort(

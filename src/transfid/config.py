@@ -37,6 +37,9 @@ DEFAULTS: dict = {
     "ngldm": {"alpha": 0},
 }
 
+# The IVH curve holds bins + 1 float64 samples; more bins are refused before allocation.
+MAX_IVH_BINS = 100_000
+
 
 def _merge_strict(defaults: dict, override: dict, path: str = "") -> dict:
     merged = dict(defaults)
@@ -126,7 +129,8 @@ class RunConfig:
         )
 
         ivh_bins = cfg["ivh"]["bins"]
-        _require(_is_int(ivh_bins) and ivh_bins >= 1, "ivh.bins must be an int >= 1")
+        _require(_is_int(ivh_bins) and 1 <= ivh_bins <= MAX_IVH_BINS,
+                 f"ivh.bins must be an int in [1, {MAX_IVH_BINS}]")
         alpha = cfg["ngldm"]["alpha"]
         _require(_is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
         peak = cfg["metrics"]["psnr_peak"]

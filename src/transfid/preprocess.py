@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CropLosesRoi, InvalidScheme
-from .volume import RoiMask, Volume3D, _adopt
+from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, shift_slices
 
 FBN = "FBN"
 FBS = "FBS"
@@ -52,9 +52,10 @@ class DiscretizedVolume:
     ng: int = 1
     scheme: DiscretizationScheme | None = None
     mask: RoiMask | None = None
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.int32).copy()
+        levels = np.array(self.levels, dtype=np.int32)  # one copy, whatever the input dtype
         inside = self.mask.flags if self.mask is not None else levels > 0
         lv = levels[inside]
         if lv.size and (lv.min() < 1 or lv.max() > self.ng):
@@ -66,6 +67,24 @@ class DiscretizedVolume:
     def roi_levels(self) -> np.ndarray:
         """Levels of in-mask voxels only (1D)."""
         return self.levels[self.mask.flags]
+
+    def pair_flags(self, tolerance: int) -> tuple[np.ndarray, ...]:
+        """Read-only grids, one per direction of DIRECTIONS_13, True where a
+        voxel and its neighbor at +offset are both in the mask with levels at
+        most `tolerance` apart; built once per tolerance and kept with the volume."""
+        if tolerance < 0:
+            raise ValueError(f"pair tolerance must be non-negative, got {tolerance}")
+        if tolerance not in self._pairs:
+            self._pairs[tolerance] = tuple(self._pair_grid(off, tolerance) for off in DIRECTIONS_13)
+        return self._pairs[tolerance]
+
+    def _pair_grid(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
+        src, dst = shift_slices(self.dims, offset)
+        grid = np.zeros(self.dims, dtype=bool)
+        gap = np.abs(self.levels[src] - self.levels[dst])
+        grid[src] = (gap <= tolerance) & self.mask.flags[src] & self.mask.flags[dst]
+        grid.flags.writeable = False
+        return grid
 
 
 def min_max_normalize(v: Volume3D) -> Volume3D:

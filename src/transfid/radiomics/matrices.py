@@ -3,8 +3,9 @@
 All neighborhood machinery is 3D. Every pair builder (co-occurrence, runs,
 zones, dependence counts) walks the 13 unique unit directions at Chebyshev
 distance 1, which visits each unordered 26-neighbor pair once; symmetric
-tallies credit both ends of a pair. Zones of every level come from one
-connected-components labelling of the equal-level pairs, and the
+tallies credit both ends of a pair. Runs, zones and dependence counts read
+their pairs from the volume's shared `pair_flags`. Zones of every level come
+from one connected-components labelling of the equal-level pairs, and the
 tone-difference table from separable 3x3x3 box sums of integer levels.
 """
 from __future__ import annotations
@@ -15,39 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ..preprocess import DiscretizedVolume
-
-DIRECTIONS_13: tuple[tuple[int, int, int], ...] = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-)
-
-
-def shift_slices(
-    dims: tuple[int, int, int], offset: tuple[int, int, int]
-) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slice pair (at_voxel, at_voxel_plus_offset) covering all in-bounds pairs."""
-    src = []
-    dst = []
-    for d, o in zip(dims, offset):
-        if o >= 0:
-            src.append(slice(0, max(0, d - o)))
-            dst.append(slice(min(o, d), d))
-        else:
-            src.append(slice(min(-o, d), d))
-            dst.append(slice(0, max(0, d + o)))
-    return tuple(src), tuple(dst)
-
-
-def _same_level_pairs(d: DiscretizedVolume, off: tuple[int, int, int]):
-    """(src, dst, same): the slice pair for `off` and, over it, where both
-    voxels are in the mask and share a gray level."""
-    lv = d.levels
-    m = d.mask.flags
-    src, dst = shift_slices(d.dims, off)
-    return src, dst, m[src] & m[dst] & (lv[src] == lv[dst])
+from ..volume import DIRECTIONS_13, shift_slices
 
 
 def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
@@ -79,12 +48,12 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     plane is final before the next one reads it; runs are tallied at the
     voxels that do not continue.
     """
-    lv = d.levels
     m = d.mask.flags
     ng = d.ng
     out = []
-    for off in DIRECTIONS_13:
-        src, dst, cont = _same_level_pairs(d, off)
+    for off, same_next in zip(DIRECTIONS_13, d.pair_flags(0)):
+        src, dst = shift_slices(d.dims, off)
+        cont = same_next[src]
         length = m.astype(np.int32)
         prev, nxt = length[src], length[dst]
         axis = next(a for a, o in enumerate(off) if o)
@@ -93,10 +62,8 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
             at = lead + (k,)
             np.add(nxt[at], prev[at], out=nxt[at], where=cont[at])
 
-        same_next = np.zeros(d.dims, dtype=bool)
-        same_next[src] = cont
         ends = m & ~same_next
-        run_levels = lv[ends]
+        run_levels = d.levels[ends]
         lengths = length[ends]
 
         max_len = int(lengths.max())
@@ -125,14 +92,10 @@ def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarr
     """
     flat_index = index.ravel()
     _, ny, nz = d.dims
-    same_at = np.empty(d.dims, dtype=bool)
     heads = []
     tails = []
-    for off in DIRECTIONS_13:
-        src, _, same = _same_level_pairs(d, off)
-        same_at.fill(False)
-        same_at[src] = same
-        pos = np.flatnonzero(same_at)
+    for off, same in zip(DIRECTIONS_13, d.pair_flags(0)):
+        pos = np.flatnonzero(same)
         heads.append(flat_index[pos])
         tails.append(flat_index[pos + (off[0] * ny + off[1]) * nz + off[2]])
     return np.concatenate(heads), np.concatenate(tails)
@@ -211,18 +174,15 @@ def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
 def ngldm_matrix(d: DiscretizedVolume, alpha: int = 0) -> np.ndarray:
     """Dependence count matrix: rows are levels, column j holds voxels
     with j-1 in-mask neighbors within gray-level tolerance alpha."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    lv = d.levels
     m = d.mask.flags
     dep = np.zeros(d.dims, dtype=np.uint8)  # at most 26
-    for off in DIRECTIONS_13:
+    for off, pairs in zip(DIRECTIONS_13, d.pair_flags(alpha)):
         src, dst = shift_slices(d.dims, off)
-        close = m[src] & m[dst] & (np.abs(lv[src] - lv[dst]) <= alpha)
+        close = pairs[src]
         dep[src] += close
         dep[dst] += close
 
-    levels = lv[m]
+    levels = d.levels[m]
     counts = dep[m]
     max_col = int(counts.max()) + 1
     mat = np.bincount((levels - 1) * max_col + counts, minlength=d.ng * max_col)

@@ -6,6 +6,7 @@ Fortran-order raveling of the array.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,3 +111,24 @@ class RoiMask:
         if self.dims != volume.dims:
             raise DimsMismatch(f"mask dims {self.dims} != volume dims {volume.dims}")
 
+
+# The 13 unit offsets that reach each unordered pair of 26-neighbors once.
+DIRECTIONS_13: tuple[tuple[int, int, int], ...] = tuple(
+    off for off in itertools.product((-1, 0, 1), repeat=3) if off > (0, 0, 0)
+)
+
+
+def shift_slices(
+    dims: tuple[int, int, int], offset: tuple[int, int, int]
+) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slice pair (at_voxel, at_voxel_plus_offset) covering all in-bounds pairs."""
+    src = []
+    dst = []
+    for d, o in zip(dims, offset):
+        if o >= 0:
+            src.append(slice(0, max(0, d - o)))
+            dst.append(slice(min(o, d), d))
+        else:
+            src.append(slice(min(-o, d), d))
+            dst.append(slice(0, max(0, d + o)))
+    return tuple(src), tuple(dst)

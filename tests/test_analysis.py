@@ -127,26 +127,49 @@ class TestPreprocessPair:
 
 class TestProcessPatient:
     def test_raw_volumes_are_released_before_the_per_source_work(self, tmp_path, monkeypatch):
+        """At every load, extraction and scoring, no raw volume is alive, and
+        no preprocessed network but the one at work."""
         from transfid import analysis, nifti
         from transfid.manifest import parse_manifest
 
-        (record,) = parse_manifest(write_cohort(tmp_path, n_patients=1, networks=("a", "b")))
-        loaded = []
+        manifest = write_cohort(tmp_path, n_patients=1, networks=("a", "b", "c"))
+        (record,) = parse_manifest(manifest)
+        preprocess_pair = analysis.preprocess_pair
+        raw, prepared, checked = [], [], []
 
         def load(path):
+            check(None, "load")
             volume = nifti.load_nifti(path)
-            loaded.append(weakref.ref(volume))
+            raw.append(weakref.ref(volume))
             return volume
 
-        def metrics(*args, **kwargs):
-            # normalization made new volumes, so nothing may still hold a raw one
-            assert [ref() for ref in loaded] == [None] * 3
+        def prepare(volume, mask, config):
+            pair = preprocess_pair(volume, mask, config)
+            prepared.append(weakref.ref(pair[0]))
+            return pair
+
+        def check(at_work, call):
+            assert [ref() for ref in raw] == [None] * len(raw)
+            # prepared[0] is the original's volume, which every network is scored against
+            assert all(ref() is None or ref() is at_work for ref in prepared[1:])
+            checked.append(call)
+
+        def extract(volume, roi, settings):
+            check(volume, "extract")
+            return None
+
+        def metrics(original, network, **kwargs):
+            check(network, "metrics")
             return MetricSet(mae=0.0, mse=0.0, ssim=1.0, psnr=math.inf)
 
         monkeypatch.setattr(analysis, "load_nifti", load)
+        monkeypatch.setattr(analysis, "preprocess_pair", prepare)
+        monkeypatch.setattr(analysis, "extract_all", extract)
         monkeypatch.setattr(analysis, "compute_metrics", metrics)
-        result = analysis.process_patient(record, RunConfig.from_dict({}), want_features=False)
-        assert result.error is None and sorted(result.metrics) == ["a", "b"]
+        result = analysis.process_patient(record, RunConfig.from_dict({}))
+        assert result.error is None and sorted(result.metrics) == ["a", "b", "c"]
+        assert len(raw) == len(prepared) == 4
+        assert checked == ["load", "extract"] + ["load", "extract", "metrics"] * 3
 
 
 class TestBuildCohort:

@@ -340,6 +340,19 @@ class TestExitCodes:
         assert err.rstrip().endswith("transfid: error: no patient could be processed")
         assert not out.exists()
 
+    def test_refused_allocation_excludes_without_traceback(self, tmp_path, capsys, cohort):
+        manifest, _ = cohort
+        config = tmp_path / "crop.json"
+        # numpy refuses this 7 PiB crop window before it touches memory
+        config.write_text(json.dumps({"preprocess": {"crop": [100000, 100000, 100000]}}))
+        out = tmp_path / "out.csv"
+        assert main([
+            "metrics", "--manifest", str(manifest), "--config", str(config), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("MemoryError") == 2 and "Traceback" not in err
+        assert not out.exists()
+
 
 def write_analyze_inputs(tmp_path, features_rows=None, metrics_rows=None):
     """Valid analyze inputs for 3 patients x 1 network, with optional extra rows."""

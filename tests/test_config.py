@@ -2,7 +2,7 @@
 import pytest
 
 from transfid.cli import build_parser, main
-from transfid.config import RunConfig
+from transfid.config import MAX_IVH_BINS, RunConfig
 from transfid.errors import ConfigError
 
 
@@ -62,6 +62,11 @@ class TestValidation:
     def test_rejected(self, data):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(data)
+
+    def test_ivh_bins_cap(self):
+        assert RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS}}).ivh_bins == MAX_IVH_BINS
+        with pytest.raises(ConfigError, match="ivh.bins"):
+            RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS + 1}})
 
     def test_analysis_section_is_unknown(self):
         # analyze takes its threshold from --threshold only

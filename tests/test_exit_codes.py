@@ -130,6 +130,11 @@ axis = st.one_of(
 )
 triples = st.one_of(st.tuples(axis, axis, axis), st.lists(axis, max_size=4)).map(",".join)
 counts = st.one_of(st.integers(-3, 2**70).map(str), no_digits)
+# what a process environment can hold: no NUL and no lone surrogate
+env_counts = st.one_of(
+    st.integers(-3, 2**70).map(str),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\x00"), max_size=4),
+)
 
 
 @st.composite
@@ -142,7 +147,7 @@ def argument_lists(draw):
         argv = ["metrics", "--manifest", "missing.csv"]
         if draw(st.booleans()):
             argv += ["--jobs", draw(counts)]
-    return argv, draw(st.one_of(st.none(), counts))
+    return argv, draw(st.one_of(st.none(), env_counts))
 
 
 @PROPERTY

@@ -1,4 +1,6 @@
 """Normalization, centered cropping, and discretization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from transfid.errors import CropLosesRoi, InvalidScheme
 from transfid.preprocess import (
     MAX_LEVELS,
     DiscretizationScheme,
+    DiscretizedVolume,
     crop_centered,
     discretize,
     mask_centroid,
     min_max_normalize,
 )
+from transfid.volume import DIRECTIONS_13, shift_slices
 
 from conftest import make_mask, make_volume
 
@@ -176,3 +180,44 @@ class TestDiscretize:
         with pytest.raises(InvalidScheme):
             discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS + 1))
         assert discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS)).ng == MAX_LEVELS
+
+    def test_int64_levels_are_copied_once(self):
+        dims = (128, 128, 64)
+        levels = np.zeros(dims, dtype=np.int64)
+        flags = np.zeros(dims, dtype=bool)
+        flags[:4, :4, :4] = True
+        levels[flags] = 3
+        mask = make_mask(flags)
+        tracemalloc.start()
+        try:
+            d = DiscretizedVolume(dims, (1.0, 1.0, 1.0), levels, ng=4, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.levels.dtype == np.int32 and not d.levels.flags.writeable
+        # the int32 grid (4 MiB here); converting and then copying held two
+        assert peak < 1.25 * d.levels.nbytes
+
+
+class TestPairFlags:
+    @pytest.mark.parametrize("tolerance", [0, 1, 2])
+    def test_grids_follow_the_pair_rule(self, rng, tolerance):
+        dims = (6, 5, 4)
+        flags = rng.random(dims) < 0.7
+        flags[3, 2, 1] = True
+        levels = np.where(flags, rng.integers(1, 5, dims), 0)
+        d = DiscretizedVolume(dims, (1.0, 1.0, 1.0), levels, ng=4, mask=make_mask(flags))
+        grids = d.pair_flags(tolerance)
+        assert len(grids) == len(DIRECTIONS_13)
+        for off, grid in zip(DIRECTIONS_13, grids):
+            src, dst = shift_slices(dims, off)
+            expected = np.zeros(dims, dtype=bool)
+            expected[src] = flags[src] & flags[dst] & (abs(levels[src] - levels[dst]) <= tolerance)
+            assert np.array_equal(grid, expected), off
+            assert not grid.flags.writeable
+
+    def test_negative_tolerance_is_refused(self):
+        d = DiscretizedVolume((2, 2, 2), (1.0, 1.0, 1.0), np.ones((2, 2, 2), dtype=int), ng=1,
+                              mask=make_mask(np.ones((2, 2, 2), dtype=bool)))
+        with pytest.raises(ValueError, match="non-negative"):
+            d.pair_flags(-1)

@@ -373,6 +373,14 @@ class TestNgldm:
         # with alpha=1 every neighbor is dependent
         assert matrix[0, 1].sum() + matrix[1, 2].sum() == 3
 
+    def test_alpha_one_matches_oracle_beside_alpha_zero(self, rng):
+        # alpha 0 first, so alpha 1 must not reuse the equal-level pairs
+        d = random_discretized(rng, ng=3)
+        for alpha in (0, 1):
+            expected = oracles.ngldm_matrix(d.levels, d.mask.flags, d.ng, alpha)
+            assert np.array_equal(ngldm_matrix(d, alpha), expected)
+        assert not np.array_equal(ngldm_matrix(d, 0), ngldm_matrix(d, 1))
+
     def test_random_vs_neighbor_count_oracle(self, rng):
         for alpha in (0, 1):
             d = random_discretized(rng, ng=4)
@@ -511,6 +519,25 @@ class TestExactMoments:
         got, _ = intensity_histogram_features(d)
         expected, _ = _elementwise_distribution_stats(d.roi_levels.astype(np.float64))
         assert_same_bits({k: got[k] for k in expected}, expected)
+
+
+class TestSharedPairPass:
+    def test_runs_zones_and_ngldm_build_the_pairs_once(self, rng, monkeypatch):
+        built = []
+        pair_grid = DiscretizedVolume._pair_grid
+
+        def counting(self, offset, tolerance):
+            built.append(tolerance)
+            return pair_grid(self, offset, tolerance)
+
+        monkeypatch.setattr(DiscretizedVolume, "_pair_grid", counting)
+        d = random_discretized(rng, ng=3)
+        glrlm_matrices(d)
+        zone_matrices(d)
+        ngldm_matrix(d, alpha=0)
+        assert built == [0] * len(DIRECTIONS_13)
+        ngldm_matrix(d, alpha=1)
+        assert built == [0] * len(DIRECTIONS_13) + [1] * len(DIRECTIONS_13)
 
 
 class TestZoneEdges:
