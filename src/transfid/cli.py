@@ -106,11 +106,17 @@ def cmd_metrics(args) -> int:
     return _run_cohort(args, header, _metric_rows, want_features=False)
 
 
-def _number(cell: str, column: str, path: str, line: int) -> float:
+def _number(cell: str, column: str, path: str, line: int, *, nan_ok: bool = False) -> float:
+    """`float(cell)`, or a data error naming the cell. A metric cell may be
+    infinite (`metrics` writes PSNR inf when MSE is 0) but never NaN, which
+    would leave the network ranking to row order."""
     try:
-        return float(cell)
+        value = float(cell)
+        if nan_ok or not math.isnan(value):
+            return value
     except ValueError:
-        raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}") from None
+        pass
+    raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}")
 
 
 _EMPTY_AS_NAN = {"": "nan"}  # .get(cell, cell) turns '' into 'nan', any other cell into itself
@@ -124,7 +130,7 @@ def _feature_values(cells: tuple[str, ...], path: str, line: int) -> np.ndarray:
     except ValueError:
         for key, cell in zip(ALL_FEATURE_KEYS, cells):
             if cell:
-                _number(cell, key, path, line)
+                _number(cell, key, path, line, nan_ok=True)
         raise
 
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import DimsMismatch, EmptyInput, VolumeTooSmall
 from .stats import mean_std
@@ -110,6 +109,10 @@ def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0, mask: RoiMask | None = Non
 
 
 def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # imported here, as at every scipy call site: `analyze` loads this
+    # module through config and must not pay for scipy.ndimage
+    from scipy.ndimage import correlate1d
+
     out = arr
     for axis in range(3):
         out = correlate1d(out, taps, axis=axis, mode="constant", cval=0.0)

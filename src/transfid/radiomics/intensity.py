@@ -5,7 +5,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import fft
 
 from ..volume import RoiMask, Volume3D
 
@@ -24,9 +23,12 @@ def _convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """`scipy.signal.fftconvolve(values, kernel, mode="same")` for real arrays
     of equal rank, made of the same `scipy.fft` calls and so bit-identical.
 
-    Importing scipy.signal takes 0.6-1.1 s and scipy.fft about 0.05 s;
-    every command imports this module.
+    Importing scipy.signal takes 0.6-1.1 s and scipy.fft about 0.2 s, so
+    scipy.fft is imported here, on the first local-intensity call, and no
+    command pays for it at start-up.
     """
+    from scipy import fft
+
     s1, s2 = values.shape, kernel.shape
     # an axis where either side has length 1 is broadcast in the product, not transformed
     axes = [a for a in range(values.ndim) if s1[a] != 1 and s2[a] != 1]

@@ -7,13 +7,12 @@ tallies credit both ends of a pair. Runs, zones and dependence counts read
 their pairs from the volume's shared `pair_flags`. Zones of every level come
 from one connected-components labelling of the equal-level pairs, and the
 tone-difference table from separable 3x3x3 box sums of integer levels.
+The two functions that call scipy import it themselves, so that importing
+this module, which every command does, loads no scipy.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..preprocess import DiscretizedVolume
 from ..volume import DIRECTIONS_13, shift_slices
@@ -77,6 +76,8 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
 def roi_border_distance(mask_flags: np.ndarray) -> np.ndarray:
     """City-block distance from each in-mask voxel to the nearest voxel
     outside the ROI, counting the volume border as outside (minimum 1)."""
+    from scipy import ndimage
+
     padded = np.pad(mask_flags, 1)
     dist = ndimage.distance_transform_cdt(padded, metric="taxicab")
     return np.asarray(dist)[1:-1, 1:-1, 1:-1].astype(np.int64)
@@ -109,6 +110,9 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     directions are the edges of one graph whose connected components are
     the zones of every level at once.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     lv = d.levels
     m = d.mask.flags
     ng = d.ng

@@ -403,7 +403,9 @@ class TestAnalyzeInputHazards:
         assert code == 2
         assert f"{metrics}, line 5: duplicate row for patient 'p0', network 'synth_a'" in err
 
-    @pytest.mark.parametrize("cell", ["", "n/a"])
+    # NaN is not a number here: NaN sort keys keep the input order, so a NaN
+    # mean SSIM would leave the network ranking, and with it Group2, to row order
+    @pytest.mark.parametrize("cell", ["", "n/a", "nan", "NaN", "-nan"])
     def test_bad_metric_cell(self, tmp_path, capsys, cell):
         code, err, _, metrics = self._run(
             tmp_path, capsys, metrics_rows=[f"p3,synth_a,0.2,0.04,{cell},14"]
@@ -411,9 +413,20 @@ class TestAnalyzeInputHazards:
         assert code == 2
         assert f"{metrics}, line 5: ssim is not a number: {cell!r}" in err
 
+    def test_infinite_metric_cell_is_a_number(self, tmp_path, capsys):
+        # `metrics` writes PSNR inf when MSE is 0
+        features, metrics = write_analyze_inputs(tmp_path)
+        metrics.write_text(metrics.read_text().replace(",20\n", ",inf\n"))
+        assert metrics.read_text().count(",inf\n") == 3
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 0, capsys.readouterr().err
+
     def test_non_numeric_feature_cell(self, tmp_path, capsys):
         cells = ["1"] * len(ALL_FEATURE_KEYS)
-        cells[5] = "x1"
+        cells[2], cells[5] = "nan", "x1"  # a feature cell may be NaN; the bad one is named
         code, err, features, _ = self._run(
             tmp_path, capsys, features_rows=[feature_row("p3", ORIGINAL_SOURCE, cells)]
         )
@@ -456,3 +469,40 @@ def test_cli_import_skips_scipy_signal_and_stats():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running `code`."""
+    src = str(Path(transfid.__file__).resolve().parents[1])
+    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
+    """Each scipy call site imports what it uses: `analyze` loads no scipy
+    at all, and `metrics` loads scipy.ndimage for SSIM but not the
+    radiomics modules' scipy.sparse or scipy.fft."""
+    assert _scipy_modules_after("import transfid.cli") == []
+
+    features, metrics = write_analyze_inputs(tmp_path)
+    analyze = [
+        "analyze", "--features", str(features), "--metrics", str(metrics),
+        "--out", str(tmp_path / "g.csv"),
+    ]
+    assert _scipy_modules_after(f"from transfid.cli import main\nassert main({analyze!r}) == 0") == []
+
+    manifest, config = cohort
+    run_metrics = [
+        "metrics", "--manifest", str(manifest), "--config", str(config),
+        "--out", str(tmp_path / "m.csv"), "--jobs", "1",
+    ]
+    loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_metrics!r}) == 0")
+    assert "scipy.ndimage" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.fft"))]
