@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CohortTooSmall, TransfidError, UnknownTopNetwork
-from .iqa import MetricSet, compute_metrics
+from .iqa import METRICS, MetricSet, compute_metrics
 from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
 from .preprocess import crop_centered, min_max_normalize
@@ -282,7 +282,7 @@ def compare_networks(
     table: CohortTable, metric_name: str, network_a: str, network_b: str
 ) -> TestResult:
     """Paired t-test of one metric between two networks over shared patients."""
-    if metric_name not in ("mae", "mse", "ssim", "psnr"):
+    if metric_name not in METRICS:
         raise ValueError(f"unknown metric {metric_name!r}")
     xs, ys = [], []
     for pid in table.patients:

@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis
 from .config import DEFAULTS, RunConfig
 from .errors import CohortTooSmall, ConfigError, TransfidError
-from .iqa import MetricSet, mae, mse, psnr, ssim3d
+from .iqa import METRICS, MetricSet, mae, mse, psnr, ssim3d
 from .manifest import ORIGINAL_SOURCE, csv_rows, open_csv, parse_manifest
 from .nifti import MAX_DIM, MAX_SPACING, MIN_SPACING, save_nifti
 from .phantom import generate_phantom
@@ -28,8 +28,6 @@ from .radiomics import FeatureVector  # noqa: F401  (perfbench/layers.py probes 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-METRIC_COLUMNS = ("mae", "mse", "ssim", "psnr")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +91,7 @@ def _feature_rows(record, result):
 def _metric_rows(record, result):
     for network in sorted(result.metrics):
         m = result.metrics[network]
-        yield [record.patient_id, network, *(_fmt(getattr(m, name), 9) for name in METRIC_COLUMNS)]
+        yield [record.patient_id, network, *(_fmt(getattr(m, name), 9) for name in METRICS)]
 
 
 def cmd_extract(args) -> int:
@@ -102,7 +100,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    header = ["patient_id", "network", *METRIC_COLUMNS]
+    header = ["patient_id", "network", *METRICS]
     return _run_cohort(args, header, _metric_rows, want_features=False)
 
 
@@ -174,7 +172,7 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
 def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
     metrics: dict[tuple[str, str], MetricSet] = {}
     with open_csv(path) as fh:
-        index, lines = csv_rows(fh, path, ("patient_id", "network", *METRIC_COLUMNS))
+        index, lines = csv_rows(fh, path, ("patient_id", "network", *METRICS))
         for line, row in lines:
             pid, network = row[index["patient_id"]], row[index["network"]]
             if (pid, network) in metrics:
@@ -182,7 +180,7 @@ def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
                     f"{path}, line {line}: duplicate row for patient {pid!r}, network {network!r}"
                 )
             metrics[(pid, network)] = MetricSet(
-                **{name: _number(row[index[name]], name, path, line) for name in METRIC_COLUMNS}
+                **{name: _number(row[index[name]], name, path, line) for name in METRICS}
             )
     return metrics
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .iqa import SsimParams
-from .preprocess import FBN, FBS, DiscretizationScheme
+from .preprocess import FBN, FBS, MAX_LEVELS, DiscretizationScheme
 
 DEFAULTS: dict = {
     "preprocess": {
@@ -66,23 +67,26 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite float, or an int within float range; JSON's NaN and Infinity
+    are not numbers here (the comparison is false for NaN and exact for ints)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings for preprocessing, metrics and extraction."""
 
-    normalize: bool = True
-    normalize_after_crop: bool = True
-    crop: tuple[int, int, int] | None = None
-    scheme: DiscretizationScheme = DiscretizationScheme(FBN, 32)
-    ssim_params: SsimParams = SsimParams()
-    metrics_roi_only: bool = False
-    psnr_peak: float = 1.0
-    ivh_bins: int = 1000
-    ngldm_alpha: int = 0
-    raw: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULTS)))
+    normalize: bool
+    normalize_after_crop: bool
+    crop: tuple[int, int, int] | None
+    scheme: DiscretizationScheme
+    ssim_params: SsimParams
+    metrics_roi_only: bool
+    psnr_peak: float
+    ivh_bins: int
+    ngldm_alpha: int
+    raw: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -104,22 +108,24 @@ class RunConfig:
         _require(mode in (FBN, FBS), "discretize.mode must be 'FBN' or 'FBS'")
         if mode == FBN:
             bins = cfg["discretize"]["bins"]
-            _require(_is_int(bins) and bins >= 2, "discretize.bins must be an int >= 2")
+            _require(_is_int(bins) and 2 <= bins <= MAX_LEVELS,
+                     f"discretize.bins must be an int in [2, {MAX_LEVELS}]")
             scheme = DiscretizationScheme(FBN, bins=bins)
         else:
             width = cfg["discretize"]["bin_width"]
             _require(
                 _is_number(width) and width > 0,
-                "discretize.bin_width must be positive for FBS",
+                "discretize.bin_width must be a positive finite number for FBS",
             )
             origin = cfg["discretize"]["origin"]
-            _require(_is_number(origin), "discretize.origin must be a number")
+            _require(_is_number(origin), "discretize.origin must be a finite number")
             scheme = DiscretizationScheme(FBS, width=float(width), origin=float(origin))
 
         ssim_cfg = cfg["ssim"]
         _require(_is_int(ssim_cfg["window"]) and ssim_cfg["window"] >= 1, "ssim.window must be an int >= 1")
         for key in ("k1", "k2", "dynamic_range", "sigma"):
-            _require(_is_number(ssim_cfg[key]) and ssim_cfg[key] > 0, f"ssim.{key} must be positive")
+            _require(_is_number(ssim_cfg[key]) and ssim_cfg[key] > 0,
+                     f"ssim.{key} must be a positive finite number")
         ssim_params = SsimParams(
             window=ssim_cfg["window"],
             k1=float(ssim_cfg["k1"]),
@@ -134,7 +140,7 @@ class RunConfig:
         alpha = cfg["ngldm"]["alpha"]
         _require(_is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
         peak = cfg["metrics"]["psnr_peak"]
-        _require(_is_number(peak) and peak > 0, "metrics.psnr_peak must be positive")
+        _require(_is_number(peak) and peak > 0, "metrics.psnr_peak must be a positive finite number")
         for key in ("normalize", "normalize_after_crop"):
             _require(isinstance(cfg["preprocess"][key], bool), f"preprocess.{key} must be a bool")
         _require(isinstance(cfg["metrics"]["roi_only"], bool), "metrics.roi_only must be a bool")

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,19 +37,8 @@ class MetricSet:
     psnr: float
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    """Per-metric sample mean and (n-1) std; std is NaN when n = 1."""
-
-    mae_mean: float
-    mae_std: float
-    mse_mean: float
-    mse_std: float
-    ssim_mean: float
-    ssim_std: float
-    psnr_mean: float
-    psnr_std: float
-    n: int
+# metric names in column order
+METRICS = tuple(f.name for f in fields(MetricSet))
 
 
 def _check_pair(a: Volume3D, b: Volume3D) -> None:
@@ -64,11 +53,6 @@ def _select(v: Volume3D, mask: RoiMask | None) -> np.ndarray:
     return v.values[mask.flags]
 
 
-def _difference(a: Volume3D, b: Volume3D, mask: RoiMask | None) -> np.ndarray:
-    _check_pair(a, b)
-    return _select(a, mask) - _select(b, mask)
-
-
 def _psnr_db(err: float, peak: float) -> float:
     """psnr() from an MSE already computed."""
     if peak <= 0:
@@ -78,25 +62,25 @@ def _psnr_db(err: float, peak: float) -> float:
     return 20.0 * math.log10(peak) - 10.0 * math.log10(err)
 
 
+def _absolute_and_squared_error(
+    a: Volume3D, b: Volume3D, mask: RoiMask | None
+) -> tuple[float, float]:
+    """(MAE, MSE) from one voxel difference."""
+    _check_pair(a, b)
+    diff = _select(a, mask) - _select(b, mask)
+    abs_err = float(np.mean(np.abs(diff)))
+    diff *= diff
+    return abs_err, float(np.mean(diff))
+
+
 def mae(a: Volume3D, b: Volume3D, mask: RoiMask | None = None) -> float:
     """Mean absolute voxel difference."""
-    return float(np.mean(np.abs(_difference(a, b, mask))))
+    return _absolute_and_squared_error(a, b, mask)[0]
 
 
 def mse(a: Volume3D, b: Volume3D, mask: RoiMask | None = None) -> float:
     """Mean squared voxel difference."""
-    diff = _difference(a, b, mask)
-    return float(np.mean(diff * diff))
-
-
-def _absolute_and_squared_error(
-    a: Volume3D, b: Volume3D, mask: RoiMask | None
-) -> tuple[float, float]:
-    """(MAE, MSE) from one voxel difference, bit-identical to mae() and mse()."""
-    diff = _difference(a, b, mask)
-    abs_err = float(np.mean(np.abs(diff)))
-    diff *= diff
-    return abs_err, float(np.mean(diff))
+    return _absolute_and_squared_error(a, b, mask)[1]
 
 
 def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0, mask: RoiMask | None = None) -> float:
@@ -241,22 +225,8 @@ def compute_metrics(
     )
 
 
-def summarize(values: list[MetricSet]) -> MetricSummary:
-    """Cohort mean and std for each metric."""
+def summarize(values: list[MetricSet]) -> dict[str, tuple[float, float]]:
+    """Cohort (mean, sample std) of each metric; std is NaN for one set."""
     if not values:
         raise EmptyInput("summarize over no metric sets")
-    mae_m, mae_s = mean_std(m.mae for m in values)
-    mse_m, mse_s = mean_std(m.mse for m in values)
-    ssim_m, ssim_s = mean_std(m.ssim for m in values)
-    psnr_m, psnr_s = mean_std(m.psnr for m in values)
-    return MetricSummary(
-        mae_mean=mae_m,
-        mae_std=mae_s,
-        mse_mean=mse_m,
-        mse_std=mse_s,
-        ssim_mean=ssim_m,
-        ssim_std=ssim_s,
-        psnr_mean=psnr_m,
-        psnr_std=psnr_s,
-        n=len(values),
-    )
+    return {name: mean_std([getattr(m, name) for m in values]) for name in METRICS}

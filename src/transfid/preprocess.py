@@ -47,17 +47,14 @@ class DiscretizedVolume:
     """Integer gray levels for in-mask voxels; out-of-mask voxels hold level 0."""
 
     dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     levels: np.ndarray = field(repr=False)
-    ng: int = 1
-    scheme: DiscretizationScheme | None = None
-    mask: RoiMask | None = None
+    ng: int
+    mask: RoiMask
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         levels = np.array(self.levels, dtype=np.int32)  # one copy, whatever the input dtype
-        inside = self.mask.flags if self.mask is not None else levels > 0
-        lv = levels[inside]
+        lv = levels[self.mask.flags]
         if lv.size and (lv.min() < 1 or lv.max() > self.ng):
             raise ValueError("in-mask levels must lie in [1, ng]")
         levels.flags.writeable = False
@@ -166,4 +163,4 @@ def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> Disc
         raise InvalidScheme(
             f"{scheme.describe()} gives {ng} gray levels, more than the {MAX_LEVELS} supported"
         )
-    return DiscretizedVolume(v.dims, v.spacing, levels, ng=ng, scheme=scheme, mask=mask)
+    return DiscretizedVolume(v.dims, levels, ng=ng, mask=mask)

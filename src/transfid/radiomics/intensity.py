@@ -60,46 +60,23 @@ def _sphere_geometry(
     return kernel, counts
 
 
-def sphere_mean_map(v: Volume3D) -> np.ndarray:
-    """Mean intensity over the 1 cm^3 sphere centered at each voxel.
-
-    The sphere is intersected with the volume; means are taken over the
-    voxels whose centers fall within the radius.
-    """
-    kernel, counts = _sphere_geometry(v.dims, v.spacing)
-    sums = _convolve_same(v.values, kernel)
-    return sums / counts
-
-
 def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
-    """local_peak: sphere mean at the brightest ROI voxel (first in flat
-    order on ties); global_peak: highest sphere mean over all ROI centers."""
+    """local_peak: sphere mean at the brightest ROI voxel (first in x-fastest
+    order on ties); global_peak: highest sphere mean over all ROI centers.
+
+    A voxel's sphere mean is taken over the voxels of the 1 cm^3 sphere
+    centered on it whose centers fall inside the volume.
+    """
     mask.check_aligned(v)
-    mean_map = sphere_mean_map(v)
+    kernel, counts = _sphere_geometry(v.dims, v.spacing)
+    mean_map = _convolve_same(v.values, kernel) / counts
 
-    roi_vals = np.where(mask.flags, v.values, -np.inf)
-    flat = roi_vals.ravel(order="F")
-    center_flat = int(np.argmax(flat))
-    nx, ny, _ = v.dims
-    cx = center_flat % nx
-    cy = (center_flat // nx) % ny
-    cz = center_flat // (nx * ny)
+    flat = np.where(mask.flags, v.values, -np.inf).ravel(order="F")
+    center = np.unravel_index(np.argmax(flat), v.dims, order="F")
 
-    local_peak = float(mean_map[cx, cy, cz])
+    local_peak = float(mean_map[center])
     global_peak = float(mean_map[mask.flags].max())
     return {"local_peak": local_peak, "global_peak": global_peak}
-
-
-def sorted_with_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted x, distinct values, inverse) with x == distinct[inverse]."""
-    srt = np.sort(x)
-    first = np.empty(x.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    inverse = np.empty(x.size, dtype=np.intp)
-    # x[order] equals srt value for value, so srt's group numbers carry over
-    inverse[np.argsort(x)] = np.cumsum(first) - 1
-    return srt, srt[first], inverse
 
 
 def basic_distribution_stats(
@@ -182,7 +159,8 @@ def intensity_statistics(v: Volume3D, mask: RoiMask) -> tuple[dict[str, float], 
     """The 18 intensity-based statistics over ROI voxel values."""
     mask.check_aligned(v)
     roi = v.values[mask.flags]
-    features, flagged = basic_distribution_stats(roi, *sorted_with_inverse(roi))
+    distinct, inverse, counts = np.unique(roi, return_inverse=True, return_counts=True)
+    features, flagged = basic_distribution_stats(roi, np.repeat(distinct, counts), distinct, inverse)
     features["energy"] = float(np.sum(roi * roi))
     features["root_mean_square"] = float(np.sqrt(np.mean(roi * roi)))
     return features, flagged

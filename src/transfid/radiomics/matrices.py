@@ -18,6 +18,14 @@ from ..preprocess import DiscretizedVolume
 from ..volume import DIRECTIONS_13, shift_slices
 
 
+def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
+    """(level x magnitude) count matrix of paired levels 1..ng and
+    magnitudes 1..max, as float64."""
+    width = int(magnitudes.max())
+    counts = np.bincount((levels - 1) * width + (magnitudes - 1), minlength=ng * width)
+    return counts.reshape(ng, width).astype(np.float64)
+
+
 def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     """Symmetrized co-occurrence count matrices, one per direction.
 
@@ -48,7 +56,6 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     voxels that do not continue.
     """
     m = d.mask.flags
-    ng = d.ng
     out = []
     for off, same_next in zip(DIRECTIONS_13, d.pair_flags(0)):
         src, dst = shift_slices(d.dims, off)
@@ -62,14 +69,7 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
             np.add(nxt[at], prev[at], out=nxt[at], where=cont[at])
 
         ends = m & ~same_next
-        run_levels = d.levels[ends]
-        lengths = length[ends]
-
-        max_len = int(lengths.max())
-        counts = np.bincount(
-            (run_levels - 1) * max_len + (lengths - 1), minlength=ng * max_len
-        ).reshape(ng, max_len)
-        out.append(counts.astype(np.float64))
+        out.append(_tally(d.levels[ends], length[ends], d.ng))
     return out
 
 
@@ -113,10 +113,8 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    lv = d.levels
     m = d.mask.flags
-    ng = d.ng
-    n = int(np.count_nonzero(m))
+    n = d.mask.voxel_count
     index = np.full(d.dims, -1, dtype=np.int32)
     index[m] = np.arange(n, dtype=np.int32)
     heads, tails = equal_level_edges(d, index)
@@ -127,16 +125,8 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     dists = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(dists, zone_of, roi_border_distance(m)[m])
     levels = np.empty(n_zones, dtype=np.int64)
-    levels[zone_of] = lv[m]
-
-    max_size = int(sizes.max())
-    glszm = np.bincount((levels - 1) * max_size + (sizes - 1), minlength=ng * max_size)
-    max_dist = int(dists.max())
-    gldzm = np.bincount((levels - 1) * max_dist + (dists - 1), minlength=ng * max_dist)
-    return (
-        glszm.reshape(ng, max_size).astype(np.float64),
-        gldzm.reshape(ng, max_dist).astype(np.float64),
-    )
+    levels[zone_of] = d.levels[m]
+    return _tally(levels, sizes, d.ng), _tally(levels, dists, d.ng)
 
 
 def _neighbor_sum(a: np.ndarray) -> np.ndarray:
@@ -186,8 +176,4 @@ def ngldm_matrix(d: DiscretizedVolume, alpha: int = 0) -> np.ndarray:
         dep[src] += close
         dep[dst] += close
 
-    levels = d.levels[m]
-    counts = dep[m]
-    max_col = int(counts.max()) + 1
-    mat = np.bincount((levels - 1) * max_col + counts, minlength=d.ng * max_col)
-    return mat.reshape(d.ng, max_col).astype(np.float64)
+    return _tally(d.levels[m], dep[m] + 1, d.ng)

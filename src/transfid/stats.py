@@ -116,7 +116,6 @@ def mean_std(values) -> tuple[float, float]:
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise EmptyInput("mean_std over no values")
-    mean = float(np.mean(arr))
     if arr.size == 1:
-        return mean, math.nan
-    return mean, float(np.sqrt(np.sum((arr - mean) ** 2) / (arr.size - 1)))
+        return float(arr[0]), math.nan
+    return float(np.mean(arr)), float(np.std(arr, ddof=1))

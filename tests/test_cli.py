@@ -13,9 +13,11 @@ import pytest
 
 import transfid
 from transfid.cli import main
+from transfid.iqa import SsimParams, mae, mse, ssim3d
 from transfid.manifest import ORIGINAL_SOURCE
-from transfid.nifti import load_nifti, save_nifti
+from transfid.nifti import load_mask, load_nifti, save_nifti
 from transfid.phantom import generate_phantom
+from transfid.preprocess import min_max_normalize
 from transfid.radiomics import ALL_FEATURE_KEYS
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
@@ -202,6 +204,32 @@ class TestPipeline:
         assert row["mae"] == "0"
         assert math.isinf(float(row["psnr"]))
 
+    def test_roi_only_metrics_use_the_mask(self, tmp_path, cohort):
+        manifest, config = cohort
+        roi_config = tmp_path / "roi_config.json"
+        roi_config.write_text(json.dumps({"ssim": {"window": 1}, "metrics": {"roi_only": True}}))
+        whole, roi = tmp_path / "whole.csv", tmp_path / "roi.csv"
+        assert main(["metrics", "--manifest", str(manifest), "--config", str(config), "--out", str(whole)]) == 0
+        assert main(["metrics", "--manifest", str(manifest), "--config", str(roi_config), "--out", str(roi)]) == 0
+        with open(whole) as fh:
+            whole_rows = list(csv.DictReader(fh))
+        with open(roi) as fh:
+            roi_rows = list(csv.DictReader(fh))
+        assert len(roi_rows) == 4
+        for whole_row, row in zip(whole_rows, roi_rows):
+            pid, network = row["patient_id"], row["network"]
+            original = min_max_normalize(load_nifti(tmp_path / f"{pid}_orig.nii"))
+            synthetic = min_max_normalize(load_nifti(tmp_path / f"{pid}_{network}.nii"))
+            mask = load_mask(tmp_path / f"{pid}_mask.nii", original)
+            expected = {
+                "mae": mae(original, synthetic, mask),
+                "mse": mse(original, synthetic, mask),
+                "ssim": ssim3d(original, synthetic, SsimParams(window=1), mask),
+            }
+            for name, value in expected.items():
+                assert row[name] == format(value, ".9g")
+                assert row[name] != whole_row[name]
+
     def test_significant_digit_formats(self, tmp_path, cohort):
         manifest, config = cohort
         metrics = tmp_path / "metrics.csv"
@@ -238,6 +266,15 @@ class TestPhantomCommand:
         assert (mask_vol.values != 0).any()
         vol = load_nifti(out)
         assert vol.values.min() >= 0.0 and vol.values.max() <= 1.0
+
+    def test_mask_out_path(self, tmp_path):
+        out = tmp_path / "p.nii"
+        mask_out = tmp_path / "roi.nii"
+        argv = ["phantom", "--seed", "3", "--dims", "12,10,8", "--out", str(out), "--mask-out", str(mask_out)]
+        assert main(argv) == 0
+        assert not (tmp_path / "p_mask.nii").exists()
+        mask = load_mask(mask_out, load_nifti(out))
+        assert np.array_equal(mask.flags, generate_phantom(3, (12, 10, 8))[1].flags)
 
 
 class TestExitCodes:

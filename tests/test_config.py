@@ -1,9 +1,29 @@
 """RunConfig schema validation and hashing."""
+import math
+
 import pytest
 
 from transfid.cli import build_parser, main
 from transfid.config import MAX_IVH_BINS, RunConfig
 from transfid.errors import ConfigError
+from transfid.preprocess import MAX_LEVELS
+
+FBS = {"mode": "FBS", "bin_width": 0.04}
+
+# every float key, each set to a value that is not a finite number
+NON_FINITE = [
+    {section: {**base, key: bad}}
+    for section, base, key in [
+        ("discretize", FBS, "origin"),
+        ("discretize", FBS, "bin_width"),
+        ("ssim", {}, "k1"),
+        ("ssim", {}, "k2"),
+        ("ssim", {}, "dynamic_range"),
+        ("ssim", {}, "sigma"),
+        ("metrics", {}, "psnr_peak"),
+    ]
+    for bad in (math.nan, math.inf, -math.inf)
+] + [{"discretize": {**FBS, "origin": 10**400}}]
 
 
 class TestDefaults:
@@ -57,6 +77,7 @@ class TestValidation:
             {"preprocess": {"crop": [True, True, True]}},
             {"discretize": {"mode": "FBS", "bin_width": 0.1, "origin": "zero"}},
             {"discretize": {"bins": "many"}},
+            *NON_FINITE,
         ],
     )
     def test_rejected(self, data):
@@ -67,6 +88,30 @@ class TestValidation:
         assert RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS}}).ivh_bins == MAX_IVH_BINS
         with pytest.raises(ConfigError, match="ivh.bins"):
             RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS + 1}})
+
+    def test_fbn_bins_cap(self):
+        assert RunConfig.from_dict({"discretize": {"bins": MAX_LEVELS}}).scheme.bins == MAX_LEVELS
+        with pytest.raises(ConfigError, match=r"discretize.bins must be an int in \[2, 1024\]"):
+            RunConfig.from_dict({"discretize": {"bins": MAX_LEVELS + 1}})
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"ssim": {"dynamic_range": Infinity, "window": 2}}', "ssim.dynamic_range"),
+            ('{"discretize": {"mode": "FBS", "bin_width": 0.04, "origin": NaN}}', "discretize.origin"),
+            ('{"discretize": {"bins": 5000}}', "discretize.bins"),
+        ],
+    )
+    def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, key):
+        # the manifest does not exist: a config that passed would exit 2
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        assert main([
+            "extract", "--manifest", str(tmp_path / "none.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"transfid: config error: {key} must be" in err and "Traceback" not in err
 
     def test_analysis_section_is_unknown(self):
         # analyze takes its threshold from --threshold only

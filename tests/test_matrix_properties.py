@@ -36,7 +36,7 @@ def discretized_volumes(draw):
     raw = np.array(draw(st.lists(st.integers(1, ng), min_size=n, max_size=n)))
     flags = flags.reshape(dims)
     levels = np.where(flags, raw.reshape(dims), 0)
-    return DiscretizedVolume(dims, (1.0, 1.0, 1.0), levels, ng=ng, mask=RoiMask(dims, flags))
+    return DiscretizedVolume(dims, levels, ng=ng, mask=RoiMask(dims, flags))
 
 
 @PROPERTY

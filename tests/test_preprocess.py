@@ -190,7 +190,7 @@ class TestDiscretize:
         mask = make_mask(flags)
         tracemalloc.start()
         try:
-            d = DiscretizedVolume(dims, (1.0, 1.0, 1.0), levels, ng=4, mask=mask)
+            d = DiscretizedVolume(dims, levels, ng=4, mask=mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -206,7 +206,7 @@ class TestPairFlags:
         flags = rng.random(dims) < 0.7
         flags[3, 2, 1] = True
         levels = np.where(flags, rng.integers(1, 5, dims), 0)
-        d = DiscretizedVolume(dims, (1.0, 1.0, 1.0), levels, ng=4, mask=make_mask(flags))
+        d = DiscretizedVolume(dims, levels, ng=4, mask=make_mask(flags))
         grids = d.pair_flags(tolerance)
         assert len(grids) == len(DIRECTIONS_13)
         for off, grid in zip(DIRECTIONS_13, grids):
@@ -217,7 +217,7 @@ class TestPairFlags:
             assert not grid.flags.writeable
 
     def test_negative_tolerance_is_refused(self):
-        d = DiscretizedVolume((2, 2, 2), (1.0, 1.0, 1.0), np.ones((2, 2, 2), dtype=int), ng=1,
+        d = DiscretizedVolume((2, 2, 2), np.ones((2, 2, 2), dtype=int), ng=1,
                               mask=make_mask(np.ones((2, 2, 2), dtype=bool)))
         with pytest.raises(ValueError, match="non-negative"):
             d.pair_flags(-1)

@@ -27,7 +27,7 @@ PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
 def disc(levels: np.ndarray, flags: np.ndarray, ng: int) -> DiscretizedVolume:
     levels = np.where(flags, levels, 0)
-    return DiscretizedVolume(flags.shape, (1.0, 1.0, 1.0), levels, ng=ng, mask=RoiMask(flags.shape, flags))
+    return DiscretizedVolume(flags.shape, levels, ng=ng, mask=RoiMask(flags.shape, flags))
 
 
 @st.composite
