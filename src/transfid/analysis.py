@@ -15,13 +15,7 @@ from .iqa import METRICS, MetricSet, compute_metrics
 from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
 from .preprocess import crop_centered, min_max_normalize
-from .radiomics import (
-    ALL_FEATURE_IDS,
-    ALL_FEATURE_KEYS,
-    ExtractionSettings,
-    FeatureVector,
-    extract_all,
-)
+from .radiomics import ALL_FEATURE_IDS, ALL_FEATURE_KEYS, FeatureVector, extract_all
 from .stats import PairedSample, TestResult, paired_t_test, spearman_rho
 from .volume import RoiMask, Volume3D
 
@@ -105,25 +99,19 @@ def process_patient(
     Each network is loaded, extracted and scored against the original before
     the next one is loaded, so a worker holds the original and one network."""
     result = PatientResult(patient_id=record.patient_id)
-    settings = ExtractionSettings(
-        scheme=config.scheme,
-        ivh_bins=config.ivh_bins,
-        ngldm_alpha=config.ngldm_alpha,
-        config_hash=config.config_hash(),
-    )
     try:
         original = load_nifti(record.source_paths[ORIGINAL_SOURCE])
         mask = load_mask(record.mask_path, original)
         original, roi = preprocess_pair(original, mask, config)
         if want_features:
-            result.features[ORIGINAL_SOURCE] = extract_all(original, roi, settings)
+            result.features[ORIGINAL_SOURCE] = extract_all(original, roi, config)
         metric_mask = roi if config.metrics_roi_only else None
         for source in record.synthetic_sources:
             network = load_nifti(record.source_paths[source])
             mask.check_aligned(network)
-            network, network_roi = preprocess_pair(network, mask, config)
+            network, _ = preprocess_pair(network, mask, config)
             if want_features:
-                result.features[source] = extract_all(network, network_roi, settings)
+                result.features[source] = extract_all(network, roi, config)
             if want_metrics:
                 result.metrics[source] = compute_metrics(
                     original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask

@@ -21,8 +21,7 @@ from .iqa import METRICS, MetricSet, mae, mse, psnr, ssim3d
 from .manifest import ORIGINAL_SOURCE, csv_rows, open_csv, parse_manifest
 from .nifti import MAX_DIM, MAX_SPACING, MIN_SPACING, save_nifti
 from .phantom import generate_phantom
-from .preprocess import DiscretizationScheme
-from .radiomics import ALL_FEATURE_KEYS, ExtractionSettings, extract_all
+from .radiomics import ALL_FEATURE_KEYS, extract_all
 from .radiomics import FeatureVector  # noqa: F401  (perfbench/layers.py probes cli.FeatureVector)
 
 EXIT_OK = 0
@@ -296,12 +295,12 @@ def cmd_selftest(args) -> int:
     volume, mask = generate_phantom(
         golden["seed"], tuple(golden["dims"]), tuple(golden["spacing"])
     )
-    settings = ExtractionSettings(
-        scheme=DiscretizationScheme("FBN", golden["bins"]),
-        ivh_bins=golden["ivh_bins"],
-        ngldm_alpha=golden["ngldm_alpha"],
-    )
-    vector = extract_all(volume, mask, settings)
+    config = RunConfig.from_dict({
+        "discretize": {"mode": "FBN", "bins": golden["bins"]},
+        "ivh": {"bins": golden["ivh_bins"]},
+        "ngldm": {"alpha": golden["ngldm_alpha"]},
+    })
+    vector = extract_all(volume, mask, config)
     worst = 0.0
     mismatch = ""
     for key, expected in golden["features"].items():

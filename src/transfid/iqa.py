@@ -25,8 +25,8 @@ class SsimParams:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window half-width must be >= 1")
-        if min(self.k1, self.k2, self.dynamic_range, self.sigma) <= 0:
-            raise ValueError("k1, k2, dynamic_range, and sigma must be positive")
+        if not all(0 < x < math.inf for x in (self.k1, self.k2, self.dynamic_range, self.sigma)):
+            raise ValueError("k1, k2, dynamic_range, and sigma must be positive finite numbers")
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,12 @@ def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> Disc
             np.minimum(lv, ng, out=lv)
             levels[mask.flags] = lv
     else:
-        raw = np.floor((roi - scheme.origin) / scheme.width).astype(np.int64) + 1
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the range check
+            bins = np.floor((roi - scheme.origin) / scheme.width)
+        # beyond 2**53 a float bin number is no longer an exact integer (and NaN fails too)
+        if not (-(2.0**53) <= bins.min() and bins.max() <= 2.0**53):
+            raise InvalidScheme(f"{scheme.describe()} puts ROI intensities outside the bin range +-2**53")
+        raw = bins.astype(np.int64) + 1
         raw += 1 - raw.min()
         levels[mask.flags] = raw
         ng = int(raw.max())

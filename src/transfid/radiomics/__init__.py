@@ -1,6 +1,6 @@
 """Standardized radiomic feature extraction: 186 features in 10 families."""
 
-from .extract import ExtractionSettings, extract_all
+from .extract import extract_all
 from .histogram import intensity_histogram_features, ivh_features
 from .ids import (
     ALL_FEATURE_IDS,
@@ -25,7 +25,6 @@ __all__ = [
     "ALL_FEATURE_KEYS",
     "EXPECTED_FAMILY_COUNTS",
     "FAMILY_ORDER",
-    "ExtractionSettings",
     "FeatureId",
     "FeatureVector",
     "extract_all",

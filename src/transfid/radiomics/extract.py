@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ..preprocess import DiscretizationScheme, discretize
+from ..config import RunConfig
+from ..preprocess import discretize
 from ..volume import RoiMask, Volume3D
 from .histogram import intensity_histogram_features, ivh_features
 from .ids import ALL_FEATURE_IDS, AGG_NONE
@@ -13,20 +13,14 @@ from .texture import glcm_features, glrlm_features, ngldm_features, ngtdm_featur
 from .vector import FeatureVector
 
 
-@dataclass(frozen=True)
-class ExtractionSettings:
-    """Knobs that affect feature values, recorded in vector provenance."""
-
-    scheme: DiscretizationScheme = DiscretizationScheme("FBN", 32)
-    ivh_bins: int = 1000
-    ngldm_alpha: int = 0
-    config_hash: str = ""
-
-
 def extract_all(
-    v: Volume3D, mask: RoiMask, settings: ExtractionSettings = ExtractionSettings()
+    v: Volume3D, mask: RoiMask, config: RunConfig = RunConfig.from_dict({})
 ) -> FeatureVector:
     """Compute all 186 features in canonical order.
+
+    `config` supplies the discretization scheme, the IVH bin count and the
+    NGLDM tolerance; the vector's provenance records the scheme, the
+    effective gray levels and `config.config_hash()`.
 
     Intensity families (LI, IS, IVH) run on continuous values; the
     histogram and texture families run on the discretized volume. A family
@@ -46,15 +40,15 @@ def extract_all(
 
     run(lambda: {("LI", AGG_NONE): (local_intensity(v, mask), set())})
     run(lambda: {("IS", AGG_NONE): intensity_statistics(v, mask)})
-    run(lambda: {("IVH", AGG_NONE): ivh_features(v, mask, settings.ivh_bins)})
+    run(lambda: {("IVH", AGG_NONE): ivh_features(v, mask, config.ivh_bins)})
 
-    d = discretize(v, mask, settings.scheme)
+    d = discretize(v, mask, config.scheme)
     run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
     run(lambda: {("GLCM", agg): r for agg, r in glcm_features(d).items()})
     run(lambda: {("GLRLM", agg): r for agg, r in glrlm_features(d).items()})
     run(lambda: dict(zip((("GLSZM", AGG_NONE), ("GLDZM", AGG_NONE)), zone_features(d))))
     run(lambda: {("NGTDM", AGG_NONE): ngtdm_features(d)})
-    run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, settings.ngldm_alpha)})
+    run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, config.ngldm_alpha)})
 
     values: dict[str, float] = {}
     flags: set[str] = set()
@@ -69,8 +63,8 @@ def extract_all(
             flags.add(fid.key)
 
     provenance = {
-        "scheme": settings.scheme.describe(),
+        "scheme": config.scheme.describe(),
         "effective_levels": str(d.ng),
-        "config_hash": settings.config_hash,
+        "config_hash": config.config_hash(),
     }
     return FeatureVector(values=values, flags=frozenset(flags), provenance=provenance)

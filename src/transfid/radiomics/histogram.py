@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from ..config import MAX_IVH_BINS
 from ..preprocess import DiscretizedVolume
 from ..volume import RoiMask, Volume3D
 from .ids import IVH_NAMES
@@ -75,12 +76,10 @@ def _intensity_at_volume_fraction(
     return lo + gamma * (hi - lo)
 
 
-def ivh_features(
-    v: Volume3D, mask: RoiMask, ivh_bins: int = 1000
-) -> tuple[dict[str, float], set[str]]:
+def ivh_features(v: Volume3D, mask: RoiMask, ivh_bins: int) -> tuple[dict[str, float], set[str]]:
     """The 7 intensity-volume-histogram features on continuous intensities."""
-    if ivh_bins < 1:
-        raise ValueError(f"ivh_bins must be positive, got {ivh_bins}")
+    if not 1 <= ivh_bins <= MAX_IVH_BINS:
+        raise ValueError(f"ivh_bins must be in [1, {MAX_IVH_BINS}], got {ivh_bins}")
     mask.check_aligned(v)
     roi = v.values[mask.flags]
     lo = float(roi.min())

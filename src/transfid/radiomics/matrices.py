@@ -165,7 +165,7 @@ def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     return n_i, s_i
 
 
-def ngldm_matrix(d: DiscretizedVolume, alpha: int = 0) -> np.ndarray:
+def ngldm_matrix(d: DiscretizedVolume, alpha: int) -> np.ndarray:
     """Dependence count matrix: rows are levels, column j holds voxels
     with j-1 in-mask neighbors within gray-level tolerance alpha."""
     m = d.mask.flags

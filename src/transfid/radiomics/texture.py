@@ -376,7 +376,7 @@ def zone_features(
     return (szm, set()), (dzm, set())
 
 
-def ngldm_features(d: DiscretizedVolume, alpha: int = 0) -> tuple[dict[str, float], set[str]]:
+def ngldm_features(d: DiscretizedVolume, alpha: int) -> tuple[dict[str, float], set[str]]:
     counts = ngldm_matrix(d, alpha)
     generic = row_column_features(counts, d.mask.voxel_count)
     return _mapped(generic, NGLDM_GENERIC), set()

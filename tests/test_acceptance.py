@@ -28,11 +28,9 @@ from transfid.iqa import mae, mse, psnr, ssim3d
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import save_nifti
 from transfid.phantom import generate_phantom
-from transfid.preprocess import DiscretizationScheme
 from transfid.radiomics import (
     ALL_FEATURE_KEYS,
     EXPECTED_FAMILY_COUNTS,
-    ExtractionSettings,
     extract_all,
 )
 from transfid.stats import PairedSample, paired_t_test, spearman_rho
@@ -73,7 +71,7 @@ def test_feature_count_law():
         inputs.append((make_volume(np.random.default_rng(1).random((3, 3, 3))), make_mask(single)))
 
         for vol, mask in inputs:
-            vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", 8)))
+            vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": 8}}))
             assert len(vec) == 186
             counts = {}
             for key in vec.values:
@@ -91,7 +89,7 @@ def test_oracle_equivalence_on_20_phantoms():
             spacing = tuple(float(s) for s in rng.uniform(0.9, 2.5, 3))
             ng = int(rng.integers(2, 9))
             v, m = generate_phantom(seed, dims, spacing)
-            vec = extract_all(v, m, ExtractionSettings(scheme=DiscretizationScheme("FBN", ng)))
+            vec = extract_all(v, m, RunConfig.from_dict({"discretize": {"bins": ng}}))
             expected = oracles.extract_all_features(v.values, m.flags, spacing, ng=ng)
             for key in ALL_FEATURE_KEYS:
                 assert rel_close(vec[key], expected[key]), (
@@ -288,7 +286,7 @@ def test_determinism_and_performance(tmp_path):
 
         v, m = generate_phantom(3, (128, 128, 64))
         start = time.perf_counter()
-        vec = extract_all(v, m, ExtractionSettings())
+        vec = extract_all(v, m, RunConfig.from_dict({}))
         elapsed = time.perf_counter() - start
         assert len(vec) == 186
         assert elapsed < 5.0, f"full-size extraction took {elapsed:.2f}s"

@@ -154,7 +154,7 @@ class TestProcessPatient:
             assert all(ref() is None or ref() is at_work for ref in prepared[1:])
             checked.append(call)
 
-        def extract(volume, roi, settings):
+        def extract(volume, roi, config):
             check(volume, "extract")
             return None
 
@@ -171,6 +171,33 @@ class TestProcessPatient:
         assert len(raw) == len(prepared) == 4
         assert checked == ["load", "extract"] + ["load", "extract", "metrics"] * 3
 
+
+    def test_every_source_shares_the_original_mask(self, tmp_path, monkeypatch):
+        """Under a crop, every extraction and every ROI-only score gets the
+        one mask cropped with the original, and the patient's own config."""
+        from transfid import analysis
+        from transfid.manifest import parse_manifest
+
+        manifest = write_cohort(tmp_path, n_patients=1, networks=("a", "b"))
+        (record,) = parse_manifest(manifest)
+        config = RunConfig.from_dict({"preprocess": {"crop": [6, 6, 6]}, "metrics": {"roi_only": True}})
+        masks, configs = [], []
+
+        def extract(volume, roi, config):
+            masks.append(roi)
+            configs.append(config)
+
+        def metrics(original, network, mask, **kwargs):
+            masks.append(mask)
+            return MetricSet(mae=0.0, mse=0.0, ssim=1.0, psnr=math.inf)
+
+        monkeypatch.setattr(analysis, "extract_all", extract)
+        monkeypatch.setattr(analysis, "compute_metrics", metrics)
+        result = analysis.process_patient(record, config)
+        assert result.error is None
+        assert len(masks) == 5 and masks[0].dims == (6, 6, 6)
+        assert all(mask is masks[0] for mask in masks)
+        assert all(c is config for c in configs) and len(configs) == 3
 
 class TestBuildCohort:
     def test_counts_two_patients_one_network(self, tmp_path):

@@ -377,6 +377,32 @@ class TestExitCodes:
         assert err.rstrip().endswith("transfid: error: no patient could be processed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fbs", [
+        {"bin_width": 0.04, "origin": 1e300},
+        {"bin_width": 1e-300},
+        {"bin_width": 1e-310},
+    ])
+    def test_fbs_bins_beyond_exact_range_exclude_the_patient(self, tmp_path, capsys, fbs):
+        v, m = generate_phantom(0, (8, 8, 8))
+        orig, mask = tmp_path / "o.nii", tmp_path / "m.nii"
+        save_nifti(orig, v)
+        save_nifti(mask, v.with_values(m.flags.astype(float)))
+        manifest = tmp_path / "man.csv"
+        manifest.write_text(
+            "patient_id,source,path\n"
+            f"p1,{ORIGINAL_SOURCE},{orig}\np1,mask,{mask}\np1,synth_a,{orig}\n"
+        )
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"discretize": {"mode": "FBS", **fbs}}))
+        out = tmp_path / "out.csv"
+        assert main([
+            "extract", "--manifest", str(manifest), "--config", str(config), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "warning: excluded patient p1: InvalidScheme" in err and "bin range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_refused_allocation_excludes_without_traceback(self, tmp_path, capsys, cohort):
         manifest, _ = cohort
         config = tmp_path / "crop.json"

@@ -99,6 +99,12 @@ class TestPsnr:
 
 
 class TestSsim3d:
+    @pytest.mark.parametrize("key", ["k1", "k2", "dynamic_range", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_params_must_be_positive_and_finite(self, key, value):
+        with pytest.raises(ValueError, match="positive finite"):
+            SsimParams(**{key: value})
+
     def test_identity_is_one(self, rng):
         vol = make_volume(rng.random((12, 12, 12)))
         assert ssim3d(vol, vol) == pytest.approx(1.0, abs=1e-12)

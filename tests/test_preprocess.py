@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from transfid.errors import CropLosesRoi, InvalidScheme
+from transfid.phantom import generate_phantom
 from transfid.preprocess import (
     MAX_LEVELS,
     DiscretizationScheme,
@@ -180,6 +181,20 @@ class TestDiscretize:
         with pytest.raises(InvalidScheme):
             discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS + 1))
         assert discretize(vol, mask, DiscretizationScheme("FBN", MAX_LEVELS)).ng == MAX_LEVELS
+
+    @pytest.mark.parametrize("width, origin", [(0.04, 1e300), (0.04, -1e300), (1e-300, 0.0), (1e-310, 0.0)])
+    def test_fbs_bins_beyond_exact_integers_refused(self, width, origin):
+        # the float bin numbers are checked before the int64 cast, which would
+        # overflow; an overflowing division warns nothing
+        v, m = generate_phantom(0, (8, 8, 8))
+        with pytest.raises(InvalidScheme, match="bin range"):
+            discretize(v, m, DiscretizationScheme("FBS", width=width, origin=origin))
+
+    def test_fbs_bins_at_the_exact_range_edge_kept(self):
+        # bins 2**53 - 1 and 2**53 are exact, so the two voxels keep two levels
+        vol = make_volume(np.array([2.0**53 - 1, 2.0**53]).reshape(2, 1, 1))
+        d = discretize(vol, make_mask(np.ones((2, 1, 1), dtype=bool)), DiscretizationScheme("FBS", width=1.0))
+        assert d.ng == 2 and d.roi_levels.tolist() == [1, 2]
 
     def test_int64_levels_are_copied_once(self):
         dims = (128, 128, 64)

@@ -1,10 +1,12 @@
 """Per-family feature checks: hand examples plus brute-force oracle sweeps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from transfid.config import MAX_IVH_BINS
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
@@ -183,7 +185,7 @@ class TestIvh:
 
     def test_constant_roi(self):
         vol = make_volume(np.full((5, 1, 1), 0.3))
-        feats, flagged = ivh_features(vol, make_mask(np.ones((5, 1, 1), bool)))
+        feats, flagged = ivh_features(vol, make_mask(np.ones((5, 1, 1), bool)), ivh_bins=1000)
         assert feats["v10_minus_v90"] == 0.0
         assert feats["i10"] == 0.3
         assert feats["area_under_curve"] == 1.0
@@ -194,6 +196,21 @@ class TestIvh:
         vol = make_volume(values)
         feats, _ = ivh_features(vol, make_mask(np.ones((1000, 1, 1), bool)), ivh_bins=1000)
         assert feats["area_under_curve"] == pytest.approx(0.5, abs=2.0 / 1000)
+
+    def test_bin_count_bounded_before_allocation(self):
+        vol = make_volume(np.linspace(0.0, 1.0, 5).reshape(5, 1, 1))
+        mask = make_mask(np.ones((5, 1, 1), bool))
+        assert ivh_features(vol, mask, ivh_bins=MAX_IVH_BINS)[0]["v10"] == 0.8
+        # one bin more would allocate curves of 8 * (MAX_IVH_BINS + 2) bytes each
+        tracemalloc.start()
+        try:
+            for bins in (0, MAX_IVH_BINS + 1):
+                with pytest.raises(ValueError, match="ivh_bins"):
+                    ivh_features(vol, mask, ivh_bins=bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_random_vs_oracle(self, rng):
         v, m = generate_phantom(5, (7, 6, 5))

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from transfid.config import RunConfig
 from transfid.errors import EmptyMask
 from transfid.phantom import generate_phantom
-from transfid.preprocess import DiscretizationScheme
 from transfid.radiomics import (
     ALL_FEATURE_KEYS,
     EXPECTED_FAMILY_COUNTS,
-    ExtractionSettings,
     FeatureVector,
     extract_all,
     family_counts,
@@ -28,7 +27,7 @@ GOLDEN_PATH = resources.files("transfid.data").joinpath("selftest_golden.json")
 
 
 def settings(ng=8, alpha=0):
-    return ExtractionSettings(scheme=DiscretizationScheme("FBN", ng), ngldm_alpha=alpha)
+    return RunConfig.from_dict({"discretize": {"bins": ng}, "ngldm": {"alpha": alpha}})
 
 
 class TestCountLaw:
@@ -184,11 +183,11 @@ class TestGoldenPhantom:
         vec = extract_all(
             v,
             m,
-            ExtractionSettings(
-                scheme=DiscretizationScheme("FBN", golden["bins"]),
-                ivh_bins=golden["ivh_bins"],
-                ngldm_alpha=golden["ngldm_alpha"],
-            ),
+            RunConfig.from_dict({
+                "discretize": {"mode": "FBN", "bins": golden["bins"]},
+                "ivh": {"bins": golden["ivh_bins"]},
+                "ngldm": {"alpha": golden["ngldm_alpha"]},
+            }),
         )
         assert set(golden["features"]) == set(ALL_FEATURE_KEYS)
         for key, expected in golden["features"].items():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from transfid.config import RunConfig
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, discretize
-from transfid.radiomics import ALL_FEATURE_KEYS, ExtractionSettings, extract_all
+from transfid.radiomics import ALL_FEATURE_KEYS, extract_all
 from transfid.radiomics import extract as extract_module
 from transfid.radiomics import texture as texture_module
 
@@ -29,7 +30,7 @@ class TestAwkwardGeometry:
         flags = rng.random((9, 8, 1)) < 0.7
         flags[4, 4, 0] = True
         vol, mask = make_volume(values), make_mask(flags)
-        vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", 4)))
+        vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": 4}}))
         expected = oracles.extract_all_features(values, flags, vol.spacing, ng=4)
         vectors_match(vec, expected)
 
@@ -37,7 +38,7 @@ class TestAwkwardGeometry:
         values = rng.random((12, 1, 1))
         flags = np.ones((12, 1, 1), dtype=bool)
         vol, mask = make_volume(values), make_mask(flags)
-        vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", 3)))
+        vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": 3}}))
         expected = oracles.extract_all_features(values, flags, vol.spacing, ng=3)
         vectors_match(vec, expected)
 
@@ -47,7 +48,7 @@ class TestAwkwardGeometry:
         flags[1:8, 1:8, 1:8] = True
         flags[3:6, 3:6, 3:6] = False  # hollow interior
         vol, mask = make_volume(values), make_mask(flags)
-        vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", 5)))
+        vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": 5}}))
         expected = oracles.extract_all_features(values, flags, vol.spacing, ng=5)
         vectors_match(vec, expected)
 
@@ -56,7 +57,7 @@ class TestAwkwardGeometry:
         flags = np.zeros((4, 4, 4), dtype=bool)
         flags[1, 1, 1] = flags[1, 1, 2] = True
         vol, mask = make_volume(values), make_mask(flags)
-        vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", 2)))
+        vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": 2}}))
         expected = oracles.extract_all_features(values, flags, vol.spacing, ng=2)
         vectors_match(vec, expected)
 
@@ -74,7 +75,7 @@ class TestIrregularMasks:
                 flags[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
             ng = int(rng.integers(2, 7))
             vol, mask = make_volume(values), make_mask(flags)
-            vec = extract_all(vol, mask, ExtractionSettings(scheme=DiscretizationScheme("FBN", ng)))
+            vec = extract_all(vol, mask, RunConfig.from_dict({"discretize": {"bins": ng}}))
             expected = oracles.extract_all_features(values, flags, vol.spacing, ng=ng)
             vectors_match(vec, expected)
 
@@ -90,8 +91,8 @@ class TestFbsPath:
 
     def test_fbs_features_match_oracle_levels(self, rng):
         v, m = generate_phantom(32, (8, 8, 8))
-        scheme = DiscretizationScheme("FBS", width=0.21, origin=0.0)
-        vec = extract_all(v, m, ExtractionSettings(scheme=scheme))
+        config = RunConfig.from_dict({"discretize": {"mode": "FBS", "bin_width": 0.21, "origin": 0.0}})
+        vec = extract_all(v, m, config)
 
         levels, ng = oracles.discretize_fbs(v.values, m.flags, 0.21, 0.0)
         # texture families recomputed from the oracle's own level map
@@ -118,7 +119,7 @@ class TestFamilyFailureDegradation:
 
         monkeypatch.setattr(extract_module, "ngtdm_features", boom)
         v, m = generate_phantom(33, (6, 6, 6))
-        vec = extract_all(v, m, ExtractionSettings(scheme=DiscretizationScheme("FBN", 4)))
+        vec = extract_all(v, m, RunConfig.from_dict({"discretize": {"bins": 4}}))
         assert len(vec) == 186
         for key in ALL_FEATURE_KEYS:
             if key.startswith("ngtdm."):
@@ -129,14 +130,14 @@ class TestFamilyFailureDegradation:
 
     def test_failing_directional_family_is_contained(self, monkeypatch):
         v, m = generate_phantom(33, (6, 6, 6))
-        settings = ExtractionSettings(scheme=DiscretizationScheme("FBN", 4))
-        intact = extract_all(v, m, settings)
+        config = RunConfig.from_dict({"discretize": {"bins": 4}})
+        intact = extract_all(v, m, config)
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic matrix failure")
 
         monkeypatch.setattr(texture_module, "glrlm_matrices", boom)
-        vec = extract_all(v, m, settings)
+        vec = extract_all(v, m, config)
         glrlm_keys = [key for key in ALL_FEATURE_KEYS if key.startswith("glrlm.")]
         assert len(glrlm_keys) == 32
         for key in glrlm_keys:
