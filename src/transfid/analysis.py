@@ -28,7 +28,6 @@ GROUP3 = "Group3"
 class PatientResult:
     """Per-patient pipeline output, or the reason it was excluded."""
 
-    patient_id: str
     features: dict[str, FeatureVector] = field(default_factory=dict)
     metrics: dict[str, MetricSet] = field(default_factory=dict)
     error: str | None = None
@@ -44,7 +43,6 @@ class CohortTable:
     """
 
     patients: list[str]
-    sources: list[str]
     networks: list[str]
     features: dict[str, np.ndarray]
     metrics: dict[tuple[str, str], MetricSet]
@@ -74,7 +72,6 @@ class GroupAssignment:
     feature_key: str
     group: str
     passes: dict[str, bool]
-    top_network: str
     anomalous: bool = False
 
 
@@ -98,7 +95,7 @@ def process_patient(
 
     Each network is loaded, extracted and scored against the original before
     the next one is loaded, so a worker holds the original and one network."""
-    result = PatientResult(patient_id=record.patient_id)
+    result = PatientResult()
     try:
         original = load_nifti(record.source_paths[ORIGINAL_SOURCE])
         mask = load_mask(record.mask_path, original)
@@ -118,7 +115,7 @@ def process_patient(
                 )
             del network  # the next network loads beside the original only
     except (TransfidError, OSError, ValueError, MemoryError) as exc:
-        return PatientResult(patient_id=record.patient_id, error=f"{type(exc).__name__}: {exc}")
+        return PatientResult(error=f"{type(exc).__name__}: {exc}")
     return result
 
 
@@ -167,11 +164,9 @@ def build_cohort(
 
     if not patients:
         raise CohortTooSmall("no patient could be processed")
-    sources = list(rows)
     return CohortTable(
         patients=patients,
-        sources=sources,
-        networks=[s for s in sources if s != ORIGINAL_SOURCE],
+        networks=[s for s in rows if s != ORIGINAL_SOURCE],
         features={source: feature_table(len(patients), r) for source, r in rows.items()},
         metrics=metrics,
         exclusions=exclusions,
@@ -259,7 +254,6 @@ def classify_groups(
                 feature_key=record.feature_key,
                 group=group,
                 passes=passes,
-                top_network=top_network,
                 anomalous=anomalous,
             )
         )

@@ -191,7 +191,6 @@ def cmd_analyze(args) -> int:
 
     table = analysis.CohortTable(
         patients=patients,
-        sources=sources,
         networks=networks,
         features=features,
         metrics=metrics,

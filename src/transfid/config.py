@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .checks import is_int, is_number
+from .errors import ConfigError, InvalidScheme
 from .iqa import SsimParams
-from .preprocess import FBN, FBS, MAX_LEVELS, DiscretizationScheme
+from .preprocess import FBN, DiscretizationScheme
 
 DEFAULTS: dict = {
     "preprocess": {
@@ -23,13 +23,7 @@ DEFAULTS: dict = {
         "bin_width": None,
         "origin": 0.0,
     },
-    "ssim": {
-        "window": 5,
-        "k1": 0.01,
-        "k2": 0.03,
-        "dynamic_range": 1.0,
-        "sigma": 1.5,
-    },
+    "ssim": asdict(SsimParams()),
     "metrics": {
         "roi_only": False,
         "psnr_peak": 1.0,
@@ -62,15 +56,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite float, or an int within float range; JSON's NaN and Infinity
-    are not numbers here (the comparison is false for NaN and exact for ints)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+def _build(section: str, kind, fields: dict, renamed: dict[str, str] | None = None):
+    """kind(**fields); the type's refusal, whose message starts with the field
+    at fault, becomes a ConfigError that names the config key."""
+    try:
+        return kind(**fields)
+    except (ValueError, InvalidScheme) as exc:
+        field, rule = str(exc).split(" ", 1)
+        key = (renamed or {}).get(field, field)
+        raise ConfigError(f"{section}.{key} {rule}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,6 @@ class RunConfig:
     psnr_peak: float
     ivh_bins: int
     ngldm_alpha: int
-    raw: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -99,48 +92,27 @@ class RunConfig:
             _require(
                 isinstance(crop, (list, tuple))
                 and len(crop) == 3
-                and all(_is_int(c) and c > 0 for c in crop),
+                and all(is_int(c) and c > 0 for c in crop),
                 "preprocess.crop must be null or three positive integers",
             )
             crop = tuple(crop)
 
-        mode = cfg["discretize"]["mode"]
-        _require(mode in (FBN, FBS), "discretize.mode must be 'FBN' or 'FBS'")
-        if mode == FBN:
-            bins = cfg["discretize"]["bins"]
-            _require(_is_int(bins) and 2 <= bins <= MAX_LEVELS,
-                     f"discretize.bins must be an int in [2, {MAX_LEVELS}]")
-            scheme = DiscretizationScheme(FBN, bins=bins)
+        # each type checks its own fields; an FBN scheme takes no width or origin
+        disc = cfg["discretize"]
+        if disc["mode"] == FBN:
+            fields = {"mode": FBN, "bins": disc["bins"]}
         else:
-            width = cfg["discretize"]["bin_width"]
-            _require(
-                _is_number(width) and width > 0,
-                "discretize.bin_width must be a positive finite number for FBS",
-            )
-            origin = cfg["discretize"]["origin"]
-            _require(_is_number(origin), "discretize.origin must be a finite number")
-            scheme = DiscretizationScheme(FBS, width=float(width), origin=float(origin))
-
-        ssim_cfg = cfg["ssim"]
-        _require(_is_int(ssim_cfg["window"]) and ssim_cfg["window"] >= 1, "ssim.window must be an int >= 1")
-        for key in ("k1", "k2", "dynamic_range", "sigma"):
-            _require(_is_number(ssim_cfg[key]) and ssim_cfg[key] > 0,
-                     f"ssim.{key} must be a positive finite number")
-        ssim_params = SsimParams(
-            window=ssim_cfg["window"],
-            k1=float(ssim_cfg["k1"]),
-            k2=float(ssim_cfg["k2"]),
-            dynamic_range=float(ssim_cfg["dynamic_range"]),
-            sigma=float(ssim_cfg["sigma"]),
-        )
+            fields = {"mode": disc["mode"], "width": disc["bin_width"], "origin": disc["origin"]}
+        scheme = _build("discretize", DiscretizationScheme, fields, {"width": "bin_width"})
+        ssim_params = _build("ssim", SsimParams, cfg["ssim"])
 
         ivh_bins = cfg["ivh"]["bins"]
-        _require(_is_int(ivh_bins) and 1 <= ivh_bins <= MAX_IVH_BINS,
+        _require(is_int(ivh_bins) and 1 <= ivh_bins <= MAX_IVH_BINS,
                  f"ivh.bins must be an int in [1, {MAX_IVH_BINS}]")
         alpha = cfg["ngldm"]["alpha"]
-        _require(_is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
+        _require(is_int(alpha) and alpha >= 0, "ngldm.alpha must be an int >= 0")
         peak = cfg["metrics"]["psnr_peak"]
-        _require(_is_number(peak) and peak > 0, "metrics.psnr_peak must be a positive finite number")
+        _require(is_number(peak) and peak > 0, "metrics.psnr_peak must be a positive finite number")
         for key in ("normalize", "normalize_after_crop"):
             _require(isinstance(cfg["preprocess"][key], bool), f"preprocess.{key} must be a bool")
         _require(isinstance(cfg["metrics"]["roi_only"], bool), "metrics.roi_only must be a bool")
@@ -155,7 +127,6 @@ class RunConfig:
             psnr_peak=float(peak),
             ivh_bins=ivh_bins,
             ngldm_alpha=alpha,
-            raw=cfg,
         )
 
     @classmethod
@@ -169,5 +140,6 @@ class RunConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """Hash of the validated settings, so unused and spelled-out defaults hash alike."""
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

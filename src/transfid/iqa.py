@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checks import is_int, is_number
 from .errors import DimsMismatch, EmptyInput, VolumeTooSmall
 from .stats import mean_std
 from .volume import RoiMask, Volume3D
@@ -23,10 +24,14 @@ class SsimParams:
     sigma: float = 1.5
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window half-width must be >= 1")
-        if not all(0 < x < math.inf for x in (self.k1, self.k2, self.dynamic_range, self.sigma)):
-            raise ValueError("k1, k2, dynamic_range, and sigma must be positive finite numbers")
+        """Each message starts with the field at fault, as `config` reports it."""
+        if not (is_int(self.window) and self.window >= 1):
+            raise ValueError("window must be an int >= 1")
+        for name in ("k1", "k2", "dynamic_range", "sigma"):
+            value = getattr(self, name)
+            if not (is_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ def _select(v: Volume3D, mask: RoiMask | None) -> np.ndarray:
 
 def _psnr_db(err: float, peak: float) -> float:
     """psnr() from an MSE already computed."""
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < math.inf:
+        raise ValueError(f"peak must be a positive finite number, got {peak}")
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(peak) - 10.0 * math.log10(err)

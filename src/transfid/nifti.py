@@ -26,8 +26,6 @@ _DTYPES = {
     512: "u2",   # uint16
 }
 
-_WRITE_CODES = {"float32": (16, 32, "f4"), "float64": (64, 64, "f8")}
-
 # the header stores each voxel count as an int16 and each spacing as a float32
 MAX_DIM = 32767
 MIN_SPACING = float(np.finfo(np.float32).tiny)
@@ -141,14 +139,10 @@ def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
     return RoiMask(dims, flags)
 
 
-def save_nifti(path: str | Path, volume: Volume3D, dtype: str = "float64") -> None:
-    """Write a volume as single-file NIfTI-1 (little-endian, no scaling).
-
-    float64 output round-trips bit-exactly through load_nifti.
+def save_nifti(path: str | Path, volume: Volume3D) -> None:
+    """Write a volume as single-file float64 NIfTI-1 (little-endian, no
+    scaling), which round-trips bit-exactly through load_nifti.
     """
-    if dtype not in _WRITE_CODES:
-        raise UnsupportedDatatype(f"writer supports float32/float64, got {dtype}")
-    code, bitpix, np_code = _WRITE_CODES[dtype]
     nx, ny, nz = volume.dims
     if max(volume.dims) > MAX_DIM:
         raise ValueError(f"dims {volume.dims} exceed the header's limit of {MAX_DIM} per axis")
@@ -161,10 +155,10 @@ def save_nifti(path: str | Path, volume: Volume3D, dtype: str = "float64") -> No
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<2h", header, 70, code, bitpix)
+    struct.pack_into("<2h", header, 70, 64, 64)  # datatype float64, 64 bits per voxel
     struct.pack_into("<8f", header, 76, 1.0, *volume.spacing, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<3f", header, 108, float(HEADER_SIZE + 4), 0.0, 0.0)
     header[344:348] = MAGIC_SINGLE
 
-    payload = volume.values.astype("<" + np_code).tobytes(order="F")
+    payload = volume.values.astype("<f8").tobytes(order="F")
     Path(path).write_bytes(bytes(header) + b"\x00" * 4 + payload)

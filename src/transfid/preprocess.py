@@ -1,11 +1,11 @@
 """Intensity normalization, ROI-centered cropping, and gray-level discretization."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import is_int, is_number
 from .errors import CropLosesRoi, InvalidScheme
 from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, shift_slices
 
@@ -27,14 +27,19 @@ class DiscretizationScheme:
     origin: float = 0.0
 
     def __post_init__(self):
+        """Each message starts with the field at fault, as `config` reports it."""
         if self.mode == FBN:
-            if self.bins < 2:
-                raise InvalidScheme(f"FBN needs at least 2 bins, got {self.bins}")
+            if not (is_int(self.bins) and 2 <= self.bins <= MAX_LEVELS):
+                raise InvalidScheme(f"bins must be an int in [2, {MAX_LEVELS}]")
         elif self.mode == FBS:
-            if not self.width > 0:
-                raise InvalidScheme(f"FBS needs positive bin width, got {self.width}")
+            if not (is_number(self.width) and self.width > 0):
+                raise InvalidScheme("width must be a positive finite number for FBS")
+            if not is_number(self.origin):
+                raise InvalidScheme("origin must be a finite number")
+            object.__setattr__(self, "width", float(self.width))
+            object.__setattr__(self, "origin", float(self.origin))
         else:
-            raise InvalidScheme(f"unknown discretization mode {self.mode!r}")
+            raise InvalidScheme("mode must be 'FBN' or 'FBS'")
 
     def describe(self) -> str:
         if self.mode == FBN:
@@ -95,16 +100,6 @@ def min_max_normalize(v: Volume3D) -> Volume3D:
     return _adopt(v.dims, v.spacing, out)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def mask_centroid(mask: RoiMask) -> tuple[int, int, int]:
-    """Integer centroid of in-mask voxels, rounded half-up per axis."""
-    coords = np.nonzero(mask.flags)
-    return tuple(_round_half_up(float(np.mean(axis))) for axis in coords)
-
-
 def crop_centered(
     v: Volume3D, mask: RoiMask, target: tuple[int, int, int]
 ) -> tuple[Volume3D, RoiMask]:
@@ -118,7 +113,7 @@ def crop_centered(
     if any(t <= 0 for t in target):
         raise ValueError(f"crop target must be positive, got {target}")
 
-    center = mask_centroid(mask)
+    center = mask.centroid
     starts = [c - t // 2 for c, t in zip(center, target)]
 
     out_vals = np.zeros(target)

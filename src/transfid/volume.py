@@ -107,6 +107,12 @@ class RoiMask:
         """Voxels in the ROI, counted once per mask (the flags are frozen)."""
         return int(np.count_nonzero(self.flags))
 
+    @cached_property
+    def centroid(self) -> tuple[int, int, int]:
+        """Integer centroid of in-mask voxels, rounded half-up per axis; found
+        once per mask, which every source of a patient is cropped around."""
+        return tuple(math.floor(float(np.mean(axis)) + 0.5) for axis in np.nonzero(self.flags))
+
     def check_aligned(self, volume: Volume3D) -> None:
         if self.dims != volume.dims:
             raise DimsMismatch(f"mask dims {self.dims} != volume dims {volume.dims}")

@@ -52,7 +52,6 @@ def table_with_feature_values(per_network: dict[str, np.ndarray], originals: np.
     }
     return CohortTable(
         patients=patients,
-        sources=[ORIGINAL_SOURCE, *networks],
         networks=networks,
         features=features,
         metrics=metrics,
@@ -199,6 +198,34 @@ class TestProcessPatient:
         assert all(mask is masks[0] for mask in masks)
         assert all(c is config for c in configs) and len(configs) == 3
 
+    def test_crop_finds_the_centroid_once_per_patient(self, tmp_path, monkeypatch):
+        """The original and both networks are cropped around the one mask's
+        centroid, computed once."""
+        from functools import cached_property
+
+        from transfid import analysis
+        from transfid.manifest import parse_manifest
+        from transfid.volume import RoiMask
+
+        manifest = write_cohort(tmp_path, n_patients=1, networks=("a", "b"))
+        (record,) = parse_manifest(manifest)
+        config = RunConfig.from_dict({"preprocess": {"crop": [6, 6, 6]}})
+        find = RoiMask.centroid.func
+        computed = []
+
+        def counted(mask):
+            computed.append(mask)
+            return find(mask)
+
+        centroid = cached_property(counted)
+        centroid.__set_name__(RoiMask, "centroid")
+        monkeypatch.setattr(RoiMask, "centroid", centroid)
+        monkeypatch.setattr(analysis, "extract_all", lambda volume, roi, config: None)
+        result = analysis.process_patient(record, config, want_metrics=False)
+        assert result.error is None and len(result.features) == 3
+        assert len(computed) == 1
+
+
 class TestBuildCohort:
     def test_counts_two_patients_one_network(self, tmp_path):
         manifest = write_cohort(tmp_path, n_patients=2)
@@ -296,7 +323,6 @@ class TestRankNetworks:
         }
         return CohortTable(
             patients=patients,
-            sources=[ORIGINAL_SOURCE, *networks],
             networks=networks,
             features={},
             metrics=metrics,
@@ -387,7 +413,6 @@ class TestCompareNetworks:
             metrics[(pid, "b")] = MetricSet(mae=b_vals[i], mse=0.0, ssim=0.0, psnr=0.0)
         return CohortTable(
             patients=patients,
-            sources=[ORIGINAL_SOURCE, "a", "b"],
             networks=["a", "b"],
             features={},
             metrics=metrics,

@@ -93,7 +93,7 @@ def test_concordance_matches_oracle(tmp_path_factory, rows):
     assert read_patients == patients
     networks = sorted(s for s in sources if s != ORIGINAL_SOURCE)
     assert networks == sorted(present - {ORIGINAL_SOURCE})
-    table = CohortTable(read_patients, sources, networks, features, metrics={})
+    table = CohortTable(read_patients, networks, features, metrics={})
     records = concordance(table)
 
     assert [r.feature_key for r in records] == list(ALL_FEATURE_KEYS)

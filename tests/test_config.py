@@ -1,10 +1,14 @@
 """RunConfig schema validation and hashing."""
+import copy
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from transfid import config
 from transfid.cli import build_parser, main
-from transfid.config import MAX_IVH_BINS, RunConfig
+from transfid.config import DEFAULTS, MAX_IVH_BINS, RunConfig
 from transfid.errors import ConfigError
 from transfid.preprocess import MAX_LEVELS
 
@@ -52,6 +56,27 @@ class TestDefaults:
     def test_crop_triple(self):
         cfg = RunConfig.from_dict({"preprocess": {"crop": [128, 128, 64]}})
         assert cfg.crop == (128, 128, 64)
+
+    def test_defaults_survive_any_use_of_a_config(self, monkeypatch):
+        # from_dict reads this copy, so a failure here cannot leak into other tests
+        defaults = copy.deepcopy(DEFAULTS)
+        monkeypatch.setattr(config, "DEFAULTS", defaults)
+        for data in ({}, {"discretize": {"bins": 16}}, {"preprocess": {"crop": [4, 4, 4]}}):
+            cfg = RunConfig.from_dict(data)
+            # a caller that empties every dict it can reach must not reach the defaults
+            for value in vars(cfg).values():
+                if isinstance(value, dict):
+                    for section in value.values():
+                        if isinstance(section, dict):
+                            section.clear()
+        assert defaults == DEFAULTS
+        assert RunConfig.from_dict({}).ivh_bins == 1000
+
+    def test_readme_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULTS
 
 
 class TestValidation:
@@ -171,6 +196,17 @@ class TestHash:
         a = RunConfig.from_dict({})
         b = RunConfig.from_dict({"discretize": {"bins": 32}})
         assert a.config_hash() == b.config_hash()
+
+    @pytest.mark.parametrize("unused", [{"origin": 5.0}, {"bin_width": 0.1}])
+    def test_fbn_hash_ignores_fbs_keys(self, unused):
+        a = RunConfig.from_dict({})
+        b = RunConfig.from_dict({"discretize": unused})
+        assert a.config_hash() == b.config_hash()
+
+    def test_hash_reads_validated_values(self):
+        a = RunConfig.from_dict({"discretize": {"mode": "FBS", "bin_width": 1}})
+        b = RunConfig.from_dict({"discretize": {"mode": "FBS", "bin_width": 1.0}})
+        assert a.scheme == b.scheme and a.config_hash() == b.config_hash()
 
 
 class TestJobsResolution:

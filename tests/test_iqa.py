@@ -97,6 +97,15 @@ class TestPsnr:
         b = make_volume(rng.random((4, 4, 4)))
         assert psnr(a, b, 1.0) == -10.0 * math.log10(mse(a, b))
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_peak_must_be_positive_and_finite(self, rng, peak):
+        a = make_volume(rng.random((4, 4, 4)))
+        b = make_volume(rng.random((4, 4, 4)))
+        with pytest.raises(ValueError, match="peak must be a positive finite number"):
+            psnr(a, b, peak)
+        with pytest.raises(ValueError, match="peak must be a positive finite number"):
+            compute_metrics(a, b, SsimParams(window=1), peak=peak)
+
 
 class TestSsim3d:
     @pytest.mark.parametrize("key", ["k1", "k2", "dynamic_range", "sigma"])
@@ -104,6 +113,11 @@ class TestSsim3d:
     def test_params_must_be_positive_and_finite(self, key, value):
         with pytest.raises(ValueError, match="positive finite"):
             SsimParams(**{key: value})
+
+    @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
+    def test_window_must_be_an_int(self, window):
+        with pytest.raises(ValueError, match="window must be an int >= 1"):
+            SsimParams(window=window)
 
     def test_identity_is_one(self, rng):
         vol = make_volume(rng.random((12, 12, 12)))

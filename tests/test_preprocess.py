@@ -1,4 +1,5 @@
 """Normalization, centered cropping, and discretization."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from transfid.preprocess import (
     DiscretizedVolume,
     crop_centered,
     discretize,
-    mask_centroid,
     min_max_normalize,
 )
 from transfid.volume import DIRECTIONS_13, shift_slices
@@ -48,7 +48,7 @@ class TestCropCentered:
         # symmetric blob centered at (64, 64, 32)
         flags[63:66, 63:66, 31:34] = True
         vol, mask = make_volume(values), make_mask(flags)
-        assert mask_centroid(mask) == (64, 64, 32)
+        assert mask.centroid == (64, 64, 32)
         out_vol, out_mask = crop_centered(vol, mask, (128, 128, 64))
         np.testing.assert_array_equal(out_vol.values, values)
         np.testing.assert_array_equal(out_mask.flags, flags)
@@ -100,7 +100,7 @@ class TestCropCentered:
     def test_centroid_rounding_half_up(self):
         flags = np.zeros((4, 1, 1), dtype=bool)
         flags[1, 0, 0] = flags[2, 0, 0] = True  # centroid x = 1.5 -> 2
-        assert mask_centroid(make_mask(flags)) == (2, 0, 0)
+        assert make_mask(flags).centroid == (2, 0, 0)
 
 
 class TestDiscretize:
@@ -171,6 +171,24 @@ class TestDiscretize:
             DiscretizationScheme("FBS", width=0.0)
         with pytest.raises(InvalidScheme):
             DiscretizationScheme("quantile")
+
+    @pytest.mark.parametrize(
+        "mode, fields",
+        [
+            ("FBN", {"bins": 2.5}),
+            ("FBN", {"bins": True}),
+            ("FBN", {"bins": MAX_LEVELS + 1}),
+            ("FBS", {"width": math.inf}),
+            ("FBS", {"width": math.nan}),
+            ("FBS", {"width": True}),
+            ("FBS", {"width": 0.1, "origin": math.inf}),
+            ("FBS", {"width": 0.1, "origin": None}),
+        ],
+    )
+    def test_fields_checked_at_construction(self, mode, fields):
+        # the rules config applies, so a library caller gets the same refusal
+        with pytest.raises(InvalidScheme, match="must be"):
+            DiscretizationScheme(mode, **fields)
 
     def test_level_count_bounded_before_allocation(self):
         # two voxels and a tiny bin width: 10 001 levels, refused in discretize
