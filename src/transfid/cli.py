@@ -29,6 +29,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 
+class _UsageError(Exception):
+    """A usage error found after parsing: exits 1, as argparse's own do."""
+
+
+def _refuse_same_output(flag: str, path: str, other_flag: str, other_path: str | None) -> None:
+    """Two outputs at one path: the second write would replace the first."""
+    if other_path is not None and Path(path).resolve() == Path(other_path).resolve():
+        raise _UsageError(f"{flag} and {other_flag} name the same file {path!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors."""
 
@@ -185,6 +195,7 @@ def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
 
 
 def cmd_analyze(args) -> int:
+    _refuse_same_output("--out", args.out, "--summary", args.summary)
     patients, sources, features = _read_features_csv(args.features)
     metrics = _read_metrics_csv(args.metrics)
     networks = sorted({s for s in sources if s != ORIGINAL_SOURCE})
@@ -266,6 +277,7 @@ def _triple(kind, low: float, high: float):
 
 
 def cmd_phantom(args) -> int:
+    _refuse_same_output("--out", args.out, "--mask-out", args.mask_out)
     volume, mask = generate_phantom(args.seed, args.dims, args.spacing)
 
     out = Path(args.out)
@@ -390,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"transfid {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigError as exc:
         print(f"transfid: config error: {exc}", file=sys.stderr)
         print("config schema (all keys optional):", file=sys.stderr)

@@ -63,13 +63,16 @@ def open_csv(path: str | Path):
 def csv_rows(fh, path: str | Path, needed: tuple[str, ...]):
     """(column index of the header, iterator of (line number, row)) of a CSV.
 
-    The header must name every column in `needed`; blank lines are
-    skipped, a row's line number is its physical line in the file, and a
-    row whose width differs from the header's is an error.
+    The header must name every column in `needed` and no column twice;
+    blank lines are skipped, a row's line number is its physical line in
+    the file, and a row whose width differs from the header's is an error.
     """
     reader = csv.reader(fh)
     header = next(reader, [])
     index = {name: i for i, name in enumerate(header)}
+    if len(index) != len(header):
+        twice = next(name for i, name in enumerate(header) if index[name] != i)
+        raise TransfidError(f"{path}: header names column {twice!r} twice")
     missing = [name for name in needed if name not in index]
     if missing:
         raise TransfidError(f"{path}: header lacks column {missing[0]!r}")

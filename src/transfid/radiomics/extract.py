@@ -24,23 +24,31 @@ def extract_all(
 
     Intensity families (LI, IS, IVH) run on continuous values; the
     histogram and texture families run on the discretized volume. A family
-    failure degrades that family to flagged NaNs instead of aborting.
+    says a value is undefined by returning NaN for it, and a family that
+    raises leaves all its values NaN. Every NaN is flagged, and so are the
+    finite values IVH flags on a constant ROI.
     """
     mask.check_aligned(v)
 
-    results: dict[tuple[str, str], tuple[dict[str, float], set[str]]] = {}
+    results: dict[tuple[str, str], dict[str, float]] = {}
+    ivh_flagged: set[str] = set()
 
     def run(compute) -> None:
-        """Store compute()'s {(family, aggregation): (values, flags)}; a
-        family that raises stores nothing and reads as flagged NaNs below."""
+        """Store compute()'s {(family, aggregation): values}; a family that
+        raises stores nothing and reads as NaN below."""
         try:
             results.update(compute())
         except Exception:
             pass
 
-    run(lambda: {("LI", AGG_NONE): (local_intensity(v, mask), set())})
+    def ivh() -> dict[tuple[str, str], dict[str, float]]:
+        values, flagged = ivh_features(v, mask, config.ivh_bins)
+        ivh_flagged.update(flagged)
+        return {("IVH", AGG_NONE): values}
+
+    run(lambda: {("LI", AGG_NONE): local_intensity(v, mask)})
     run(lambda: {("IS", AGG_NONE): intensity_statistics(v, mask)})
-    run(lambda: {("IVH", AGG_NONE): ivh_features(v, mask, config.ivh_bins)})
+    run(ivh)
 
     d = discretize(v, mask, config.scheme)
     run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
@@ -50,17 +58,15 @@ def extract_all(
     run(lambda: {("NGTDM", AGG_NONE): ngtdm_features(d)})
     run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, config.ngldm_alpha)})
 
-    values: dict[str, float] = {}
-    flags: set[str] = set()
-    for fid in ALL_FEATURE_IDS:
-        family_values, family_flags = results.get((fid.family, fid.aggregation), ({}, set()))
-        if fid.name in family_values:
-            values[fid.key] = float(family_values[fid.name])
-            if fid.name in family_flags:
-                flags.add(fid.key)
-        else:
-            values[fid.key] = math.nan
-            flags.add(fid.key)
+    values = {
+        fid.key: float(results.get((fid.family, fid.aggregation), {}).get(fid.name, math.nan))
+        for fid in ALL_FEATURE_IDS
+    }
+    flags = {
+        fid.key
+        for fid in ALL_FEATURE_IDS
+        if math.isnan(values[fid.key]) or (fid.family == "IVH" and fid.name in ivh_flagged)
+    }
 
     provenance = {
         "scheme": config.scheme.describe(),

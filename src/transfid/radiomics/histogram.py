@@ -12,14 +12,17 @@ from .ids import IVH_NAMES
 from .intensity import basic_distribution_stats
 
 
-def intensity_histogram_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
-    """The 23 histogram features over discrete gray levels."""
+def intensity_histogram_features(d: DiscretizedVolume) -> dict[str, float]:
+    """The 23 histogram features over discrete gray levels.
+
+    The four gradient features are NaN when there is a single gray level.
+    """
     roi_levels = d.roi_levels
     levels = roi_levels.astype(np.float64)
     tally = np.bincount(roi_levels, minlength=d.ng + 1)[1:]
     # the distinct values are the levels 1..ng, so neither a sort nor a search is needed
     distinct = np.arange(1, d.ng + 1, dtype=np.float64)
-    features, flagged = basic_distribution_stats(
+    features = basic_distribution_stats(
         levels, np.repeat(distinct, tally), distinct, roi_levels - 1
     )
 
@@ -38,15 +41,9 @@ def intensity_histogram_features(d: DiscretizedVolume) -> tuple[dict[str, float]
         features["minimum_gradient"] = float(np.min(grad))
         features["minimum_gradient_level"] = float(np.argmin(grad) + 1)
     else:
-        for name in (
-            "maximum_gradient",
-            "maximum_gradient_level",
-            "minimum_gradient",
-            "minimum_gradient_level",
-        ):
-            features[name] = math.nan
-            flagged.add(name)
-    return features, flagged
+        for name in ("maximum_gradient", "minimum_gradient"):
+            features[name] = features[f"{name}_level"] = math.nan
+    return features
 
 
 def ivh_curve(roi: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +74,12 @@ def _intensity_at_volume_fraction(
 
 
 def ivh_features(v: Volume3D, mask: RoiMask, ivh_bins: int) -> tuple[dict[str, float], set[str]]:
-    """The 7 intensity-volume-histogram features on continuous intensities."""
+    """The 7 intensity-volume-histogram features on continuous intensities,
+    and the names flagged among them.
+
+    IVH is the one family that flags finite values: on a constant ROI the
+    curve is a step, and all seven take a documented convention, flagged.
+    """
     if not 1 <= ivh_bins <= MAX_IVH_BINS:
         raise ValueError(f"ivh_bins must be in [1, {MAX_IVH_BINS}], got {ivh_bins}")
     mask.check_aligned(v)

@@ -84,7 +84,7 @@ def basic_distribution_stats(
     srt: np.ndarray,
     distinct: np.ndarray,
     inverse: np.ndarray,
-) -> tuple[dict[str, float], set[str]]:
+) -> dict[str, float]:
     """The 16 order/moment statistics shared by the IS and IH families.
 
     `srt` is `values` sorted ascending, and `distinct[inverse]` equals
@@ -93,13 +93,13 @@ def basic_distribution_stats(
     elementwise powers (libm `pow`, the bulk of the cost on a large ROI), so
     the means keep their bits.
 
-    Returns (features, flagged names). Skewness, kurtosis, and the
-    coefficient of variation are NaN-flagged when the variance is zero;
-    the quartile coefficient of dispersion when p25 + p75 is zero.
+    Skewness, kurtosis, and the coefficient of variation are NaN when the
+    variance is zero; the quartile coefficient of dispersion when p25 + p75
+    is zero. Skewness and kurtosis are also NaN when the powers overflow
+    float64 (inf / inf), as they can on unnormalized intensities.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
-    flagged: set[str] = set()
 
     mean = float(np.mean(x))
     centered = x - mean
@@ -118,19 +118,9 @@ def basic_distribution_stats(
         kurtosis = float(m4) / var**2 - 3.0
     else:
         skewness = kurtosis = math.nan
-        flagged.update(("skewness", "kurtosis"))
 
-    if var > 0.0 and mean != 0.0:
-        cov = math.sqrt(var) / mean
-    else:
-        cov = math.nan
-        flagged.add("coefficient_of_variation")
-
-    if p25 + p75 != 0.0:
-        qcd = (p75 - p25) / (p75 + p25)
-    else:
-        qcd = math.nan
-        flagged.add("quartile_coefficient_of_dispersion")
+    cov = math.sqrt(var) / mean if var > 0.0 and mean != 0.0 else math.nan
+    qcd = (p75 - p25) / (p75 + p25) if p25 + p75 != 0.0 else math.nan
 
     robust = x[(x >= p10) & (x <= p90)]
     features = {
@@ -152,15 +142,16 @@ def basic_distribution_stats(
         "quartile_coefficient_of_dispersion": qcd,
     }
     assert n > 0
-    return features, flagged
+    return features
 
 
-def intensity_statistics(v: Volume3D, mask: RoiMask) -> tuple[dict[str, float], set[str]]:
-    """The 18 intensity-based statistics over ROI voxel values."""
+def intensity_statistics(v: Volume3D, mask: RoiMask) -> dict[str, float]:
+    """The 18 intensity-based statistics over ROI voxel values; NaN where
+    one is undefined (see `basic_distribution_stats`)."""
     mask.check_aligned(v)
     roi = v.values[mask.flags]
     distinct, inverse, counts = np.unique(roi, return_inverse=True, return_counts=True)
-    features, flagged = basic_distribution_stats(roi, np.repeat(distinct, counts), distinct, inverse)
+    features = basic_distribution_stats(roi, np.repeat(distinct, counts), distinct, inverse)
     features["energy"] = float(np.sum(roi * roi))
     features["root_mean_square"] = float(np.sqrt(np.mean(roi * roi)))
-    return features, flagged
+    return features

@@ -91,13 +91,13 @@ def _in_batches(mats: list[np.ndarray], evaluate, *per_matrix: np.ndarray) -> li
     return out
 
 
-def _glcm_batch(p: np.ndarray) -> list[tuple[dict[str, float], set[str]]]:
+def _glcm_batch(p: np.ndarray) -> list[dict[str, float]]:
     """The 25 co-occurrence features of each normalized symmetric matrix in
     a C-contiguous (k, ng, ng) stack.
 
     Every array formula runs once over the stack and is reduced per matrix;
     the scalar tails run per matrix on Python floats. Correlation and the
-    first information correlation are undefined (NaN, flagged) when the
+    first information correlation are undefined (NaN) when the
     marginal distribution is concentrated on a single level.
     """
     k, ng, _ = p.shape
@@ -160,48 +160,35 @@ def _glcm_batch(p: np.ndarray) -> list[tuple[dict[str, float], set[str]]]:
     }
     rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
-    out = []
     for f in rows:
         hx, hxy1, hxy2 = f.pop("hx"), f.pop("hxy1"), f.pop("hxy2")
         mu_m, joint_var, hxy = f["joint_average"], f["joint_variance"], f["joint_entropy"]
-        flagged: set[str] = set()
-        if joint_var > 0:
-            f["correlation"] = (f["autocorrelation"] - mu_m * mu_m) / joint_var
-        else:
-            f["correlation"] = math.nan
-            flagged.add("correlation")
-        if hx > 0:
-            f["information_correlation_1"] = (hxy - hxy1) / hx
-        else:
-            f["information_correlation_1"] = math.nan
-            flagged.add("information_correlation_1")
+        f["correlation"] = (
+            (f["autocorrelation"] - mu_m * mu_m) / joint_var if joint_var > 0 else math.nan
+        )
+        f["information_correlation_1"] = (hxy - hxy1) / hx if hx > 0 else math.nan
         f["information_correlation_2"] = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - hxy))))
-        out.append((f, flagged))
-    return out
+    return rows
 
 
-def glcm_features_from_matrix(p: np.ndarray) -> tuple[dict[str, float], set[str]]:
+def glcm_features_from_matrix(p: np.ndarray) -> dict[str, float]:
     """The 25 co-occurrence features from one normalized symmetric matrix."""
     return _glcm_batch(p[None])[0]
 
 
 def _aggregate_directional(
     matrices: list[np.ndarray], evaluate, names: tuple[str, ...]
-) -> dict[str, tuple[dict[str, float], set[str]]]:
+) -> dict[str, dict[str, float]]:
     """dir_avg and dir_merged aggregations over per-direction matrices.
 
     Directions with an empty matrix are excluded; per-direction NaN values
     are skipped in the average. An all-directions-empty family yields NaN
     for every feature. `evaluate` maps the occupied matrices followed by
-    their merged sum to one (features, flagged) pair each.
+    their merged sum to one feature dict each.
     """
     occupied = [m for m in matrices if m.sum() > 0]
     if not occupied:
-        nan_features = {name: math.nan for name in names}
-        return {
-            "dir_avg": (dict(nan_features), set(names)),
-            "dir_merged": (dict(nan_features), set(names)),
-        }
+        return {agg: dict.fromkeys(names, math.nan) for agg in ("dir_avg", "dir_merged")}
 
     cols = max(m.shape[1] for m in occupied)
     merged = np.zeros((occupied[0].shape[0], cols))
@@ -210,24 +197,20 @@ def _aggregate_directional(
     *per_dir, merged_result = evaluate(occupied + [merged])
 
     avg_features: dict[str, float] = {}
-    avg_flagged: set[str] = set()
     for name in names:
-        vals = [feats[name] for feats, _ in per_dir if not math.isnan(feats[name])]
-        if vals:
-            avg_features[name] = float(np.mean(vals))
-        else:
-            avg_features[name] = math.nan
-            avg_flagged.add(name)
-    return {"dir_avg": (avg_features, avg_flagged), "dir_merged": merged_result}
+        vals = [feats[name] for feats in per_dir if not math.isnan(feats[name])]
+        avg_features[name] = float(np.mean(vals)) if vals else math.nan
+    return {"dir_avg": avg_features, "dir_merged": merged_result}
 
 
-def _glcm_counts_batch(mats: list[np.ndarray]) -> list[tuple[dict[str, float], set[str]]]:
+def _glcm_counts_batch(mats: list[np.ndarray]) -> list[dict[str, float]]:
     counts = _stack(mats)
     return _glcm_batch(counts / _per_matrix_sums(counts)[:, None, None])
 
 
-def glcm_features(d: DiscretizedVolume) -> dict[str, tuple[dict[str, float], set[str]]]:
-    """25 base features under dir_avg and dir_merged aggregation (50 total)."""
+def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
+    """25 base features under dir_avg and dir_merged aggregation (50 total),
+    NaN where undefined: every feature when no direction has a pair."""
     return _aggregate_directional(
         glcm_matrices(d), lambda mats: _in_batches(mats, _glcm_counts_batch), GLCM_NAMES
     )
@@ -349,40 +332,38 @@ def _mapped(generic: dict[str, float], mapping: dict[str, str]) -> dict[str, flo
     return {name: generic[src] for name, src in mapping.items()}
 
 
-def glrlm_features(d: DiscretizedVolume) -> dict[str, tuple[dict[str, float], set[str]]]:
+def glrlm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
     """16 run-length features under dir_avg and dir_merged (32 total).
 
     For the merged matrix the voxel count scales with the number of
     directions, keeping run percentage in [0, 1].
     """
 
-    def evaluate(mats: list[np.ndarray]) -> list[tuple[dict[str, float], set[str]]]:
+    def evaluate(mats: list[np.ndarray]) -> list[dict[str, float]]:
         n_voxels = np.full(len(mats), d.mask.voxel_count)
         n_voxels[-1] *= len(DIRECTIONS_13)
         generic = _in_batches(mats, _row_column_batch, n_voxels)
-        return [(_mapped(g, GLRLM_GENERIC), set()) for g in generic]
+        return [_mapped(g, GLRLM_GENERIC) for g in generic]
 
     return _aggregate_directional(glrlm_matrices(d), evaluate, GLRLM_NAMES)
 
 
-def zone_features(
-    d: DiscretizedVolume,
-) -> tuple[tuple[dict[str, float], set[str]], tuple[dict[str, float], set[str]]]:
+def zone_features(d: DiscretizedVolume) -> tuple[dict[str, float], dict[str, float]]:
     """(GLSZM, GLDZM) feature sets from a single zone decomposition."""
     glszm, gldzm = zone_matrices(d)
     n_voxels = d.mask.voxel_count
     szm = _mapped(row_column_features(glszm, n_voxels), GLSZM_GENERIC)
     dzm = _mapped(row_column_features(gldzm, n_voxels), GLDZM_GENERIC)
-    return (szm, set()), (dzm, set())
+    return szm, dzm
 
 
-def ngldm_features(d: DiscretizedVolume, alpha: int) -> tuple[dict[str, float], set[str]]:
+def ngldm_features(d: DiscretizedVolume, alpha: int) -> dict[str, float]:
     counts = ngldm_matrix(d, alpha)
     generic = row_column_features(counts, d.mask.voxel_count)
-    return _mapped(generic, NGLDM_GENERIC), set()
+    return _mapped(generic, NGLDM_GENERIC)
 
 
-def ngtdm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
+def ngtdm_features(d: DiscretizedVolume) -> dict[str, float]:
     """Coarseness, contrast, busyness, complexity, strength.
 
     All five are NaN when no voxel has an in-mask neighbor. A zero
@@ -391,7 +372,7 @@ def ngtdm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
     n_i, s_i = ngtdm_table(d)
     n_vc = n_i.sum()
     if n_vc == 0:
-        return {name: math.nan for name in NGTDM_NAMES}, set(NGTDM_NAMES)
+        return dict.fromkeys(NGTDM_NAMES, math.nan)
 
     p = n_i / n_vc
     present = np.nonzero(n_i > 0)[0]
@@ -434,4 +415,4 @@ def ngtdm_features(d: DiscretizedVolume) -> tuple[dict[str, float], set[str]]:
         "busyness": busyness,
         "complexity": complexity,
         "strength": strength,
-    }, set()
+    }

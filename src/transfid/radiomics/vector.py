@@ -11,9 +11,12 @@ from .ids import ALL_FEATURE_KEYS
 class FeatureVector:
     """Maps every canonical feature key to a value, in registry order.
 
-    NaN values are only allowed for features undefined on degenerate
-    ROIs, and every NaN entry must appear in `flags`. Flags may also mark
-    finite values produced through a documented degenerate convention.
+    A NaN value marks a feature left undefined: by a degenerate ROI, by a
+    value its family could not compute, or by a family that failed. Every
+    NaN entry must appear in `flags`; `extract_all` flags each one, and a
+    vector built by hand without them is refused. Flags may also mark
+    finite values produced through a documented degenerate convention (IVH
+    on a constant ROI).
     """
 
     values: dict[str, float]

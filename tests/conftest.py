@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ def make_volume(values, spacing=(1.0, 1.0, 1.0)):
 def make_mask(flags):
     flags = np.asarray(flags, dtype=bool)
     return RoiMask(flags.shape, flags)
+
+
+def nan_names(features):
+    """The names whose value is NaN: what a feature family leaves undefined."""
+    return {name for name, value in features.items() if math.isnan(value)}
 
 
 @pytest.fixture

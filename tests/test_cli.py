@@ -230,6 +230,36 @@ class TestPipeline:
                 assert row[name] == format(value, ".9g")
                 assert row[name] != whole_row[name]
 
+    # pytest would turn the overflow's RuntimeWarning into an exception, which
+    # the family guard catches: the unflagged NaN would then never be made
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_moments_keep_the_patient(self, tmp_path, capsys):
+        rows = ["patient_id,source,path"]
+        for i in range(2):
+            v, m = generate_phantom(i, (16, 16, 16))
+            save_nifti(tmp_path / f"p{i}.nii", v.with_values(v.values * 1e200))
+            save_nifti(tmp_path / f"p{i}_mask.nii", v.with_values(m.flags.astype(float)))
+            rows += [
+                f"p{i},{ORIGINAL_SOURCE},{tmp_path / f'p{i}.nii'}",
+                f"p{i},mask,{tmp_path / f'p{i}_mask.nii'}",
+                f"p{i},synth_a,{tmp_path / f'p{i}.nii'}",
+            ]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps({"preprocess": {"normalize": False}}))
+        out = tmp_path / "features.csv"
+        assert main([
+            "extract", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(out), "--jobs", "1",
+        ]) == 0, capsys.readouterr().err
+        with out.open() as fh:
+            written = list(csv.DictReader(fh))
+        assert [row["patient_id"] for row in written] == ["p0", "p0", "p1", "p1"]
+        for row in written:
+            assert row["is.kurtosis"] == ""
+            assert {"is.skewness", "is.kurtosis"} <= set(row["flags"].split(";"))
+
     def test_significant_digit_formats(self, tmp_path, cohort):
         manifest, config = cohort
         metrics = tmp_path / "metrics.csv"
@@ -267,6 +297,15 @@ class TestPhantomCommand:
         vol = load_nifti(out)
         assert vol.values.min() >= 0.0 and vol.values.max() <= 1.0
 
+    def test_mask_out_same_as_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "a.nii"
+        argv = ["phantom", "--seed", "3", "--dims", "8,8,8", "--out", str(out), "--mask-out", "a.nii"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--out and --mask-out name the same file" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_mask_out_path(self, tmp_path):
         out = tmp_path / "p.nii"
         mask_out = tmp_path / "roi.nii"
@@ -286,6 +325,16 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["metrics", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_summary_same_as_out_is_usage_error(self, tmp_path, capsys):
+        features, metrics = write_analyze_inputs(tmp_path)
+        groups = tmp_path / "g.csv"
+        assert main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(groups), "--summary", str(groups),
+        ]) == 1
+        assert "--out and --summary name the same file" in capsys.readouterr().err
+        assert not groups.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
@@ -501,6 +550,19 @@ class TestAnalyzeInputHazards:
         code, err, features, _ = self._run(tmp_path, capsys, features_rows=[row])
         assert code == 2
         assert f"{features}, line 8: unknown feature 'glcm.bogus' in flags" in err
+
+    def test_feature_column_named_twice(self, tmp_path, capsys):
+        features, metrics = write_analyze_inputs(tmp_path)
+        lines = features.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace(ALL_FEATURE_KEYS[1], ALL_FEATURE_KEYS[0], 1)
+        features.write_text("".join(lines))
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        assert f"{features}: header names column {ALL_FEATURE_KEYS[0]!r} twice" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("which", ["features", "metrics"])
     @pytest.mark.parametrize("junk", [b"\xff\xfe,1\n", b'"' + b"x" * 200_000 + b'"\n'])

@@ -36,7 +36,7 @@ from transfid.radiomics.texture import (
     zone_features,
 )
 
-from conftest import make_mask, make_volume
+from conftest import make_mask, make_volume, nan_names
 
 
 def make_disc(levels, ng=None):
@@ -113,18 +113,18 @@ class TestLocalIntensity:
 class TestIntensityStatistics:
     def test_constant_roi(self):
         vol = make_volume(np.full((3, 1, 1), 3.0))
-        feats, flagged = intensity_statistics(vol, make_mask(np.ones((3, 1, 1), bool)))
+        feats = intensity_statistics(vol, make_mask(np.ones((3, 1, 1), bool)))
         assert feats["mean"] == 3.0
         assert feats["variance"] == 0.0
         assert feats["range"] == 0.0
         assert feats["energy"] == 27.0
         assert feats["root_mean_square"] == 3.0
         assert math.isnan(feats["skewness"])
-        assert "skewness" in flagged and "kurtosis" in flagged
+        assert "skewness" in nan_names(feats) and "kurtosis" in nan_names(feats)
 
     def test_four_values(self):
         vol = make_volume(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
-        feats, _ = intensity_statistics(vol, make_mask(np.ones((4, 1, 1), bool)))
+        feats = intensity_statistics(vol, make_mask(np.ones((4, 1, 1), bool)))
         assert feats["mean"] == 2.5
         assert feats["variance"] == 1.25
         assert feats["median"] == 2.5
@@ -137,7 +137,7 @@ class TestIntensityStatistics:
         values = rng.normal(5.0, 2.0, (500, 1, 1))
         vol = make_volume(values)
         mask = make_mask(np.ones((500, 1, 1), bool))
-        got, _ = intensity_statistics(vol, mask)
+        got = intensity_statistics(vol, mask)
         expected = oracles.intensity_statistics_features(values, mask.flags)
         for name, e in expected.items():
             assert got[name] == pytest.approx(e, rel=1e-10), name
@@ -146,27 +146,27 @@ class TestIntensityStatistics:
 class TestIntensityHistogram:
     def test_uniform_histogram(self):
         d = make_disc(np.array([1, 2, 3, 4] * 3).reshape(12, 1, 1), ng=4)
-        feats, _ = intensity_histogram_features(d)
+        feats = intensity_histogram_features(d)
         assert feats["entropy"] == pytest.approx(2.0, abs=1e-12)
         assert feats["uniformity"] == pytest.approx(0.25, abs=1e-12)
 
     def test_single_level(self):
         d = make_disc(np.ones((4, 1, 1), dtype=int), ng=1)
-        feats, flagged = intensity_histogram_features(d)
+        feats = intensity_histogram_features(d)
         assert feats["entropy"] == 0.0
         assert feats["uniformity"] == 1.0
         assert math.isnan(feats["maximum_gradient"])
-        assert "maximum_gradient" in flagged
+        assert "maximum_gradient" in nan_names(feats)
 
     def test_mode_tie_takes_lowest_level(self):
         d = make_disc(np.array([1, 1, 2, 2, 3]).reshape(5, 1, 1), ng=3)
-        feats, _ = intensity_histogram_features(d)
+        feats = intensity_histogram_features(d)
         assert feats["mode"] == 1.0
 
     def test_random_vs_oracle(self, rng):
         v, m = generate_phantom(11, (6, 6, 6))
         d = discretize(v, m, DiscretizationScheme("FBN", 8))
-        got, _ = intensity_histogram_features(d)
+        got = intensity_histogram_features(d)
         expected = oracles.histogram_features(d.levels, m.flags, d.ng)
         assert_close_dict(got, expected, rel=1e-10)
 
@@ -229,7 +229,7 @@ class TestGlcm:
         matrices = glcm_matrices(d)
         x_dir = matrices[DIRECTIONS_13.index((1, 0, 0))]
         np.testing.assert_array_equal(x_dir, [[2.0, 0.0], [0.0, 2.0]])
-        feats, _ = glcm_features_from_matrix(x_dir / x_dir.sum())
+        feats = glcm_features_from_matrix(x_dir / x_dir.sum())
         assert feats["contrast"] == 0.0
         assert feats["angular_second_moment"] == 0.5
 
@@ -237,11 +237,11 @@ class TestGlcm:
         d = make_disc(np.ones((3, 3, 3), dtype=int), ng=1)
         for matrix in glcm_matrices(d):
             p = matrix / matrix.sum()
-            feats, flagged = glcm_features_from_matrix(p)
+            feats = glcm_features_from_matrix(p)
             assert feats["contrast"] == 0.0
             assert feats["joint_maximum"] == 1.0
             assert feats["joint_entropy"] == 0.0
-            assert "correlation" in flagged
+            assert "correlation" in nan_names(feats)
 
     def test_matrix_normalization_sums_to_one(self, rng):
         d = random_discretized(rng)
@@ -254,7 +254,7 @@ class TestGlcm:
         got = glcm_features(d)
         expected = oracles.glcm_aggregated(d.levels, d.mask.flags, d.ng)
         for agg in ("dir_avg", "dir_merged"):
-            assert_close_dict(got[agg][0], expected[agg])
+            assert_close_dict(got[agg], expected[agg])
 
 
 class TestMatrixNormalization:
@@ -299,13 +299,13 @@ class TestGlrlm:
         )
         for agg in ("dir_avg", "dir_merged"):
             mapped = {name: expected[agg][src] for name, src in oracles.GLRLM_MAP.items()}
-            assert_close_dict(got[agg][0], mapped)
+            assert_close_dict(got[agg], mapped)
 
 
 class TestZones:
     def test_constant_cube_single_zone(self):
         d = make_disc(np.ones((2, 2, 2), dtype=int), ng=1)
-        feats, _ = zone_features(d)[0]
+        feats = zone_features(d)[0]
         assert feats["zone_percentage"] == pytest.approx(1.0 / 8.0)
 
     def test_checkerboard_diagonal_connectivity(self):
@@ -319,7 +319,7 @@ class TestZones:
         levels = np.zeros((3, 3, 3), dtype=int)
         levels[1, 1, 1] = 1
         d = make_disc(levels, ng=1)
-        feats, _ = zone_features(d)[1]
+        feats = zone_features(d)[1]
         assert feats["small_distance_emphasis"] == 1.0
 
     def test_full_cube_zone_distance_is_min(self):
@@ -329,7 +329,7 @@ class TestZones:
 
     def test_random_vs_flood_fill_oracle(self, rng):
         d = random_discretized(rng, ng=4, mask_density=0.6)
-        (szm_got, _), (dzm_got, _) = zone_features(d)
+        szm_got, dzm_got = zone_features(d)
         glszm, gldzm = oracles.zone_matrices(d.levels, d.mask.flags, d.ng)
         szm_exp = oracles.row_column_features(glszm, d.mask.voxel_count)
         dzm_exp = oracles.row_column_features(gldzm, d.mask.voxel_count)
@@ -340,10 +340,10 @@ class TestZones:
 class TestNgtdm:
     def test_constant_roi_guard(self):
         d = make_disc(np.ones((2, 2, 2), dtype=int), ng=1)
-        feats, flagged = ngtdm_features(d)
+        feats = ngtdm_features(d)
         assert feats["coarseness"] == pytest.approx(1.0 / 1e-6)
         assert feats["contrast"] == 0.0
-        assert not flagged
+        assert not nan_names(feats)
 
     def test_three_voxel_row(self):
         d = make_disc(np.array([1, 2, 1]).reshape(3, 1, 1), ng=2)
@@ -355,13 +355,13 @@ class TestNgtdm:
         levels = np.zeros((3, 1, 1), dtype=int)
         levels[1, 0, 0] = 1
         d = make_disc(levels, ng=1)
-        feats, flagged = ngtdm_features(d)
+        feats = ngtdm_features(d)
         assert all(math.isnan(v) for v in feats.values())
-        assert len(flagged) == 5
+        assert len(nan_names(feats)) == 5
 
     def test_random_vs_neighborhood_oracle(self, rng):
         d = random_discretized(rng, ng=4)
-        got, _ = ngtdm_features(d)
+        got = ngtdm_features(d)
         expected = oracles.ngtdm_features(d.levels, d.mask.flags, d.ng)
         assert_close_dict(got, expected)
 
@@ -376,7 +376,7 @@ class TestNgldm:
 
     def test_alternating_row_zero_dependence(self):
         d = make_disc(np.array([1, 2, 1]).reshape(3, 1, 1), ng=2)
-        feats, _ = ngldm_features(d, alpha=0)
+        feats = ngldm_features(d, alpha=0)
         assert feats["dependence_count_percentage"] == 1.0
         assert feats["low_dependence_emphasis"] == 1.0
 
@@ -397,7 +397,7 @@ class TestNgldm:
     def test_random_vs_neighbor_count_oracle(self, rng):
         for alpha in (0, 1):
             d = random_discretized(rng, ng=4)
-            got, _ = ngldm_features(d, alpha=alpha)
+            got = ngldm_features(d, alpha=alpha)
             matrix = oracles.ngldm_matrix(d.levels, d.mask.flags, d.ng, alpha)
             generic = oracles.row_column_features(matrix, d.mask.voxel_count)
             assert_close_dict(got, {n: generic[s] for n, s in oracles.NGLDM_MAP.items()})
@@ -494,17 +494,17 @@ class TestExactMoments:
     @pytest.mark.parametrize("name, values", list(_moment_inputs().items()))
     def test_intensity_statistics_equal_elementwise_formulas(self, name, values):
         vol = make_volume(values.reshape(-1, 1, 1))
-        got, flagged = intensity_statistics(vol, make_mask(np.ones(vol.dims, bool)))
+        got = intensity_statistics(vol, make_mask(np.ones(vol.dims, bool)))
         expected, expected_flagged = _elementwise_distribution_stats(values)
         expected["energy"] = float(np.sum(values * values))
         expected["root_mean_square"] = float(np.sqrt(np.mean(values * values)))
         assert_same_bits(got, expected)
-        assert flagged == expected_flagged
+        assert nan_names(got) == expected_flagged
 
     @pytest.mark.parametrize("seed", range(6))
     def test_phantom_intensity_statistics_equal_elementwise_formulas(self, seed):
         v, m = generate_phantom(seed, (12, 10, 8))
-        got, _ = intensity_statistics(v, m)
+        got = intensity_statistics(v, m)
         expected, _ = _elementwise_distribution_stats(v.values[m.flags])
         assert_same_bits({k: got[k] for k in expected}, expected)
 
@@ -521,14 +521,14 @@ class TestExactMoments:
     def test_histogram_moments_equal_elementwise_formulas(self, scheme):
         v, m = generate_phantom(4, (14, 12, 10))
         d = discretize(v, m, scheme)
-        got, _ = intensity_histogram_features(d)
+        got = intensity_histogram_features(d)
         expected, _ = _elementwise_distribution_stats(d.roi_levels.astype(np.float64))
         assert_same_bits({k: got[k] for k in expected}, expected)
 
     def test_histogram_at_1024_levels(self, rng):
         levels = rng.integers(1, 1025, (20, 20, 20))
         d = make_disc(levels, ng=1024)
-        got, _ = intensity_histogram_features(d)
+        got = intensity_histogram_features(d)
         expected, _ = _elementwise_distribution_stats(d.roi_levels.astype(np.float64))
         assert_same_bits({k: got[k] for k in expected}, expected)
 

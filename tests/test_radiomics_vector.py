@@ -171,6 +171,24 @@ class TestDegenerateInputs:
         assert vec["gldzm.small_distance_emphasis"] == 1.0
         assert vec["ngldm.dependence_count_percentage"] == 1.0
 
+    def test_overflowing_moments_are_flagged_nan(self):
+        # without normalization an ROI near 1e200 squares past float64's range
+        v, m = generate_phantom(0, (16, 16, 16))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = extract_all(v.with_values(v.values * 1e200), m, settings())
+        for key in ("is.skewness", "is.kurtosis"):
+            assert math.isnan(vec[key]) and vec.is_flagged(key), key
+
+    @pytest.mark.parametrize("values", ["phantom", "constant"])
+    def test_flags_are_the_nan_keys_and_ivh_conventions(self, values):
+        v, m = generate_phantom(2, (8, 8, 8))
+        if values == "constant":
+            v = v.with_values(np.full(v.dims, 0.5))
+        vec = extract_all(v, m, settings())
+        nan_keys = {key for key in ALL_FEATURE_KEYS if math.isnan(vec[key])}
+        ivh_keys = {key for key in ALL_FEATURE_KEYS if key.startswith("ivh.")}
+        assert vec.flags == nan_keys | (ivh_keys if values == "constant" else set())
+
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyMask):
             RoiMask((2, 2, 2), np.zeros((2, 2, 2), bool))

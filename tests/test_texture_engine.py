@@ -3,7 +3,7 @@ for bit.
 
 `texture_reference` keeps the formulas as they were evaluated one matrix at
 a time. Every feature must have the same bits (NaN for NaN, and the sign
-of a zero), and every flag set must be the same.
+of a zero), and the engine's NaN names must be the reference's flags.
 """
 import tracemalloc
 
@@ -21,6 +21,8 @@ from transfid.radiomics.texture import (
     zone_features,
 )
 from transfid.volume import RoiMask
+
+from conftest import nan_names
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
@@ -59,9 +61,8 @@ def assert_same_bits(got: dict, expected: dict) -> None:
 def assert_same_aggregates(got: dict, expected: dict) -> None:
     assert got.keys() == expected.keys()
     for agg, (expected_values, expected_flags) in expected.items():
-        got_values, got_flags = got[agg]
-        assert got_flags == expected_flags, agg
-        assert_same_bits(got_values, expected_values)
+        assert nan_names(got[agg]) == expected_flags, agg
+        assert_same_bits(got[agg], expected_values)
 
 
 def check(d: DiscretizedVolume) -> None:
@@ -88,7 +89,7 @@ def test_single_level_roi_flags_undefined_correlations():
     d = disc(np.full((4, 4, 3), 2), np.ones((4, 4, 3), dtype=bool), 3)
     got = glcm_features(d)
     for agg in ("dir_avg", "dir_merged"):
-        assert {"correlation", "information_correlation_1"} <= got[agg][1]
+        assert {"correlation", "information_correlation_1"} <= nan_names(got[agg])
     check(d)
 
 
@@ -97,7 +98,7 @@ def test_one_voxel_roi_has_no_pairs():
     flags[1, 1, 1] = True
     d = disc(np.ones((3, 3, 3), dtype=np.int64), flags, 1)
     got = glcm_features(d)
-    assert got["dir_avg"][1] == set(got["dir_avg"][0])
+    assert nan_names(got["dir_avg"]) == set(got["dir_avg"])
     check(d)
 
 

@@ -426,6 +426,13 @@ class TestManifest:
         with pytest.raises(TransfidError, match=r"m\.csv, line 2: 4 cells, the header has 3"):
             parse_manifest(manifest)
 
+    def test_header_naming_a_column_twice(self, tmp_path):
+        # a {name: index} lookup would take the second 'path' cell
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("patient_id,source,path,path\np1,original_mri,a.nii,b.nii\n")
+        with pytest.raises(TransfidError, match=r"m\.csv: header names column 'path' twice"):
+            parse_manifest(manifest)
+
     def test_quoted_fields(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text(
