@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,6 +35,11 @@ DEFAULTS: dict = {
 
 # The IVH curve holds bins + 1 float64 samples; more bins are refused before allocation.
 MAX_IVH_BINS = 100_000
+
+# A crop window holds each source as float64 (8 bytes a voxel, 1 GiB at
+# this limit of 512^3), and local intensity convolves the whole window, so
+# larger windows are refused when the config is read, before any patient.
+MAX_CROP_VOXELS = 512**3
 
 
 def _merge_strict(defaults: dict, override: dict, path: str = "") -> dict:
@@ -96,6 +102,8 @@ class RunConfig:
                 "preprocess.crop must be null or three positive integers",
             )
             crop = tuple(crop)
+            _require(math.prod(crop) <= MAX_CROP_VOXELS,
+                     f"preprocess.crop must hold at most {MAX_CROP_VOXELS} voxels, got {math.prod(crop)}")
 
         # each type checks its own fields; an FBN scheme takes no width or origin
         disc = cfg["discretize"]

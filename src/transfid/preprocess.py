@@ -73,18 +73,25 @@ class DiscretizedVolume:
     def pair_flags(self, tolerance: int) -> tuple[np.ndarray, ...]:
         """Read-only grids, one per direction of DIRECTIONS_13, True where a
         voxel and its neighbor at +offset are both in the mask with levels at
-        most `tolerance` apart; built once per tolerance and kept with the volume."""
+        most `tolerance` apart; built once per tolerance and kept with the volume.
+
+        In-mask levels lie in [1, ng], so a tolerance above ng selects what
+        ng does and is taken as ng."""
         if tolerance < 0:
             raise ValueError(f"pair tolerance must be non-negative, got {tolerance}")
+        tolerance = min(tolerance, self.ng)
         if tolerance not in self._pairs:
             self._pairs[tolerance] = tuple(self._pair_grid(off, tolerance) for off in DIRECTIONS_13)
         return self._pairs[tolerance]
 
     def _pair_grid(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
+        """|a - b| <= tolerance as one unsigned comparison: a - b + tolerance
+        lies in [0, 2 * tolerance] exactly then, and wraps past it below."""
         src, dst = shift_slices(self.dims, offset)
         grid = np.zeros(self.dims, dtype=bool)
-        gap = np.abs(self.levels[src] - self.levels[dst])
-        grid[src] = (gap <= tolerance) & self.mask.flags[src] & self.mask.flags[dst]
+        gap = self.levels[src] - self.levels[dst]
+        gap += tolerance
+        grid[src] = (gap.view(np.uint32) <= 2 * tolerance) & self.mask.flags[src] & self.mask.flags[dst]
         grid.flags.writeable = False
         return grid
 

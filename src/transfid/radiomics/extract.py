@@ -22,11 +22,19 @@ def extract_all(
     NGLDM tolerance; the vector's provenance records the scheme, the
     effective gray levels and `config.config_hash()`.
 
-    Intensity families (LI, IS, IVH) run on continuous values; the
-    histogram and texture families run on the discretized volume. A family
-    says a value is undefined by returning NaN for it, and a family that
-    raises leaves all its values NaN. Every NaN is flagged, and so are the
-    finite values IVH flags on a constant ROI.
+    Intensity families (LI, IS, IVH) run on continuous values on the whole
+    grid; LI stays there on purpose, since the grid sets its FFT size and
+    so its bits. The histogram and texture families run on the volume
+    discretized on `mask.box`, the ROI's bounding box plus one voxel per
+    side, which holds every pair, run, zone and neighbourhood they count.
+    The box and its mask-only arrays (border distance, neighbour counts)
+    are cached on `mask`; every source of a patient is extracted on one
+    mask, so they are built once per patient.
+
+    A family says a value is undefined by returning NaN for it, and a
+    family that raises leaves all its values NaN. Any value that is not
+    finite (an overflow's infinity too) is stored as NaN and flagged, as
+    are the finite values IVH flags on a constant ROI.
     """
     mask.check_aligned(v)
 
@@ -50,7 +58,8 @@ def extract_all(
     run(lambda: {("IS", AGG_NONE): intensity_statistics(v, mask)})
     run(ivh)
 
-    d = discretize(v, mask, config.scheme)
+    box, box_mask = mask.box
+    d = discretize(Volume3D(box_mask.dims, v.spacing, v.values[box]), box_mask, config.scheme)
     run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
     run(lambda: {("GLCM", agg): r for agg, r in glcm_features(d).items()})
     run(lambda: {("GLRLM", agg): r for agg, r in glrlm_features(d).items()})
@@ -58,10 +67,10 @@ def extract_all(
     run(lambda: {("NGTDM", AGG_NONE): ngtdm_features(d)})
     run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, config.ngldm_alpha)})
 
-    values = {
-        fid.key: float(results.get((fid.family, fid.aggregation), {}).get(fid.name, math.nan))
-        for fid in ALL_FEATURE_IDS
-    }
+    values = {}
+    for fid in ALL_FEATURE_IDS:
+        value = float(results.get((fid.family, fid.aggregation), {}).get(fid.name, math.nan))
+        values[fid.key] = value if math.isfinite(value) else math.nan
     flags = {
         fid.key
         for fid in ALL_FEATURE_IDS

@@ -147,11 +147,17 @@ def basic_distribution_stats(
 
 def intensity_statistics(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     """The 18 intensity-based statistics over ROI voxel values; NaN where
-    one is undefined (see `basic_distribution_stats`)."""
+    one is undefined (see `basic_distribution_stats`).
+
+    Unnormalized intensities beyond about 1e154 overflow the moments and
+    the energy. The values then come out infinite or NaN, which
+    `extract_all` flags, so numpy's overflow warnings are silenced here.
+    """
     mask.check_aligned(v)
     roi = v.values[mask.flags]
     distinct, inverse, counts = np.unique(roi, return_inverse=True, return_counts=True)
-    features = basic_distribution_stats(roi, np.repeat(distinct, counts), distinct, inverse)
-    features["energy"] = float(np.sum(roi * roi))
-    features["root_mean_square"] = float(np.sqrt(np.mean(roi * roi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = basic_distribution_stats(roi, np.repeat(distinct, counts), distinct, inverse)
+        features["energy"] = float(np.sum(roi * roi))
+        features["root_mean_square"] = float(np.sqrt(np.mean(roi * roi)))
     return features

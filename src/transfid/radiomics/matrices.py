@@ -7,7 +7,15 @@ tallies credit both ends of a pair. Runs, zones and dependence counts read
 their pairs from the volume's shared `pair_flags`. Zones of every level come
 from one connected-components labelling of the equal-level pairs, and the
 tone-difference table from separable 3x3x3 box sums of integer levels.
-The two functions that call scipy import it themselves, so that importing
+
+`extract_all` hands these builders a volume discretized on the ROI's
+bounding box plus one voxel per side (`RoiMask.box`), which holds every
+pair, run, zone and neighbourhood they count, so they never walk the rest
+of the grid. The mask-only arrays they read, the border distance and
+NGTDM's neighbour counts, are cached properties of that box mask, kept for
+ROI voxels only and built once per patient. Local intensity, which is not
+built here, stays on the whole grid on purpose: the grid sets its FFT size
+and so its bits. `zone_matrices` imports scipy itself, so that importing
 this module, which every command does, loads no scipy.
 """
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..preprocess import DiscretizedVolume
-from ..volume import DIRECTIONS_13, shift_slices
+from ..volume import DIRECTIONS_13, neighbor_sum, shift_slices
 
 
 def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
@@ -73,16 +81,6 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     return out
 
 
-def roi_border_distance(mask_flags: np.ndarray) -> np.ndarray:
-    """City-block distance from each in-mask voxel to the nearest voxel
-    outside the ROI, counting the volume border as outside (minimum 1)."""
-    from scipy import ndimage
-
-    padded = np.pad(mask_flags, 1)
-    dist = ndimage.distance_transform_cdt(padded, metric="taxicab")
-    return np.asarray(dist)[1:-1, 1:-1, 1:-1].astype(np.int64)
-
-
 def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(heads, tails): `index` at both ends of every in-mask equal-level
     pair, direction by direction in DIRECTIONS_13 order, and within one
@@ -122,25 +120,13 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     n_zones, zone_of = connected_components(graph, directed=False)
 
     sizes = np.bincount(zone_of, minlength=n_zones)
-    dists = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(dists, zone_of, roi_border_distance(m)[m])
+    border = d.mask.border_distance
+    # in the border's own dtype: a cast would take np.minimum.at off its fast path
+    dists = np.full(n_zones, np.iinfo(border.dtype).max, dtype=border.dtype)
+    np.minimum.at(dists, zone_of, border)
     levels = np.empty(n_zones, dtype=np.int64)
     levels[zone_of] = d.levels[m]
     return _tally(levels, sizes, d.ng), _tally(levels, dists, d.ng)
-
-
-def _neighbor_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the in-bounds 26-neighborhood of each voxel (integer input
-    stays exact): a separable 3x3x3 box sum minus the voxel itself."""
-    box = a
-    for axis in range(3):
-        head = (slice(None),) * axis + (slice(None, -1),)
-        tail = (slice(None),) * axis + (slice(1, None),)
-        wider = box.copy()
-        wider[tail] += box[head]
-        wider[head] += box[tail]
-        box = wider
-    return box - a
 
 
 def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
@@ -149,16 +135,13 @@ def ngtdm_table(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
 
     Voxels without any in-mask neighbor are excluded from both tallies.
     """
-    lv = d.levels
     m = d.mask.flags
-    nbr_sum = _neighbor_sum(np.where(m, lv, 0))
-    nbr_cnt = _neighbor_sum(m.astype(np.int32))
+    nbr_sum = neighbor_sum(np.where(m, d.levels, 0))[m]
+    nbr_cnt = d.mask.neighbor_counts
 
-    valid = m & (nbr_cnt > 0)
-    avg = np.zeros(d.dims)
-    np.divide(nbr_sum, nbr_cnt, out=avg, where=valid)
-    diff = np.abs(lv - avg)[valid]
-    levels = lv[valid]
+    valid = nbr_cnt > 0
+    levels = d.roi_levels[valid]
+    diff = np.abs(levels - nbr_sum[valid] / nbr_cnt[valid])
 
     n_i = np.bincount(levels, minlength=d.ng + 1)[1:].astype(np.float64)
     s_i = np.bincount(levels, weights=diff, minlength=d.ng + 1)[1:]

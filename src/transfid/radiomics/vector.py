@@ -12,11 +12,12 @@ class FeatureVector:
     """Maps every canonical feature key to a value, in registry order.
 
     A NaN value marks a feature left undefined: by a degenerate ROI, by a
-    value its family could not compute, or by a family that failed. Every
-    NaN entry must appear in `flags`; `extract_all` flags each one, and a
-    vector built by hand without them is refused. Flags may also mark
-    finite values produced through a documented degenerate convention (IVH
-    on a constant ROI).
+    value its family could not compute or that overflowed, or by a family
+    that failed. Every NaN or infinite entry must appear in `flags`;
+    `extract_all` stores each non-finite value as a flagged NaN, and a
+    vector built by hand with an unflagged one is refused. Flags may also
+    mark finite values produced through a documented degenerate convention
+    (IVH on a constant ROI).
     """
 
     values: dict[str, float]
@@ -30,8 +31,9 @@ class FeatureVector:
                 raise ValueError(f"feature vector has {len(keys)} entries, expected 186")
             raise ValueError("feature vector keys are not in canonical order")
         for key, value in self.values.items():
-            if math.isnan(value) and key not in self.flags:
-                raise ValueError(f"NaN feature {key} lacks a degeneracy flag")
+            if not math.isfinite(value) and key not in self.flags:
+                kind = "NaN" if math.isnan(value) else "infinite"
+                raise ValueError(f"{kind} feature {key} lacks a degeneracy flag")
         unknown = set(self.flags) - set(keys)
         if unknown:
             raise ValueError(f"flags reference unknown features: {sorted(unknown)}")

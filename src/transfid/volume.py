@@ -113,9 +113,67 @@ class RoiMask:
         once per mask, which every source of a patient is cropped around."""
         return tuple(math.floor(float(np.mean(axis)) + 0.5) for axis in np.nonzero(self.flags))
 
+    @cached_property
+    def box(self) -> tuple[tuple[slice, slice, slice], "RoiMask"]:
+        """(slices, mask): the ROI's bounding box widened by one voxel per
+        side and clipped at the grid, and this mask cropped to it.
+
+        Every 26-neighbour of an ROI voxel lies in the box, and C-order
+        cropping keeps the ROI voxels in their order, so texture counted on
+        the cropped mask is texture counted on this one. Found once per
+        mask, which every source of a patient is extracted on; a box that
+        is the whole grid gives this mask itself.
+        """
+        slices = []
+        for axis, n in enumerate(self.dims):
+            hit = np.flatnonzero(self.flags.any(axis=tuple(a for a in range(3) if a != axis)))
+            slices.append(slice(max(int(hit[0]) - 1, 0), min(int(hit[-1]) + 2, n)))
+        box = tuple(slices)
+        dims = tuple(s.stop - s.start for s in box)
+        return box, self if dims == self.dims else RoiMask(dims, self.flags[box])
+
+    @cached_property
+    def border_distance(self) -> np.ndarray:
+        """`roi_border_distance` of each ROI voxel in C order, in the
+        smallest unsigned dtype that holds it; built once per mask."""
+        return roi_border_distance(self.flags)
+
+    @cached_property
+    def neighbor_counts(self) -> np.ndarray:
+        """In-mask 26-neighbours of each ROI voxel in C order (uint8: at
+        most 26); built once per mask."""
+        return neighbor_sum(self.flags.astype(np.uint8))[self.flags]
+
     def check_aligned(self, volume: Volume3D) -> None:
         if self.dims != volume.dims:
             raise DimsMismatch(f"mask dims {self.dims} != volume dims {volume.dims}")
+
+
+def roi_border_distance(flags: np.ndarray) -> np.ndarray:
+    """City-block distance from each ROI voxel, in C order, to the nearest
+    voxel outside the ROI, counting the grid border as outside (minimum 1).
+
+    The scipy import is made here, on the first call, so that importing
+    this module loads no scipy.
+    """
+    from scipy import ndimage
+
+    dist = ndimage.distance_transform_cdt(np.pad(flags, 1), metric="taxicab")[1:-1, 1:-1, 1:-1][flags]
+    return dist.astype(np.min_scalar_type(dist.max()))
+
+
+def neighbor_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the in-bounds 26-neighborhood of each voxel (integer input
+    stays exact): a separable 3x3x3 box sum minus the voxel itself."""
+    box = a
+    for axis in range(3):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        wider = box.copy()
+        wider[tail] += box[head]
+        wider[head] += box[tail]
+        box = wider
+    return box - a
 
 
 # The 13 unit offsets that reach each unordered pair of 26-neighbors once.

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import transfid
+from transfid import analysis
 from transfid.cli import main
 from transfid.iqa import SsimParams, mae, mse, ssim3d
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import load_mask, load_nifti, save_nifti
 from transfid.phantom import generate_phantom
-from transfid.preprocess import min_max_normalize
+from transfid.preprocess import crop_centered, min_max_normalize
 from transfid.radiomics import ALL_FEATURE_KEYS
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
@@ -230,9 +231,6 @@ class TestPipeline:
                 assert row[name] == format(value, ".9g")
                 assert row[name] != whole_row[name]
 
-    # pytest would turn the overflow's RuntimeWarning into an exception, which
-    # the family guard catches: the unflagged NaN would then never be made
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_moments_keep_the_patient(self, tmp_path, capsys):
         rows = ["patient_id,source,path"]
         for i in range(2):
@@ -256,9 +254,14 @@ class TestPipeline:
         with out.open() as fh:
             written = list(csv.DictReader(fh))
         assert [row["patient_id"] for row in written] == ["p0", "p0", "p1", "p1"]
+        overflowed = ("is.skewness", "is.kurtosis", "is.variance", "is.energy",
+                      "is.root_mean_square", "is.coefficient_of_variation")
         for row in written:
-            assert row["is.kurtosis"] == ""
-            assert {"is.skewness", "is.kurtosis"} <= set(row["flags"].split(";"))
+            assert all(row[key] == "" for key in overflowed)
+            assert set(overflowed) <= set(row["flags"].split(";"))
+            assert not any("inf" in row[key] for key in ALL_FEATURE_KEYS)
+            # a warning made an error by pytest would have failed the whole family
+            assert row["is.mean"] != ""
 
     def test_significant_digit_formats(self, tmp_path, cohort):
         manifest, config = cohort
@@ -452,14 +455,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_refused_allocation_excludes_without_traceback(self, tmp_path, capsys, cohort):
+    def test_refused_allocation_excludes_without_traceback(self, tmp_path, capsys, cohort, monkeypatch):
         manifest, _ = cohort
         config = tmp_path / "crop.json"
-        # numpy refuses this 7 PiB crop window before it touches memory
-        config.write_text(json.dumps({"preprocess": {"crop": [100000, 100000, 100000]}}))
+        config.write_text(json.dumps({"preprocess": {"crop": [6, 6, 6]}}))
+
+        # the config refuses an oversized window, so the crop inside the
+        # pipeline asks for a 7 PiB one, which numpy refuses before it
+        # touches memory
+        def oversized_crop(volume, mask, target):
+            return crop_centered(volume, mask, (100000, 100000, 100000))
+
+        monkeypatch.setattr(analysis, "crop_centered", oversized_crop)
         out = tmp_path / "out.csv"
         assert main([
             "metrics", "--manifest", str(manifest), "--config", str(config), "--out", str(out),
+            "--jobs", "1",
         ]) == 2
         err = capsys.readouterr().err
         assert err.count("MemoryError") == 2 and "Traceback" not in err

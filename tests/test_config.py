@@ -8,7 +8,7 @@ import pytest
 
 from transfid import config
 from transfid.cli import build_parser, main
-from transfid.config import DEFAULTS, MAX_IVH_BINS, RunConfig
+from transfid.config import DEFAULTS, MAX_CROP_VOXELS, MAX_IVH_BINS, RunConfig
 from transfid.errors import ConfigError
 from transfid.preprocess import MAX_LEVELS
 
@@ -113,6 +113,24 @@ class TestValidation:
         assert RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS}}).ivh_bins == MAX_IVH_BINS
         with pytest.raises(ConfigError, match="ivh.bins"):
             RunConfig.from_dict({"ivh": {"bins": MAX_IVH_BINS + 1}})
+
+    def test_crop_budget(self):
+        assert RunConfig.from_dict({"preprocess": {"crop": [512, 512, 512]}}).crop == (512, 512, 512)
+        assert 512**3 == MAX_CROP_VOXELS
+        with pytest.raises(ConfigError, match=r"preprocess.crop must hold at most 134217728 voxels"):
+            RunConfig.from_dict({"preprocess": {"crop": [512, 512, 513]}})
+
+    def test_oversized_crop_exits_1_before_any_patient(self, tmp_path, capsys):
+        # the manifest does not exist: a config that passed would exit 2
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preprocess": {"crop": [100000, 100000, 100000]}}))
+        assert main([
+            "extract", "--manifest", str(tmp_path / "none.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "transfid: config error: preprocess.crop must hold at most" in err
+        assert "Traceback" not in err
 
     def test_fbn_bins_cap(self):
         assert RunConfig.from_dict({"discretize": {"bins": MAX_LEVELS}}).scheme.bins == MAX_LEVELS

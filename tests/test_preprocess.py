@@ -233,7 +233,7 @@ class TestDiscretize:
 
 
 class TestPairFlags:
-    @pytest.mark.parametrize("tolerance", [0, 1, 2])
+    @pytest.mark.parametrize("tolerance", [0, 1, 2, 3, 4, 2**40])
     def test_grids_follow_the_pair_rule(self, rng, tolerance):
         dims = (6, 5, 4)
         flags = rng.random(dims) < 0.7

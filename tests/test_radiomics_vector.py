@@ -172,12 +172,31 @@ class TestDegenerateInputs:
         assert vec["ngldm.dependence_count_percentage"] == 1.0
 
     def test_overflowing_moments_are_flagged_nan(self):
-        # without normalization an ROI near 1e200 squares past float64's range
+        # without normalization an ROI near 1e200 squares past float64's
+        # range; pytest's error::RuntimeWarning shows that IS warns nothing
         v, m = generate_phantom(0, (16, 16, 16))
-        with np.errstate(over="ignore", invalid="ignore"):
-            vec = extract_all(v.with_values(v.values * 1e200), m, settings())
-        for key in ("is.skewness", "is.kurtosis"):
+        vec = extract_all(v.with_values(v.values * 1e200), m, settings())
+        overflowed = {"is.skewness", "is.kurtosis", "is.variance", "is.energy",
+                      "is.root_mean_square", "is.coefficient_of_variation"}
+        for key in overflowed:
             assert math.isnan(vec[key]) and vec.is_flagged(key), key
+        assert all(math.isfinite(value) for key, value in vec.values.items() if key not in vec.flags)
+        assert {key for key in vec.flags if key.startswith("is.")} == overflowed
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_unflagged_non_finite_value_is_refused(self, bad):
+        values = dict.fromkeys(ALL_FEATURE_KEYS, 1.0)
+        values["is.energy"] = bad
+        with pytest.raises(ValueError, match="feature is.energy lacks a degeneracy flag"):
+            FeatureVector(values=values)
+        assert FeatureVector(values=values, flags=frozenset({"is.energy"}))["is.energy"] is bad
+
+    def test_ngldm_tolerance_beyond_ng_is_ng(self):
+        v, m = generate_phantom(3, (12, 10, 8))
+        at_ng = extract_all(v, m, settings(ng=8, alpha=8))
+        huge = extract_all(v, m, settings(ng=8, alpha=2**40))
+        assert [float.hex(x) for x in huge.values.values()] == [float.hex(x) for x in at_ng.values.values()]
+        assert huge.flags == at_ng.flags
 
     @pytest.mark.parametrize("values", ["phantom", "constant"])
     def test_flags_are_the_nan_keys_and_ivh_conventions(self, values):
