@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import CohortTooSmall, TransfidError, UnknownTopNetwork
+from .errors import CohortTooSmall, TransfidError, UndefinedMetric, UnknownTopNetwork
 from .iqa import METRICS, MetricSet, compute_metrics
 from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
@@ -110,13 +110,31 @@ def process_patient(
             if want_features:
                 result.features[source] = extract_all(network, roi, config)
             if want_metrics:
-                result.metrics[source] = compute_metrics(
-                    original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
-                )
+                # an overflow shows as inf or NaN, which the check names
+                with np.errstate(over="ignore", invalid="ignore"):
+                    metrics = compute_metrics(
+                        original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
+                    )
+                _check_defined(source, metrics)
+                result.metrics[source] = metrics
             del network  # the next network loads beside the original only
     except (TransfidError, OSError, ValueError, MemoryError) as exc:
         return PatientResult(error=f"{type(exc).__name__}: {exc}")
     return result
+
+
+def _check_defined(network: str, metrics: MetricSet) -> None:
+    """Refuse a NaN metric, or an infinite MAE or MSE: `analyze` could not
+    rank networks by it. PSNR is inf exactly when MSE is 0, and stays.
+    On finite voxels only an overflow gets here, and normalization keeps
+    every value in [0, 1]."""
+    for name in METRICS:
+        value = getattr(metrics, name)
+        if math.isnan(value) or (name in ("mae", "mse") and math.isinf(value)):
+            raise UndefinedMetric(
+                f"{name} of {network} is {value}: the intensities overflow float64; "
+                "set preprocess.normalize to true"
+            )
 
 
 def run_pipeline(

@@ -61,6 +61,10 @@ class VolumeTooSmall(TransfidError):
     """Volume smaller than the structural-similarity window."""
 
 
+class UndefinedMetric(TransfidError):
+    """A metric came out NaN, or MAE or MSE infinite: not a value to rank by."""
+
+
 # statistics
 class EmptyInput(TransfidError):
     """An aggregate was requested over zero values."""

@@ -95,15 +95,16 @@ def basic_distribution_stats(
 
     Skewness, kurtosis, and the coefficient of variation are NaN when the
     variance is zero; the quartile coefficient of dispersion when p25 + p75
-    is zero. Skewness and kurtosis are also NaN when the powers overflow
-    float64 (inf / inf), as they can on unnormalized intensities.
+    is zero. Skewness and kurtosis are also NaN, each on its own, when its
+    powers overflow float64 (inf / inf), as they can on unnormalized
+    intensities; the other values keep theirs.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
 
     mean = float(np.mean(x))
     centered = x - mean
-    var = float(np.mean(centered**2))
+    var = np.mean(centered**2)  # numpy float64: its powers overflow to inf, not OverflowError
     p10 = nearest_rank_percentile(srt, 10)
     p25 = nearest_rank_percentile(srt, 25)
     p75 = nearest_rank_percentile(srt, 75)
@@ -114,8 +115,8 @@ def basic_distribution_stats(
         # each power array is freed before the next is made
         table = distinct - mean
         m3, m4 = np.mean((table**3)[inverse]), np.mean((table**4)[inverse])
-        skewness = float(m3) / var**1.5
-        kurtosis = float(m4) / var**2 - 3.0
+        skewness = float(m3 / var**1.5)
+        kurtosis = float(m4 / var**2) - 3.0
     else:
         skewness = kurtosis = math.nan
 
@@ -125,7 +126,7 @@ def basic_distribution_stats(
     robust = x[(x >= p10) & (x <= p90)]
     features = {
         "mean": mean,
-        "variance": var,
+        "variance": float(var),
         "skewness": skewness,
         "kurtosis": kurtosis,
         "median": median,

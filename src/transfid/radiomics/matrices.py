@@ -4,9 +4,13 @@ All neighborhood machinery is 3D. Every pair builder (co-occurrence, runs,
 zones, dependence counts) walks the 13 unique unit directions at Chebyshev
 distance 1, which visits each unordered 26-neighbor pair once; symmetric
 tallies credit both ends of a pair. Runs, zones and dependence counts read
-their pairs from the volume's shared `pair_flags`. Zones of every level come
-from one connected-components labelling of the equal-level pairs, and the
-tone-difference table from separable 3x3x3 box sums of integer levels.
+their pairs from the volume's shared `pair_flags`. Runs take a direction
+as one step in C-order flat positions (`flat_step`); laid out residue by
+residue mod that step, each run is a contiguous stretch, and its length
+comes from pairing its start with its end, with no loop over planes.
+Zones of every level come from one connected-components labelling of the
+equal-level pairs, and the tone-difference table from separable 3x3x3 box
+sums of integer levels.
 
 `extract_all` hands these builders a volume discretized on the ROI's
 bounding box plus one voxel per side (`RoiMask.box`), which holds every
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..preprocess import DiscretizedVolume
-from ..volume import DIRECTIONS_13, neighbor_sum, shift_slices
+from ..volume import DIRECTIONS_13, flat_step, neighbor_sum, shift_slices
 
 
 def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
@@ -53,31 +57,49 @@ def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     return out
 
 
+def _by_residue(flat: np.ndarray, step: int) -> np.ndarray:
+    """`flat` laid out residue by residue mod `step`, after one leading
+    zero cell: padded with zeros to q*step cells (q = ceil(n / step)),
+    viewed as (q, step) and transposed, so flat position k*step + r moves
+    to 1 + r*q + k. Each residue is then one contiguous block, in
+    increasing order of position."""
+    n = flat.size
+    q = -(-n // step)
+    full = n // step
+    out = np.zeros(1 + step * q, dtype=flat.dtype)
+    grid = out[1:].reshape(step, q)
+    grid[:, :full] = flat[: full * step].reshape(full, step).T
+    if full < q:
+        grid[: n - full * step, full] = flat[full * step :]
+    return out
+
+
 def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     """Run-length count matrices (level x run length), one per direction.
 
     Runs are maximal collinear stretches of equal level, broken by the
-    mask boundary, the volume edge, or a level change. Each voxel's length
-    so far is carried one plane at a time along the direction's first
-    non-zero axis (positive for every direction in DIRECTIONS_13), so a
-    plane is final before the next one reads it; runs are tallied at the
-    voxels that do not continue.
+    mask boundary, the volume edge, or a level change. In C-order flat
+    positions a direction is one step s (`flat_step`), and its pair grid is
+    True only where p + s is p's in-grid neighbor, so a run is a chain p,
+    p + s, p + 2s, ... within one residue mod s that never wraps. Laid out
+    residue by residue (`_by_residue`), every run is a contiguous stretch
+    of cells. A run ends at an ROI cell whose pair flag is False, and it
+    starts just after a cell whose flag is False (the leading zero cell
+    serves the first one), so the k-th start pairs with the k-th end: the
+    run's length is their distance plus one, and its level is read at its
+    end. A step of 0 or less only arises across a size-1 axis, where no
+    pair exists and every run has length 1; a step of 1 lays those out.
     """
-    m = d.mask.flags
+    mask = d.mask.flags.ravel()
+    levels = d.levels.ravel()
     out = []
     for off, same_next in zip(DIRECTIONS_13, d.pair_flags(0)):
-        src, dst = shift_slices(d.dims, off)
-        cont = same_next[src]
-        length = m.astype(np.int32)
-        prev, nxt = length[src], length[dst]
-        axis = next(a for a, o in enumerate(off) if o)
-        lead = (slice(None),) * axis
-        for k in range(cont.shape[axis]):
-            at = lead + (k,)
-            np.add(nxt[at], prev[at], out=nxt[at], where=cont[at])
-
-        ends = m & ~same_next
-        out.append(_tally(d.levels[ends], length[ends], d.ng))
+        step = max(flat_step(d.dims, off), 1)
+        in_roi = _by_residue(mask, step)
+        same = _by_residue(same_next.ravel(), step)
+        ends = np.flatnonzero(in_roi & ~same)
+        before_starts = np.flatnonzero(in_roi[1:] & ~same[:-1])  # each start's predecessor
+        out.append(_tally(_by_residue(levels, step)[ends], ends - before_starts, d.ng))
     return out
 
 
@@ -90,13 +112,12 @@ def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarr
     so both ends are read from the flat numbering with one gather each.
     """
     flat_index = index.ravel()
-    _, ny, nz = d.dims
     heads = []
     tails = []
     for off, same in zip(DIRECTIONS_13, d.pair_flags(0)):
         pos = np.flatnonzero(same)
         heads.append(flat_index[pos])
-        tails.append(flat_index[pos + (off[0] * ny + off[1]) * nz + off[2]])
+        tails.append(flat_index[pos + flat_step(d.dims, off)])
     return np.concatenate(heads), np.concatenate(tails)
 
 

@@ -196,3 +196,12 @@ def shift_slices(
             src.append(slice(min(-o, d), d))
             dst.append(slice(0, max(0, d + o)))
     return tuple(src), tuple(dst)
+
+
+def flat_step(dims: tuple[int, int, int], offset: tuple[int, int, int]) -> int:
+    """C-order flat distance from a voxel to its neighbor at +offset.
+
+    It is that neighbor's flat position only where the neighbor lies in the
+    grid; the pair grids of `shift_slices` say where that holds."""
+    _, ny, nz = dims
+    return (offset[0] * ny + offset[1]) * nz + offset[2]

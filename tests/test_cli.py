@@ -263,6 +263,40 @@ class TestPipeline:
             # a warning made an error by pytest would have failed the whole family
             assert row["is.mean"] != ""
 
+    def test_overflowing_metrics_exclude_the_patient(self, tmp_path, capsys):
+        # unnormalized, 1e200 squares past float64 (MSE inf) and 1e100
+        # leaves SSIM NaN; an identical network at scale 1 keeps PSNR inf
+        rows = ["patient_id,source,path"]
+        for pid, scale, other in (("p0", 1.0, 10), ("p1", 1e200, 11), ("p2", 1e100, 12), ("p3", 1.0, None)):
+            v, m = generate_phantom(0, (16, 16, 16))
+            synthetic = v if other is None else generate_phantom(other, (16, 16, 16))[0]
+            save_nifti(tmp_path / f"{pid}.nii", v.with_values(v.values * scale))
+            save_nifti(tmp_path / f"{pid}_synth.nii", synthetic.with_values(synthetic.values * scale))
+            save_nifti(tmp_path / f"{pid}_mask.nii", v.with_values(m.flags.astype(float)))
+            rows += [
+                f"{pid},{ORIGINAL_SOURCE},{tmp_path / f'{pid}.nii'}",
+                f"{pid},mask,{tmp_path / f'{pid}_mask.nii'}",
+                f"{pid},synth_a,{tmp_path / f'{pid}_synth.nii'}",
+            ]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps({"preprocess": {"normalize": False}}))
+        out = tmp_path / "metrics.csv"
+        assert main([
+            "metrics", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(out), "--jobs", "1",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "excluded patient p1: UndefinedMetric: mse of synth_a is inf" in err
+        assert "excluded patient p2: UndefinedMetric: ssim of synth_a is nan" in err
+        assert err.count("preprocess.normalize") == 2
+        with out.open() as fh:
+            written = list(csv.DictReader(fh))
+        assert [row["patient_id"] for row in written] == ["p0", "p3"]
+        assert all(math.isfinite(float(row[name])) for row in written for name in ("mae", "mse", "ssim"))
+        assert written[1]["mse"] == "0" and written[1]["psnr"] == "inf"
+
     def test_significant_digit_formats(self, tmp_path, cohort):
         manifest, config = cohort
         metrics = tmp_path / "metrics.csv"

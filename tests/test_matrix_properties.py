@@ -3,8 +3,12 @@
 Volumes are drawn with 1 to 7 voxels per axis (size-1 axes included),
 random, single-voxel or full masks (a full mask touches every volume
 edge), and random levels. Every matrix must match its oracle bit for bit.
+Fixed GLRLM cases on a 23x17x11 grid cover what so few voxels per axis
+never reach: runs along whole diagonals and flat steps that do not
+divide the voxel count.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +21,7 @@ from transfid.radiomics.matrices import (
     ngtdm_table,
     zone_matrices,
 )
-from transfid.volume import RoiMask
+from transfid.volume import RoiMask, flat_step
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
@@ -45,6 +49,39 @@ def test_glrlm_every_direction_matches_run_scanner(d):
     got = glrlm_matrices(d)
     assert len(got) == len(DIRECTIONS_13)
     for off, matrix in zip(DIRECTIONS_13, got):
+        expected = oracles.glrlm_direction_matrix(d.levels, d.mask.flags, d.ng, off)
+        assert np.array_equal(matrix, expected), off
+
+
+LARGE_DIMS = (23, 17, 11)
+
+
+def _large_case(kind):
+    rng = np.random.default_rng(16)
+    if kind == "full, 1 level":
+        flags = np.ones(LARGE_DIMS, dtype=bool)
+        ng = 1
+    elif kind == "random mask, 3 levels":
+        flags = rng.random(LARGE_DIMS) < 0.8
+        ng = 3
+    else:  # an ellipsoid clipped by every face of the grid
+        centre = [(n - 1) / 2 for n in LARGE_DIMS]
+        x, y, z = np.indices(LARGE_DIMS)
+        flags = sum(((a - c) / (0.55 * n)) ** 2 for a, c, n in zip((x, y, z), centre, LARGE_DIMS)) <= 1
+        for axis in range(3):
+            assert flags.take(0, axis).any() and flags.take(-1, axis).any()
+        assert not flags.all()
+        ng = 3
+    levels = np.where(flags, rng.integers(1, ng + 1, size=LARGE_DIMS), 0)
+    return DiscretizedVolume(LARGE_DIMS, levels, ng=ng, mask=RoiMask(LARGE_DIMS, flags))
+
+
+@pytest.mark.parametrize("kind", ["full, 1 level", "random mask, 3 levels", "roi touching each face"])
+def test_glrlm_on_a_large_grid_matches_run_scanner(kind):
+    n = LARGE_DIMS[0] * LARGE_DIMS[1] * LARGE_DIMS[2]
+    assert any(n % flat_step(LARGE_DIMS, off) for off in DIRECTIONS_13)  # some step leaves a partial column
+    d = _large_case(kind)
+    for off, matrix in zip(DIRECTIONS_13, glrlm_matrices(d)):
         expected = oracles.glrlm_direction_matrix(d.levels, d.mask.flags, d.ng, off)
         assert np.array_equal(matrix, expected), off
 

@@ -183,6 +183,26 @@ class TestDegenerateInputs:
         assert all(math.isfinite(value) for key, value in vec.values.items() if key not in vec.flags)
         assert {key for key in vec.flags if key.startswith("is.")} == overflowed
 
+    @pytest.mark.parametrize("scale", [1e100, 1e120])
+    def test_moment_overflow_costs_only_the_moments(self, scale):
+        # the variance stays finite, but its square (and at 1e120 its 1.5th
+        # power) passes float64's range: only the ratios that read them are lost
+        v, m = generate_phantom(0, (16, 16, 16))
+        unscaled = extract_all(v, m, settings())
+        vec = extract_all(v.with_values(v.values * scale), m, settings())
+        kept = ["is.mean", "is.median", "is.minimum", "is.maximum", "is.percentile_10",
+                "is.percentile_90", "is.variance", "is.coefficient_of_variation"]
+        for key in kept:
+            assert math.isfinite(vec[key]) and not vec.is_flagged(key), key
+        for key in ("is.mean", "is.median", "is.minimum", "is.maximum", "is.percentile_10", "is.percentile_90"):
+            assert vec[key] == pytest.approx(unscaled[key] * scale, rel=1e-12), key
+        lost = {"is.kurtosis"} if scale == 1e100 else {"is.skewness", "is.kurtosis"}
+        for key in lost:
+            assert math.isnan(vec[key]) and vec.is_flagged(key), key
+        assert {key for key in vec.flags if key.startswith("is.")} == lost
+        if scale == 1e100:  # skewness is scale-free, and its cubes still fit
+            assert vec["is.skewness"] == pytest.approx(unscaled["is.skewness"], rel=1e-9)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_unflagged_non_finite_value_is_refused(self, bad):
         values = dict.fromkeys(ALL_FEATURE_KEYS, 1.0)
