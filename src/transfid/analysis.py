@@ -111,10 +111,9 @@ def process_patient(
                 result.features[source] = extract_all(network, roi, config)
             if want_metrics:
                 # an overflow shows as inf or NaN, which the check names
-                with np.errstate(over="ignore", invalid="ignore"):
-                    metrics = compute_metrics(
-                        original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
-                    )
+                metrics = compute_metrics(
+                    original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
+                )
                 _check_defined(source, metrics)
                 result.metrics[source] = metrics
             del network  # the next network loads beside the original only

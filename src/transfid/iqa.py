@@ -220,14 +220,21 @@ def compute_metrics(
     peak: float = 1.0,
     mask: RoiMask | None = None,
 ) -> MetricSet:
-    """All four metrics of one pair; MAE and MSE come from one voxel difference."""
-    abs_err, err = _absolute_and_squared_error(original, synthetic, mask)
-    return MetricSet(
-        mae=abs_err,
-        mse=err,
-        ssim=ssim3d(original, synthetic, ssim_params, mask),
-        psnr=_psnr_db(err, peak),
-    )
+    """All four metrics of one pair; MAE and MSE come from one voxel difference.
+
+    Unnormalized intensities beyond about 1e77 overflow SSIM's products of
+    moments, and beyond about 1e154 the squared error. The metrics then
+    come out infinite or NaN, which `analysis.process_patient` refuses by
+    name, so numpy's overflow warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_err, err = _absolute_and_squared_error(original, synthetic, mask)
+        return MetricSet(
+            mae=abs_err,
+            mse=err,
+            ssim=ssim3d(original, synthetic, ssim_params, mask),
+            psnr=_psnr_db(err, peak),
+        )
 
 
 def summarize(values: list[MetricSet]) -> dict[str, tuple[float, float]]:

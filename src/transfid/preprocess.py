@@ -7,7 +7,7 @@ import numpy as np
 
 from .checks import is_int, is_number
 from .errors import CropLosesRoi, InvalidScheme
-from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, shift_slices
+from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, flat_pairs
 
 FBN = "FBN"
 FBS = "FBS"
@@ -85,13 +85,26 @@ class DiscretizedVolume:
         return self._pairs[tolerance]
 
     def _pair_grid(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
-        """|a - b| <= tolerance as one unsigned comparison: a - b + tolerance
-        lies in [0, 2 * tolerance] exactly then, and wraps past it below."""
-        src, dst = shift_slices(self.dims, offset)
-        grid = np.zeros(self.dims, dtype=bool)
-        gap = self.levels[src] - self.levels[dst]
-        gap += tolerance
-        grid[src] = (gap.view(np.uint32) <= 2 * tolerance) & self.mask.flags[src] & self.mask.flags[dst]
+        """Each voxel compared with its neighbor on flat slices (`flat_pairs`).
+
+        |a - b| <= tolerance is one unsigned comparison: a - b + tolerance
+        lies in [0, 2 * tolerance] exactly then, and wraps past it below. At
+        tolerance 0 it is a == b, which needs no int32 difference array."""
+        levels = self.levels.reshape(-1)
+        flags = self.mask.flags.reshape(-1)
+
+        def close(step: int) -> np.ndarray:
+            if tolerance == 0:
+                near = levels[:-step] == levels[step:]
+            else:
+                gap = levels[:-step] - levels[step:]
+                gap += tolerance
+                near = gap.view(np.uint32) <= 2 * tolerance
+            near &= flags[:-step]
+            near &= flags[step:]
+            return near
+
+        grid = flat_pairs(self.dims, offset, close)
         grid.flags.writeable = False
         return grid
 

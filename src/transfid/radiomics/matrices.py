@@ -3,11 +3,15 @@
 All neighborhood machinery is 3D. Every pair builder (co-occurrence, runs,
 zones, dependence counts) walks the 13 unique unit directions at Chebyshev
 distance 1, which visits each unordered 26-neighbor pair once; symmetric
-tallies credit both ends of a pair. Runs, zones and dependence counts read
-their pairs from the volume's shared `pair_flags`. Runs take a direction
-as one step in C-order flat positions (`flat_step`); laid out residue by
-residue mod that step, each run is a contiguous stretch, and its length
-comes from pairing its start with its end, with no loop over planes.
+tallies credit both ends of a pair. A direction is one step s in C-order
+flat positions (`flat_step`): a voxel p and its neighbor p + s are compared
+as the contiguous slices [:-s] and [s:] of the flat grid, and the grid
+faces where the step wraps instead of reaching a neighbor are cleared
+(`flat_pairs`). Runs, zones and dependence counts read their pairs from
+the volume's shared `pair_flags`, and co-occurrence tallies its in-mask
+pairs by the same rule. Laid out residue by residue mod the step, each
+run is a contiguous stretch, and its length comes from pairing its start
+with its end, with no loop over planes.
 Zones of every level come from one connected-components labelling of the
 equal-level pairs, and the tone-difference table from separable 3x3x3 box
 sums of integer levels.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..preprocess import DiscretizedVolume
-from ..volume import DIRECTIONS_13, flat_step, neighbor_sum, shift_slices
+from ..volume import DIRECTIONS_13, flat_pairs, flat_step, neighbor_sum
 
 
 def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
@@ -43,16 +47,19 @@ def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
 
     Directions with no in-mask pair yield an all-zero matrix.
     """
-    lv = d.levels
-    m = d.mask.flags
+    levels = d.levels.reshape(-1)
+    flags = d.mask.flags.reshape(-1)
     ng = d.ng
     out = []
     for off in DIRECTIONS_13:
-        src, dst = shift_slices(d.dims, off)
-        valid = m[src] & m[dst]
-        a = lv[src][valid] - 1
-        b = lv[dst][valid] - 1
-        counts = np.bincount(a * ng + b, minlength=ng * ng).reshape(ng, ng)
+        # a step of 0 or less has no pair, and a step of 1 slices its empty grid
+        step = max(flat_step(d.dims, off), 1)
+        pairs = flat_pairs(d.dims, off, lambda s: flags[:-s] & flags[s:]).reshape(-1)[:-step]
+        # (a - 1) * ng + (b - 1) for a at p and b at p + step, kept at the pairs
+        key = levels[:-step] * ng
+        key += levels[step:]
+        key = key[pairs] - (ng + 1)
+        counts = np.bincount(key, minlength=ng * ng).reshape(ng, ng)
         out.append((counts + counts.T).astype(np.float64))
     return out
 
@@ -173,11 +180,11 @@ def ngldm_matrix(d: DiscretizedVolume, alpha: int) -> np.ndarray:
     """Dependence count matrix: rows are levels, column j holds voxels
     with j-1 in-mask neighbors within gray-level tolerance alpha."""
     m = d.mask.flags
-    dep = np.zeros(d.dims, dtype=np.uint8)  # at most 26
+    dep = np.zeros(m.size, dtype=np.uint8)  # at most 26
     for off, pairs in zip(DIRECTIONS_13, d.pair_flags(alpha)):
-        src, dst = shift_slices(d.dims, off)
-        close = pairs[src]
-        dep[src] += close
-        dep[dst] += close
+        step = max(flat_step(d.dims, off), 1)  # as in `glcm_matrices`
+        close = pairs.reshape(-1)[:-step]
+        dep[:-step] += close
+        dep[step:] += close
 
-    return _tally(d.levels[m], dep[m] + 1, d.ng)
+    return _tally(d.levels[m], dep.reshape(d.dims)[m] + 1, d.ng)

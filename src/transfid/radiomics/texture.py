@@ -55,19 +55,12 @@ def _split_sums(t: np.ndarray, ends) -> np.ndarray:
     return np.array(out)
 
 
-def _entropy_bits(p: np.ndarray, ends=None) -> np.ndarray:
-    """Entropy in bits of each matrix of a batch, over its positive cells.
-
-    `p` is a (k, ...) stack of matrices, or matrices concatenated flat
-    with their last cells at `ends`.
-    """
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each matrix of a (k, ...) stack, over its positive
+    cells."""
     positive = p > 0
     pos = p[positive]
-    if ends is None:
-        positive_ends = np.cumsum([np.count_nonzero(m) for m in positive])
-    else:
-        positive_ends = np.cumsum(positive)[ends - 1]
-    return -_split_sums(pos * np.log2(pos), positive_ends)
+    return -_split_sums(pos * np.log2(pos), np.cumsum([np.count_nonzero(m) for m in positive]))
 
 
 def _stack(mats: list[np.ndarray]) -> np.ndarray:
@@ -217,70 +210,83 @@ def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
 
 
 class _Cells:
-    """The cells of a batch of count matrices with a shared row count.
+    """The cells of a batch of count matrices with a shared row count, and
+    the non-zero ones among them.
 
-    `i` and `j` are each cell's 1-based row and column, broadcastable to
-    `counts`. Matrices of one width are stacked as a C-contiguous
-    (k, rows, cols) array. Matrices of several widths are concatenated
-    flat, row-major each, with `i` and `j` spelled out per cell. No cell is
+    Matrices of one width are stacked as a C-contiguous (k, rows, cols)
+    array. Matrices of several widths are concatenated flat, row-major
+    each, and their terms are written as rows of one block. No cell is
     padded: zero padding regroups numpy's pairwise sums and moves their
     last bits.
+
+    The formulas run only at the non-zero cells, taken once in layout
+    order: their counts `c`, 1-based rows `i` and columns `j`, and
+    matrices. A zero cell adds exactly +0.0 to every term, so each term is
+    scattered into a zero buffer shaped like the layout and reduced there:
+    every sum sees, element by element, the array a term over all cells
+    would give, and keeps its bits.
     """
 
     def __init__(self, mats: list[np.ndarray]):
         rows = mats[0].shape[0]
         widths = np.array([m.shape[1] for m in mats])
+        sizes = rows * widths
+        ends = np.cumsum(sizes)
         self.k = len(mats)
         self.rows = rows
+        self.cols = int(widths.max())
         if (widths == widths[0]).all():
-            self.counts = _stack(mats)
-            self.i = np.arange(1, rows + 1, dtype=np.float64)[:, None]
-            self.j = np.arange(1, widths[0] + 1, dtype=np.float64)[None, :]
+            self.layout = _stack(mats)
             self.ends = None
+            self.buffer = np.zeros(self.layout.shape)
         else:
-            sizes = rows * widths
-            self.counts = np.concatenate([m.ravel() for m in mats])
-            self.matrix = np.repeat(np.arange(self.k), sizes)
-            self.ends = np.cumsum(sizes)
-            cell = np.arange(self.counts.size) - (self.ends - sizes)[self.matrix]
-            width = widths[self.matrix]
-            self.i = (cell // width + 1).astype(np.float64)
-            self.j = (cell % width + 1).astype(np.float64)
+            self.layout = np.concatenate([m.ravel() for m in mats])
+            self.ends = ends
+        flat = self.layout.reshape(-1)
+        self.at = np.flatnonzero(flat)
+        self.c = flat[self.at]
+        self.matrix = np.searchsorted(ends, self.at, side="right")
+        cell = self.at - (ends - sizes)[self.matrix]
+        width = widths[self.matrix]
+        self.row = cell // width
+        self.col = cell % width
+        self.i = (self.row + 1).astype(np.float64)
+        self.j = (self.col + 1).astype(np.float64)
+        # where each matrix ends among the non-zero cells
+        self.nonzero_ends = np.searchsorted(self.at, ends)
 
     def sums(self, **terms) -> dict[str, np.ndarray]:
-        """One np.sum per matrix of each named per-cell term (a callable).
+        """One np.sum per matrix of each named term (a callable giving its
+        value at every non-zero cell), over all cells of the layout.
 
-        A stack reduces each term as it is made, so a single wide matrix
-        holds one term array at a time. Concatenated matrices, at most
-        BATCH_CELLS cells, write every term into one block and reduce each
-        matrix's columns of it in one call.
+        A stack scatters one term at a time into one zero buffer, which its
+        non-zero cells alone ever overwrite, so a single wide matrix holds
+        one buffer and one term's cells. Concatenated matrices, at most
+        BATCH_CELLS cells, scatter every term into a row of one zero block
+        and reduce each matrix's columns of it in one call.
         """
         if self.ends is None:
-            return {name: _per_matrix_sums(term()) for name, term in terms.items()}
-        block = np.empty((len(terms), self.counts.size))
+            out = {}
+            for name, term in terms.items():
+                self.buffer.reshape(-1)[self.at] = term()
+                out[name] = _per_matrix_sums(self.buffer)
+            return out
+        block = np.zeros((len(terms), self.layout.size))
         for row, term in zip(block, terms.values()):
-            row[:] = term()
+            row[self.at] = term()
         return dict(zip(terms, _split_sums(block, self.ends).T))
 
     def each(self, v: np.ndarray) -> np.ndarray:
-        """A per-matrix value at every cell."""
-        if self.ends is None:
-            return v[:, None, None]
+        """A per-matrix value at every non-zero cell."""
         return v[self.matrix]
 
     def squared_marginal_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per matrix, the sums of its squared row sums and of its squared
         column sums. Counts are integers, so these are exact in any order
         of summation, and narrower matrices' columns may be zero-extended."""
-        if self.ends is None:
-            row_sums = self.counts.sum(axis=2)
-            col_sums = self.counts.sum(axis=1)
-        else:
-            k, rows, cols = self.k, self.rows, int(self.j.max())
-            row_key = self.matrix * rows + (self.i - 1).astype(np.int64)
-            col_key = self.matrix * cols + (self.j - 1).astype(np.int64)
-            row_sums = np.bincount(row_key, self.counts, k * rows).reshape(k, rows)
-            col_sums = np.bincount(col_key, self.counts, k * cols).reshape(k, cols)
+        k, rows, cols = self.k, self.rows, self.cols
+        row_sums = np.bincount(self.matrix * rows + self.row, self.c, k * rows).reshape(k, rows)
+        col_sums = np.bincount(self.matrix * cols + self.col, self.c, k * cols).reshape(k, cols)
         return (row_sums**2).sum(axis=1), (col_sums**2).sum(axis=1)
 
 
@@ -288,9 +294,9 @@ def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict
     """The level-by-magnitude emphasis formulas of each count matrix of a
     batch, each matrix's percentage taken over its entry of `n_voxels`."""
     cells = _Cells(mats)
-    counts, i, j = cells.counts, cells.i, cells.j
-    ns = cells.sums(ns=lambda: counts)["ns"]
-    p = counts / cells.each(ns)
+    c, i, j = cells.c, cells.i, cells.j
+    ns = cells.sums(ns=lambda: c)["ns"]
+    p = c / cells.each(ns)
     level_sq, magnitude_sq = cells.squared_marginal_sums()
     mu = cells.sums(i=lambda: i * p, j=lambda: j * p)
 
@@ -313,9 +319,10 @@ def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict
         magnitude_non_uniformity=magnitude_sq / ns,
         magnitude_non_uniformity_normalised=magnitude_sq / ns**2,
         percentage=ns / n_voxels,
-        entropy=_entropy_bits(p, cells.ends),
+        # p is positive at every non-zero cell, and only there
+        entropy=-_split_sums(p * np.log2(p), cells.nonzero_ends),
     )
-    return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+    return [dict(zip(columns, values)) for values in zip(*(v.tolist() for v in columns.values()))]
 
 
 def row_column_features(counts: np.ndarray, n_voxels: int) -> dict[str, float]:

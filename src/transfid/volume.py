@@ -182,26 +182,33 @@ DIRECTIONS_13: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
-def shift_slices(
-    dims: tuple[int, int, int], offset: tuple[int, int, int]
-) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slice pair (at_voxel, at_voxel_plus_offset) covering all in-bounds pairs."""
-    src = []
-    dst = []
-    for d, o in zip(dims, offset):
-        if o >= 0:
-            src.append(slice(0, max(0, d - o)))
-            dst.append(slice(min(o, d), d))
-        else:
-            src.append(slice(min(-o, d), d))
-            dst.append(slice(0, max(0, d + o)))
-    return tuple(src), tuple(dst)
-
-
 def flat_step(dims: tuple[int, int, int], offset: tuple[int, int, int]) -> int:
     """C-order flat distance from a voxel to its neighbor at +offset.
 
     It is that neighbor's flat position only where the neighbor lies in the
-    grid; the pair grids of `shift_slices` say where that holds."""
+    grid; `flat_pairs` says where that holds."""
     _, ny, nz = dims
     return (offset[0] * ny + offset[1]) * nz + offset[2]
+
+
+def flat_pairs(dims: tuple[int, int, int], offset: tuple[int, int, int], test) -> np.ndarray:
+    """A writeable bool grid, True at each voxel whose neighbor at +offset
+    lies in the grid and passes `test`.
+
+    In C-order flat positions that neighbor is p + s (s = `flat_step`), and
+    `test(s)` compares the contiguous slices [:-s] and [s:], p with p + s
+    at every p < n - s. Where the neighbor leaves the grid, p + s wraps to
+    another voxel, so the faces where it does are cleared: index -1 of each
+    axis where the offset is +1, and index 0 where it is -1. A step of 0 or
+    less only arises across a size-1 axis, where no voxel has a neighbor
+    at +offset, and gives no pair.
+    """
+    flat = np.zeros(math.prod(dims), dtype=bool)
+    grid = flat.reshape(dims)
+    step = flat_step(dims, offset)
+    if step > 0:
+        flat[:-step] = test(step)
+        for axis, o in enumerate(offset):
+            if o:
+                grid[(slice(None),) * axis + (-1 if o > 0 else 0,)] = False
+    return grid

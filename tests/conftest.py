@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from transfid.preprocess import DiscretizedVolume
 from transfid.volume import RoiMask, Volume3D
 
 
@@ -32,3 +34,23 @@ def small_pair(rng):
     flags = rng.random((6, 5, 4)) < 0.7
     flags[2, 2, 2] = True
     return make_volume(values), make_mask(flags)
+
+
+@st.composite
+def discretized_volumes(draw):
+    """Volumes of 1 to 7 voxels per axis (size-1 axes included), with a
+    random, single-voxel or full mask (a full mask touches every face of
+    the grid) and random levels in 1..ng, ng from 1 to 5."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    ng = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(("random", "single", "full")))
+    if mode == "random":
+        flags = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        flags = np.full(n, mode == "full")
+    flags[draw(st.integers(0, n - 1))] = True
+    raw = np.array(draw(st.lists(st.integers(1, ng), min_size=n, max_size=n)))
+    flags = flags.reshape(dims)
+    levels = np.where(flags, raw.reshape(dims), 0)
+    return DiscretizedVolume(dims, levels, ng=ng, mask=RoiMask(dims, flags))

@@ -256,6 +256,22 @@ def ivh_features(values, mask, bins=1000):
 # ------------------------------------------------------------------ texture
 
 
+def shift_slices(dims, offset):
+    """Slice pair (at_voxel, at_voxel_plus_offset) covering all in-bounds
+    pairs: the 3-D reference for the program's flat pair rule
+    (`transfid.volume.flat_pairs`)."""
+    src = []
+    dst = []
+    for d, o in zip(dims, offset):
+        if o >= 0:
+            src.append(slice(0, max(0, d - o)))
+            dst.append(slice(min(o, d), d))
+        else:
+            src.append(slice(min(-o, d), d))
+            dst.append(slice(0, max(0, d + o)))
+    return tuple(src), tuple(dst)
+
+
 def glcm_direction_matrix(levels, mask, ng, off):
     """Symmetrized pair counts by scanning every in-mask voxel."""
     dims = levels.shape

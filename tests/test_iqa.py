@@ -10,6 +10,7 @@ import oracles
 from transfid import iqa
 from transfid.errors import DimsMismatch, EmptyInput, VolumeTooSmall
 from transfid.iqa import MetricSet, SsimParams, compute_metrics, mae, mse, psnr, ssim3d, summarize
+from transfid.phantom import generate_phantom
 from transfid.volume import Volume3D
 
 from conftest import make_mask, make_volume
@@ -280,6 +281,22 @@ class TestSharedOriginal:
                 ssim=ssim3d(a, b, SsimParams(window=2), mask),
                 psnr=psnr(a, b, 0.5, mask),
             )
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_compute_metrics_warns_nothing(self, scale):
+        # a library caller sees the overflow as inf or NaN values, not as
+        # RuntimeWarnings; pytest turns any RuntimeWarning into an error here
+        a, _ = generate_phantom(0)
+        b, _ = generate_phantom(1)
+        got = compute_metrics(a.with_values(a.values * scale), b.with_values(b.values * scale))
+        assert math.isnan(got.ssim)
+        assert math.isfinite(got.mae)
+        if scale > 1e154:
+            assert got.mse == math.inf and got.psnr == -math.inf
+        else:
+            assert math.isfinite(got.mse) and math.isfinite(got.psnr)
 
 
 class TestSummarize:

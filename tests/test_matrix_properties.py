@@ -1,8 +1,9 @@
 """Property tests: texture matrix builders equal the brute-force oracles exactly.
 
-Volumes are drawn with 1 to 7 voxels per axis (size-1 axes included),
-random, single-voxel or full masks (a full mask touches every volume
-edge), and random levels. Every matrix must match its oracle bit for bit.
+Volumes are drawn (`conftest.discretized_volumes`) with 1 to 7 voxels per
+axis (size-1 axes included), random, single-voxel or full masks (a full
+mask touches every volume edge), and random levels. Every matrix must
+match its oracle bit for bit.
 Fixed GLRLM cases on a 23x17x11 grid cover what so few voxels per axis
 never reach: runs along whole diagonals and flat steps that do not
 divide the voxel count.
@@ -16,6 +17,7 @@ import oracles
 from transfid.preprocess import DiscretizedVolume
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
+    glcm_matrices,
     glrlm_matrices,
     ngldm_matrix,
     ngtdm_table,
@@ -23,24 +25,19 @@ from transfid.radiomics.matrices import (
 )
 from transfid.volume import RoiMask, flat_step
 
+from conftest import discretized_volumes
+
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
 
-@st.composite
-def discretized_volumes(draw):
-    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
-    n = dims[0] * dims[1] * dims[2]
-    ng = draw(st.integers(1, 5))
-    mode = draw(st.sampled_from(("random", "single", "full")))
-    if mode == "random":
-        flags = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    else:
-        flags = np.full(n, mode == "full")
-    flags[draw(st.integers(0, n - 1))] = True
-    raw = np.array(draw(st.lists(st.integers(1, ng), min_size=n, max_size=n)))
-    flags = flags.reshape(dims)
-    levels = np.where(flags, raw.reshape(dims), 0)
-    return DiscretizedVolume(dims, levels, ng=ng, mask=RoiMask(dims, flags))
+@PROPERTY
+@given(discretized_volumes())
+def test_glcm_every_direction_matches_pair_scanner(d):
+    got = glcm_matrices(d)
+    assert len(got) == len(DIRECTIONS_13)
+    for off, matrix in zip(DIRECTIONS_13, got):
+        expected = oracles.glcm_direction_matrix(d.levels, d.mask.flags, d.ng, off)
+        assert np.array_equal(matrix, expected), off
 
 
 @PROPERTY

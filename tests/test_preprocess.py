@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from transfid.errors import CropLosesRoi, InvalidScheme
 from transfid.phantom import generate_phantom
 from transfid.preprocess import (
@@ -15,9 +17,9 @@ from transfid.preprocess import (
     discretize,
     min_max_normalize,
 )
-from transfid.volume import DIRECTIONS_13, shift_slices
+from transfid.volume import DIRECTIONS_13
 
-from conftest import make_mask, make_volume
+from conftest import discretized_volumes, make_mask, make_volume
 
 
 class TestMinMaxNormalize:
@@ -233,17 +235,17 @@ class TestDiscretize:
 
 
 class TestPairFlags:
-    @pytest.mark.parametrize("tolerance", [0, 1, 2, 3, 4, 2**40])
-    def test_grids_follow_the_pair_rule(self, rng, tolerance):
-        dims = (6, 5, 4)
-        flags = rng.random(dims) < 0.7
-        flags[3, 2, 1] = True
-        levels = np.where(flags, rng.integers(1, 5, dims), 0)
-        d = DiscretizedVolume(dims, levels, ng=4, mask=make_mask(flags))
+    @pytest.mark.parametrize("tolerance", [0, 1, "ng", 2**40])
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(d=discretized_volumes())
+    def test_grids_follow_the_pair_rule(self, d, tolerance):
+        if tolerance == "ng":
+            tolerance = d.ng
+        dims, flags, levels = d.dims, d.mask.flags, d.levels
         grids = d.pair_flags(tolerance)
         assert len(grids) == len(DIRECTIONS_13)
         for off, grid in zip(DIRECTIONS_13, grids):
-            src, dst = shift_slices(dims, off)
+            src, dst = oracles.shift_slices(dims, off)
             expected = np.zeros(dims, dtype=bool)
             expected[src] = flags[src] & flags[dst] & (abs(levels[src] - levels[dst]) <= tolerance)
             assert np.array_equal(grid, expected), off

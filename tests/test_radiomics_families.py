@@ -23,7 +23,6 @@ from transfid.radiomics.matrices import (
     glrlm_matrices,
     ngldm_matrix,
     ngtdm_table,
-    shift_slices,
     zone_matrices,
 )
 from transfid.radiomics.texture import (
@@ -336,6 +335,26 @@ class TestZones:
         assert_close_dict(szm_got, {n: szm_exp[s] for n, s in oracles.GLSZM_MAP.items()})
         assert_close_dict(dzm_got, {n: dzm_exp[s] for n, s in oracles.GLDZM_MAP.items()})
 
+    def test_wide_zone_formulas_hold_one_buffer(self):
+        # one zone of 18 720 voxels beside 480 one-voxel zones of levels 2..32:
+        # a 32 x 18 720 GLSZM whose cells are 99.9% zero. The formulas run at
+        # its non-zero cells and reduce each term in one zero buffer of the
+        # matrix's shape; a term over every cell peaked at 3.06 matrices.
+        dims = (48, 40, 10)
+        levels = np.ones(dims, dtype=np.int64)
+        lattice = levels[::4, ::4, ::3]
+        lattice[...] = 2 + np.arange(lattice.size).reshape(lattice.shape) % 31
+        d = make_disc(levels, ng=32)
+        glszm = zone_matrices(d)[0]
+        assert glszm.shape == (32, 18720)
+        tracemalloc.start()
+        try:
+            row_column_features(glszm, d.mask.voxel_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * glszm.nbytes
+
 
 class TestNgtdm:
     def test_constant_roi_guard(self):
@@ -558,7 +577,7 @@ class TestZoneEdges:
         """The edge arrays as built by gathering `index` over each slice pair."""
         heads, tails = [], []
         for off in DIRECTIONS_13:
-            src, dst = shift_slices(d.dims, off)
+            src, dst = oracles.shift_slices(d.dims, off)
             same = d.mask.flags[src] & d.mask.flags[dst] & (d.levels[src] == d.levels[dst])
             heads.append(index[src][same])
             tails.append(index[dst][same])
