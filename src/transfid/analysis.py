@@ -123,10 +123,12 @@ def process_patient(
 
 
 def _check_defined(network: str, metrics: MetricSet) -> None:
-    """Refuse a NaN metric, or an infinite MAE or MSE: `analyze` could not
-    rank networks by it. PSNR is inf exactly when MSE is 0, and stays.
-    On finite voxels only an overflow gets here, and normalization keeps
-    every value in [0, 1]."""
+    """Refuse a NaN metric, an infinite MAE or MSE, or an MSE that is 0 or
+    subnormal beside a non-zero MAE: `analyze` could not rank networks by
+    it. PSNR is inf exactly when MSE is 0, and stays when the images are
+    equal. On finite voxels only an overflow, or squared errors that
+    underflow on tiny intensities (to 0, or to subnormals that keep a few
+    bits), gets here; normalization keeps every value in [0, 1]."""
     for name in METRICS:
         value = getattr(metrics, name)
         if math.isnan(value) or (name in ("mae", "mse") and math.isinf(value)):
@@ -134,6 +136,11 @@ def _check_defined(network: str, metrics: MetricSet) -> None:
                 f"{name} of {network} is {value}: the intensities overflow float64; "
                 "set preprocess.normalize to true"
             )
+    if metrics.mae != 0.0 and metrics.mse < np.finfo(np.float64).tiny:
+        raise UndefinedMetric(
+            f"mse of {network} is {metrics.mse} but mae is {metrics.mae}: the squared errors "
+            "underflow float64; set preprocess.normalize to true"
+        )
 
 
 def run_pipeline(

@@ -28,8 +28,9 @@ def extract_all(
     discretized on `mask.box`, the ROI's bounding box plus one voxel per
     side, which holds every pair, run, zone and neighbourhood they count.
     The box and its mask-only arrays (border distance, neighbour counts)
-    are cached on `mask`; every source of a patient is extracted on one
-    mask, so they are built once per patient.
+    are cached on `mask`, and LI's sphere spectrum and counts on the grid's
+    dims; every source of a patient is extracted on one mask, so they are
+    built once per patient.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN. Any value that is not

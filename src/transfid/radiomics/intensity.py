@@ -19,9 +19,12 @@ def nearest_rank_percentile(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(idx, n - 1)])
 
 
-def _convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """`scipy.signal.fftconvolve(values, kernel, mode="same")` for real arrays
-    of equal rank, made of the same `scipy.fft` calls and so bit-identical.
+def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
+    """`values -> scipy.signal.fftconvolve(values, kernel, mode="same")` for
+    real arrays `values` of `shape`, made of the same `scipy.fft` calls and so
+    bit-identical. The kernel's spectrum is taken here, once, so each call
+    costs one `rfftn` and one `irfftn`. The result is a view into the
+    inverse transform's output, which is not copied out.
 
     Importing scipy.signal takes 0.6-1.1 s and scipy.fft about 0.2 s, so
     scipy.fft is imported here, on the first local-intensity call, and no
@@ -29,35 +32,47 @@ def _convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     from scipy import fft
 
-    s1, s2 = values.shape, kernel.shape
+    ndim = len(shape)
     # an axis where either side has length 1 is broadcast in the product, not transformed
-    axes = [a for a in range(values.ndim) if s1[a] != 1 and s2[a] != 1]
-    full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a]) for a in range(values.ndim)]
-    if axes:
-        fshape = [fft.next_fast_len(full[a], True) for a in axes]
-        product = fft.rfftn(values, fshape, axes=axes) * fft.rfftn(kernel, fshape, axes=axes)
-        out = fft.irfftn(product, fshape, axes=axes)[tuple(slice(n) for n in full)]
-    else:
-        out = values * kernel
-    start = [(n - s) // 2 for n, s in zip(out.shape, s1)]
-    return out[tuple(slice(b, b + s) for b, s in zip(start, s1))].copy()
+    axes = [a for a in range(ndim) if shape[a] != 1 and kernel.shape[a] != 1]
+    full = [
+        shape[a] + kernel.shape[a] - 1 if a in axes else max(shape[a], kernel.shape[a]) for a in range(ndim)
+    ]
+    start = [(n - s) // 2 for n, s in zip(full, shape)]
+    same = tuple(slice(b, b + s) for b, s in zip(start, shape))
+    if not axes:
+        return lambda values: (values * kernel)[same]
+    fshape = [fft.next_fast_len(full[a], True) for a in axes]
+    spectrum = fft.rfftn(kernel, fshape, axes=axes)
+    linear = tuple(slice(n) for n in full)
+
+    def convolve(values: np.ndarray) -> np.ndarray:
+        # the product is a temporary, so the inverse may transform it in place
+        product = fft.rfftn(values, fshape, axes=axes) * spectrum
+        return fft.irfftn(product, fshape, axes=axes, overwrite_x=True)[linear][same]
+
+    return convolve
 
 
-@functools.lru_cache(maxsize=4)
-def _sphere_geometry(
-    dims: tuple[int, int, int], spacing: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(kernel, counts): the 1 cm^3 sphere kernel and, per voxel, how many
-    sphere voxels fall inside the volume. Both depend on the grid only, so
-    they are computed once per (dims, spacing) and returned read-only."""
+@functools.lru_cache(maxsize=1)
+def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, float]):
+    """(convolve, counts): `same_convolution` of (dims)-shaped arrays with
+    the 1 cm^3 sphere kernel, and, per voxel, how many sphere voxels fall
+    inside the (dims) grid, read-only.
+
+    Both depend on the grid only. Every source of a patient is extracted on
+    one grid, one after another, so one entry serves the whole patient (and
+    every later patient on the same grid), and a worker holds one spectrum
+    and one counts array.
+    """
     half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
     ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
-    counts = _convolve_same(np.ones(dims), kernel)
-    kernel.flags.writeable = False
+    convolve = same_convolution(dims, kernel)
+    counts = convolve(np.ones(dims)).copy()  # not the transform's padded output
     counts.flags.writeable = False
-    return kernel, counts
+    return convolve, counts
 
 
 def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
@@ -65,17 +80,19 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     order on ties); global_peak: highest sphere mean over all ROI centers.
 
     A voxel's sphere mean is taken over the voxels of the 1 cm^3 sphere
-    centered on it whose centers fall inside the volume.
+    centered on it whose centers fall inside the volume. The sums are
+    convolved on the whole grid, whose dims set the FFT size and so the
+    values' last bits, and divided out at ROI voxels only.
     """
     mask.check_aligned(v)
-    kernel, counts = _sphere_geometry(v.dims, v.spacing)
-    mean_map = _convolve_same(v.values, kernel) / counts
+    convolve, counts = _sphere_geometry(v.dims, v.spacing)
+    sums = convolve(v.values)
 
-    flat = np.where(mask.flags, v.values, -np.inf).ravel(order="F")
-    center = np.unravel_index(np.argmax(flat), v.dims, order="F")
+    brightest = mask.flags & (v.values == v.values[mask.flags].max())
+    center = np.unravel_index(np.argmax(brightest.ravel(order="F")), v.dims, order="F")
 
-    local_peak = float(mean_map[center])
-    global_peak = float(mean_map[mask.flags].max())
+    local_peak = float(sums[center] / counts[center])
+    global_peak = float((sums[mask.flags] / counts[mask.flags]).max())
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 

@@ -103,6 +103,24 @@ def local_intensity_features(values, mask, spacing):
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 
+def whole_grid_local_intensity(values, mask, spacing):
+    """LI from sphere sums and in-grid counts convolved over the whole grid
+    with `scipy.signal.fftconvolve`, the kernel transformed on every call:
+    the reference for `transfid.radiomics.intensity`, whose cached kernel
+    spectrum must keep every bit of it."""
+    from scipy.signal import fftconvolve
+
+    half = [int(math.floor(SPHERE_RADIUS_MM / s)) for s in spacing]
+    ax = [np.arange(-h, h + 1) * s for h, s in zip(half, spacing)]
+    dx, dy, dz = np.meshgrid(*ax, indexing="ij")
+    kernel = (dx * dx + dy * dy + dz * dz <= SPHERE_RADIUS_MM**2).astype(float)
+    counts = fftconvolve(np.ones(values.shape), kernel, mode="same")
+    mean_map = fftconvolve(values, kernel, mode="same") / counts
+    flat = np.where(mask, values, -np.inf).ravel(order="F")
+    center = np.unravel_index(np.argmax(flat), values.shape, order="F")
+    return {"local_peak": float(mean_map[center]), "global_peak": float(mean_map[mask].max())}
+
+
 def percentile_nearest_rank(sorted_vals, p):
     n = len(sorted_vals)
     idx = max(0, math.ceil(p / 100.0 * n) - 1)

@@ -297,6 +297,40 @@ class TestPipeline:
         assert all(math.isfinite(float(row[name])) for row in written for name in ("mae", "mse", "ssim"))
         assert written[1]["mse"] == "0" and written[1]["psnr"] == "inf"
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_underflowing_squared_errors_exclude_the_patient(self, tmp_path, capsys, scale):
+        # unnormalized, 1e-300 leaves MAE near 1e-301 but squares every error
+        # to 0, a perfect PSNR; 1e-160 leaves an MSE near 5e-322, a subnormal
+        # with a few bits, and a finite PSNR read from them
+        rows = ["patient_id,source,path"]
+        for pid, scale in (("p0", scale), ("p1", 1.0)):
+            v, m = generate_phantom(0, (16, 16, 16))
+            synthetic = generate_phantom(1, (16, 16, 16))[0]
+            save_nifti(tmp_path / f"{pid}.nii", v.with_values(v.values * scale))
+            save_nifti(tmp_path / f"{pid}_synth.nii", synthetic.with_values(synthetic.values * scale))
+            save_nifti(tmp_path / f"{pid}_mask.nii", v.with_values(m.flags.astype(float)))
+            rows += [
+                f"{pid},{ORIGINAL_SOURCE},{tmp_path / f'{pid}.nii'}",
+                f"{pid},mask,{tmp_path / f'{pid}_mask.nii'}",
+                f"{pid},synth_a,{tmp_path / f'{pid}_synth.nii'}",
+            ]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps({"preprocess": {"normalize": False}}))
+        out = tmp_path / "metrics.csv"
+        assert main([
+            "metrics", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(out), "--jobs", "1",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "excluded patient p0: UndefinedMetric: mse of synth_a is " in err
+        assert "the squared errors underflow float64; set preprocess.normalize to true" in err
+        with out.open() as fh:
+            written = list(csv.DictReader(fh))
+        assert [row["patient_id"] for row in written] == ["p1"]
+        assert float(written[0]["mse"]) > 0 and math.isfinite(float(written[0]["psnr"]))
+
     def test_significant_digit_formats(self, tmp_path, cohort):
         manifest, config = cohort
         metrics = tmp_path / "metrics.csv"

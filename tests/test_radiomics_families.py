@@ -9,12 +9,14 @@ import oracles
 from transfid.config import MAX_IVH_BINS
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
+from transfid.radiomics import extract_all
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
 from transfid.radiomics.intensity import (
-    _convolve_same,
+    _sphere_geometry,
     intensity_statistics,
     local_intensity,
     nearest_rank_percentile,
+    same_convolution,
 )
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
@@ -105,8 +107,37 @@ class TestLocalIntensity:
         for values_shape, kernel_shape in shapes:
             values = rng.random(values_shape)
             kernel = (rng.random(kernel_shape) < 0.7).astype(float)
-            expected = fftconvolve(values, kernel, mode="same")
-            assert np.array_equal(_convolve_same(values, kernel), expected)
+            convolve = same_convolution(values_shape, kernel)
+            # the kernel's spectrum, taken once, serves every later array
+            for values in (values, rng.random(values_shape)):
+                assert np.array_equal(convolve(values), fftconvolve(values, kernel, mode="same"))
+
+    def test_one_sphere_transform_per_patient_and_one_grid_held(self):
+        v, mask = generate_phantom(7, (24, 20, 16))
+        _sphere_geometry.cache_clear()
+        for gain in (1.0, 0.9, 0.7):  # an original and two networks on one mask
+            extract_all(v.with_values(v.values * gain), mask)
+        info = _sphere_geometry.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+        # the next patient's grid has other dims: its spectrum replaces this one
+        other, other_mask = generate_phantom(8, (30, 20, 16))
+        local_intensity(other, other_mask)
+        info = _sphere_geometry.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.5, 2.5), (7.0, 1.5, 4.0), (7.0, 7.0, 7.0)])
+    @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1)])
+    def test_cached_spectrum_keeps_every_bit_of_the_whole_grid_convolution(self, rng, dims, spacing):
+        # the sphere's radius is 6.2 mm, so a 7 mm spacing leaves it flat along that axis
+        flags = rng.random(dims) < 0.3
+        flags[-1, -1, -1] = True
+        values = rng.random(dims)
+        _sphere_geometry.cache_clear()
+        for gain in (1.0, 0.9):  # the second source reads the first one's spectrum
+            vol = make_volume(values * gain, spacing)
+            expected = oracles.whole_grid_local_intensity(vol.values, flags, spacing)
+            assert local_intensity(vol, make_mask(flags)) == expected
 
 
 class TestIntensityStatistics:
