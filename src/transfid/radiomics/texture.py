@@ -1,4 +1,8 @@
-"""Feature formulas for the six texture-matrix families."""
+"""Feature formulas for the six texture-matrix families.
+
+GLCM, GLRLM, GLSZM, GLDZM and NGLDM run on one formula engine, `_Cells`,
+whose docstring states the summation rule that keeps every feature's bits.
+"""
 from __future__ import annotations
 
 import math
@@ -28,8 +32,8 @@ NGTDM_COARSENESS_GUARD = 1e-6
 
 # Cells evaluated in one pass. A family's matrices go through the formulas
 # in batches of at most this many cells (a larger matrix is a batch of its
-# own), so that 14 matrices of 1 024 levels are never stacked at once and a
-# concatenated batch's block of terms stays within a few MB.
+# own), so that a batch's zero buffer and GLCM's dense marginal terms never
+# hold 14 matrices of 1 024 levels at once.
 BATCH_CELLS = 1 << 16
 
 
@@ -41,18 +45,13 @@ def _per_matrix_sums(t: np.ndarray) -> np.ndarray:
 
 
 def _split_sums(t: np.ndarray, ends) -> np.ndarray:
-    """One np.sum per contiguous segment of the last axis of `t`, each
-    ending at `ends[m]`; the segment axis comes first in the result.
+    """One np.sum per contiguous segment of the flat array `t`, each ending
+    at `ends[m]`.
 
     Each segment is summed as an array of its own; np.add.reduceat would
     add sequentially and lose those bits.
     """
-    out = []
-    start = 0
-    for end in ends:
-        out.append(t[..., start:end].sum(axis=-1))
-        start = end
-    return np.array(out)
+    return np.array([t[start:end].sum() for start, end in zip([0, *ends[:-1]], ends)])
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -60,13 +59,8 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     cells."""
     positive = p > 0
     pos = p[positive]
-    return -_split_sums(pos * np.log2(pos), np.cumsum([np.count_nonzero(m) for m in positive]))
-
-
-def _stack(mats: list[np.ndarray]) -> np.ndarray:
-    """Equal-shape matrices as one C-contiguous (k, rows, cols) array; a
-    single matrix is viewed, not copied."""
-    return mats[0][None] if len(mats) == 1 else np.array(mats)
+    counts = np.count_nonzero(positive.reshape(len(p), -1), axis=1)
+    return -_split_sums(pos * np.log2(pos), np.cumsum(counts))
 
 
 def _in_batches(mats: list[np.ndarray], evaluate, *per_matrix: np.ndarray) -> list:
@@ -84,89 +78,157 @@ def _in_batches(mats: list[np.ndarray], evaluate, *per_matrix: np.ndarray) -> li
     return out
 
 
-def _glcm_batch(p: np.ndarray) -> list[dict[str, float]]:
-    """The 25 co-occurrence features of each normalized symmetric matrix in
-    a C-contiguous (k, ng, ng) stack.
+class _Cells:
+    """The cells of a batch of count matrices with a shared row count, and
+    the non-zero ones among them.
 
-    Every array formula runs once over the stack and is reduced per matrix;
-    the scalar tails run per matrix on Python floats. Correlation and the
-    first information correlation are undefined (NaN) when the
-    marginal distribution is concentrated on a single level.
+    The matrices lie flat, each row-major after the one before it; a
+    single matrix is viewed, not copied. The formulas run only at the
+    non-zero cells, taken once in layout order: their counts `c`, their
+    probabilities `p` (over their matrix's total `ns`), 0-based `row` and
+    `col`, 1-based `i` and `j`, and matrices.
+
+    Summation rule: each term is scattered into one zero buffer of the
+    layout, and each matrix's stretch of it is reduced as one np.sum of that
+    matrix alone would be. Zero cells add +0.0 in the layout's order, so
+    every sum has the bits of the term taken over all cells. No cell is
+    padded: zero padding regroups numpy's pairwise sums and moves their
+    last bits.
     """
-    k, ng, _ = p.shape
-    sums = _per_matrix_sums
-    i = np.arange(1, ng + 1, dtype=np.float64)
-    ii, jj = i[:, None], i[None, :]
-    pi = p.sum(axis=2)
-    mu = sums(ii * p)
+
+    def __init__(self, mats: list[np.ndarray]):
+        rows = mats[0].shape[0]
+        widths = np.array([m.shape[1] for m in mats])
+        sizes = rows * widths
+        ends = np.cumsum(sizes)
+        self.k, self.rows, self.cols = len(mats), rows, int(widths.max())
+        # matrices of one width are reduced as rows of a (k, cells) view
+        self.ends = None if (widths == widths[0]).all() else ends
+        flat = mats[0].reshape(-1) if len(mats) == 1 else np.concatenate([m.ravel() for m in mats])
+        self.buffer = np.zeros(flat.size)
+        self.at = np.flatnonzero(flat)
+        self.c = flat[self.at]
+        self.matrix = np.searchsorted(ends, self.at, side="right")
+        self.row, self.col = np.divmod(self.at - (ends - sizes)[self.matrix], widths[self.matrix])
+        self.i, self.j = self.row + 1.0, self.col + 1.0
+        # where each matrix ends among the non-zero cells
+        self.nonzero_ends = np.searchsorted(self.at, ends)
+        self.ns = self.sums(ns=lambda: self.c)["ns"]
+        self.p = self.c / self.ns[self.matrix]
+
+    def sums(self, **terms) -> dict[str, np.ndarray]:
+        """One np.sum per matrix of each named term (a callable giving its
+        value at every non-zero cell), over all cells of the layout. The
+        terms go one at a time through the zero buffer, which only the
+        non-zero cells ever overwrite."""
+        out = {}
+        for name, term in terms.items():
+            self.buffer[self.at] = term()
+            if self.ends is None:
+                out[name] = _per_matrix_sums(self.buffer.reshape(self.k, -1))
+            else:
+                out[name] = _split_sums(self.buffer, self.ends)
+        return out
+
+    def entropy_bits(self, p: np.ndarray) -> np.ndarray:
+        """Per matrix, the entropy in bits of `p`, positive at every
+        non-zero cell and only there."""
+        return -_split_sums(p * np.log2(p), self.nonzero_ends)
+
+    def squared_marginal_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per matrix, the sums of its squared row sums and of its squared
+        column sums. Counts are integers, so these are exact in any order
+        of summation, and narrower matrices' columns may be zero-extended."""
+        k, rows, cols = self.k, self.rows, self.cols
+        row_sums = np.bincount(self.matrix * rows + self.row, self.c, k * rows).reshape(k, rows)
+        col_sums = np.bincount(self.matrix * cols + self.col, self.c, k * cols).reshape(k, cols)
+        return (row_sums**2).sum(axis=1), (col_sums**2).sum(axis=1)
+
+
+def _glcm_batch(mats: list[np.ndarray]) -> list[dict[str, float]]:
+    """The 25 co-occurrence features of each symmetric count matrix of a
+    batch, normalized by its sum.
+
+    The per-cell terms run at the non-zero cells. The marginals, hx and
+    hxy2 are dense, and the scalar tails run per matrix on Python floats.
+    Correlation and the first information correlation are undefined (NaN)
+    when the marginal distribution is concentrated on a single level.
+    """
+    cells = _Cells(mats)
+    k, ng = cells.k, cells.rows
+    p, i, j, row, col = cells.p, cells.i, cells.j, cells.row, cells.col
+
+    # p in the zero buffer is the dense (k, ng, ng) stack of matrices
+    cells.buffer[cells.at] = p
+    pi = cells.buffer.reshape(k, ng, ng).sum(axis=2)
+    joint_maximum = cells.buffer.reshape(k, -1).max(axis=1)
+    marg = pi[:, :, None] * pi[:, None, :]
+    # log2(1.0) is +0.0, so a zero marginal cell adds +0.0 to hxy2
+    log_marg = np.log2(np.where(marg > 0, marg, 1.0))
+    hxy2 = -_per_matrix_sums(marg * log_marg)
+    log_marg = log_marg.reshape(-1)[cells.at]
 
     # p_minus[m, k] = P(|i-j| = k), p_plus[m, k] = P(i+j = k+2): one bincount
-    # each, matrix m's bins offset past those of the matrices before it
-    abs_diff = np.abs(ii - jj).astype(np.int64)
-    ksum = (ii + jj).astype(np.int64) - 2
-    offsets = np.arange(k)[:, None, None]
-    p_minus = np.bincount(
-        (abs_diff + ng * offsets).ravel(), weights=p.ravel(), minlength=k * ng
-    ).reshape(k, ng)
-    p_plus = np.bincount(
-        (ksum + (2 * ng - 1) * offsets).ravel(), weights=p.ravel(), minlength=k * (2 * ng - 1)
-    ).reshape(k, 2 * ng - 1)
+    # each, matrix m's bins past those of the matrices before it
+    abs_diff, ksum = np.abs(row - col), row + col
+    p_minus = np.bincount(cells.matrix * ng + abs_diff, p, k * ng).reshape(k, ng)
+    p_plus = np.bincount(cells.matrix * (2 * ng - 1) + ksum, p, k * (2 * ng - 1)).reshape(k, -1)
     k_minus = np.arange(ng, dtype=np.float64)
     k_plus = np.arange(2, 2 * ng + 1, dtype=np.float64)
-    diff_avg = sums(k_minus * p_minus)
-    sum_avg = sums(k_plus * p_plus)
+    diff_avg = _per_matrix_sums(k_minus * p_minus)
+    sum_avg = _per_matrix_sums(k_plus * p_plus)
 
-    marg = pi[:, :, None] * pi[:, None, :]
-    log_marg = np.where(marg > 0, np.log2(np.where(marg > 0, marg, 1.0)), 0.0)
-    inv_var_terms = np.where(abs_diff > 0, p / np.where(abs_diff > 0, abs_diff, 1) ** 2, 0.0)
+    mu = cells.sums(mu=lambda: i * p)["mu"]
     # i + j - 2 mu takes one value per sum i + j, so each power is taken
     # once per value and gathered: the same operands, hence the same bits,
     # as the power of every cell
     cluster = k_plus - (2 * mu)[:, None]
-
     columns = {
-        "joint_maximum": p.reshape(k, -1).max(axis=1),
+        "joint_maximum": joint_maximum,
         "joint_average": mu,
-        "joint_variance": sums((ii - mu[:, None, None]) ** 2 * p),
-        "joint_entropy": _entropy_bits(p),
+        "joint_entropy": cells.entropy_bits(p),
         "difference_average": diff_avg,
-        "difference_variance": sums((k_minus - diff_avg[:, None]) ** 2 * p_minus),
+        "difference_variance": _per_matrix_sums((k_minus - diff_avg[:, None]) ** 2 * p_minus),
         "difference_entropy": _entropy_bits(p_minus),
         "sum_average": sum_avg,
-        "sum_variance": sums((k_plus - sum_avg[:, None]) ** 2 * p_plus),
+        "sum_variance": _per_matrix_sums((k_plus - sum_avg[:, None]) ** 2 * p_plus),
         "sum_entropy": _entropy_bits(p_plus),
-        "angular_second_moment": sums(p * p),
-        "contrast": sums((ii - jj) ** 2 * p),
-        "dissimilarity": sums(np.abs(ii - jj) * p),
-        "inverse_difference": sums(p / (1.0 + np.abs(ii - jj))),
-        "inverse_difference_normalised": sums(p / (1.0 + np.abs(ii - jj) / ng)),
-        "inverse_difference_moment": sums(p / (1.0 + (ii - jj) ** 2)),
-        "inverse_difference_moment_normalised": sums(p / (1.0 + (ii - jj) ** 2 / ng**2)),
-        "inverse_variance": sums(inv_var_terms),
-        "autocorrelation": sums(ii * jj * p),
-        "cluster_tendency": sums((cluster**2)[:, ksum] * p),
-        "cluster_shade": sums((cluster**3)[:, ksum] * p),
-        "cluster_prominence": sums((cluster**4)[:, ksum] * p),
         "hx": _entropy_bits(pi),
-        "hxy1": -sums(np.where(p > 0, p * log_marg, 0.0)),
-        "hxy2": -sums(np.where(marg > 0, marg * log_marg, 0.0)),
+        "hxy2": hxy2,
     }
-    rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+    columns.update(
+        cells.sums(
+            joint_variance=lambda: (i - mu[cells.matrix]) ** 2 * p,
+            angular_second_moment=lambda: p * p,
+            contrast=lambda: (i - j) ** 2 * p,
+            dissimilarity=lambda: np.abs(i - j) * p,
+            inverse_difference=lambda: p / (1.0 + np.abs(i - j)),
+            inverse_difference_normalised=lambda: p / (1.0 + np.abs(i - j) / ng),
+            inverse_difference_moment=lambda: p / (1.0 + (i - j) ** 2),
+            inverse_difference_moment_normalised=lambda: p / (1.0 + (i - j) ** 2 / ng**2),
+            inverse_variance=lambda: np.where(abs_diff > 0, p / np.maximum(abs_diff, 1) ** 2, 0.0),
+            autocorrelation=lambda: i * j * p,
+            cluster_tendency=lambda: (cluster**2)[cells.matrix, ksum] * p,
+            cluster_shade=lambda: (cluster**3)[cells.matrix, ksum] * p,
+            cluster_prominence=lambda: (cluster**4)[cells.matrix, ksum] * p,
+            hxy1=lambda: p * log_marg,
+        )
+    )
+    rows = [dict(zip(columns, values)) for values in zip(*(v.tolist() for v in columns.values()))]
 
     for f in rows:
-        hx, hxy1, hxy2 = f.pop("hx"), f.pop("hxy1"), f.pop("hxy2")
-        mu_m, joint_var, hxy = f["joint_average"], f["joint_variance"], f["joint_entropy"]
-        f["correlation"] = (
-            (f["autocorrelation"] - mu_m * mu_m) / joint_var if joint_var > 0 else math.nan
-        )
+        hx, hxy1, hxy2 = f.pop("hx"), -f.pop("hxy1"), f.pop("hxy2")
+        mu_m, var, hxy = f["joint_average"], f["joint_variance"], f["joint_entropy"]
+        f["correlation"] = (f["autocorrelation"] - mu_m * mu_m) / var if var > 0 else math.nan
         f["information_correlation_1"] = (hxy - hxy1) / hx if hx > 0 else math.nan
         f["information_correlation_2"] = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - hxy))))
     return rows
 
 
-def glcm_features_from_matrix(p: np.ndarray) -> dict[str, float]:
-    """The 25 co-occurrence features from one normalized symmetric matrix."""
-    return _glcm_batch(p[None])[0]
+def glcm_features_from_matrix(counts: np.ndarray) -> dict[str, float]:
+    """The 25 co-occurrence features of one symmetric matrix of pair counts
+    or probabilities: it is normalized by its own sum first."""
+    return _glcm_batch([counts])[0]
 
 
 def _aggregate_directional(
@@ -196,107 +258,19 @@ def _aggregate_directional(
     return {"dir_avg": avg_features, "dir_merged": merged_result}
 
 
-def _glcm_counts_batch(mats: list[np.ndarray]) -> list[dict[str, float]]:
-    counts = _stack(mats)
-    return _glcm_batch(counts / _per_matrix_sums(counts)[:, None, None])
-
-
 def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
     """25 base features under dir_avg and dir_merged aggregation (50 total),
     NaN where undefined: every feature when no direction has a pair."""
     return _aggregate_directional(
-        glcm_matrices(d), lambda mats: _in_batches(mats, _glcm_counts_batch), GLCM_NAMES
+        glcm_matrices(d), lambda mats: _in_batches(mats, _glcm_batch), GLCM_NAMES
     )
-
-
-class _Cells:
-    """The cells of a batch of count matrices with a shared row count, and
-    the non-zero ones among them.
-
-    Matrices of one width are stacked as a C-contiguous (k, rows, cols)
-    array. Matrices of several widths are concatenated flat, row-major
-    each, and their terms are written as rows of one block. No cell is
-    padded: zero padding regroups numpy's pairwise sums and moves their
-    last bits.
-
-    The formulas run only at the non-zero cells, taken once in layout
-    order: their counts `c`, 1-based rows `i` and columns `j`, and
-    matrices. A zero cell adds exactly +0.0 to every term, so each term is
-    scattered into a zero buffer shaped like the layout and reduced there:
-    every sum sees, element by element, the array a term over all cells
-    would give, and keeps its bits.
-    """
-
-    def __init__(self, mats: list[np.ndarray]):
-        rows = mats[0].shape[0]
-        widths = np.array([m.shape[1] for m in mats])
-        sizes = rows * widths
-        ends = np.cumsum(sizes)
-        self.k = len(mats)
-        self.rows = rows
-        self.cols = int(widths.max())
-        if (widths == widths[0]).all():
-            self.layout = _stack(mats)
-            self.ends = None
-            self.buffer = np.zeros(self.layout.shape)
-        else:
-            self.layout = np.concatenate([m.ravel() for m in mats])
-            self.ends = ends
-        flat = self.layout.reshape(-1)
-        self.at = np.flatnonzero(flat)
-        self.c = flat[self.at]
-        self.matrix = np.searchsorted(ends, self.at, side="right")
-        cell = self.at - (ends - sizes)[self.matrix]
-        width = widths[self.matrix]
-        self.row = cell // width
-        self.col = cell % width
-        self.i = (self.row + 1).astype(np.float64)
-        self.j = (self.col + 1).astype(np.float64)
-        # where each matrix ends among the non-zero cells
-        self.nonzero_ends = np.searchsorted(self.at, ends)
-
-    def sums(self, **terms) -> dict[str, np.ndarray]:
-        """One np.sum per matrix of each named term (a callable giving its
-        value at every non-zero cell), over all cells of the layout.
-
-        A stack scatters one term at a time into one zero buffer, which its
-        non-zero cells alone ever overwrite, so a single wide matrix holds
-        one buffer and one term's cells. Concatenated matrices, at most
-        BATCH_CELLS cells, scatter every term into a row of one zero block
-        and reduce each matrix's columns of it in one call.
-        """
-        if self.ends is None:
-            out = {}
-            for name, term in terms.items():
-                self.buffer.reshape(-1)[self.at] = term()
-                out[name] = _per_matrix_sums(self.buffer)
-            return out
-        block = np.zeros((len(terms), self.layout.size))
-        for row, term in zip(block, terms.values()):
-            row[self.at] = term()
-        return dict(zip(terms, _split_sums(block, self.ends).T))
-
-    def each(self, v: np.ndarray) -> np.ndarray:
-        """A per-matrix value at every non-zero cell."""
-        return v[self.matrix]
-
-    def squared_marginal_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per matrix, the sums of its squared row sums and of its squared
-        column sums. Counts are integers, so these are exact in any order
-        of summation, and narrower matrices' columns may be zero-extended."""
-        k, rows, cols = self.k, self.rows, self.cols
-        row_sums = np.bincount(self.matrix * rows + self.row, self.c, k * rows).reshape(k, rows)
-        col_sums = np.bincount(self.matrix * cols + self.col, self.c, k * cols).reshape(k, cols)
-        return (row_sums**2).sum(axis=1), (col_sums**2).sum(axis=1)
 
 
 def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict[str, float]]:
     """The level-by-magnitude emphasis formulas of each count matrix of a
     batch, each matrix's percentage taken over its entry of `n_voxels`."""
     cells = _Cells(mats)
-    c, i, j = cells.c, cells.i, cells.j
-    ns = cells.sums(ns=lambda: c)["ns"]
-    p = c / cells.each(ns)
+    ns, p, i, j = cells.ns, cells.p, cells.i, cells.j
     level_sq, magnitude_sq = cells.squared_marginal_sums()
     mu = cells.sums(i=lambda: i * p, j=lambda: j * p)
 
@@ -309,8 +283,8 @@ def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict
         small_high_emphasis=lambda: p * i * i / (j * j),
         large_low_emphasis=lambda: p * j * j / (i * i),
         large_high_emphasis=lambda: p * i * i * j * j,
-        level_variance=lambda: (i - cells.each(mu["i"])) ** 2 * p,
-        magnitude_variance=lambda: (j - cells.each(mu["j"])) ** 2 * p,
+        level_variance=lambda: (i - mu["i"][cells.matrix]) ** 2 * p,
+        magnitude_variance=lambda: (j - mu["j"][cells.matrix]) ** 2 * p,
         energy=lambda: p * p,
     )
     columns.update(
@@ -319,8 +293,7 @@ def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict
         magnitude_non_uniformity=magnitude_sq / ns,
         magnitude_non_uniformity_normalised=magnitude_sq / ns**2,
         percentage=ns / n_voxels,
-        # p is positive at every non-zero cell, and only there
-        entropy=-_split_sums(p * np.log2(p), cells.nonzero_ends),
+        entropy=cells.entropy_bits(p),
     )
     return [dict(zip(columns, values)) for values in zip(*(v.tolist() for v in columns.values()))]
 

@@ -32,3 +32,15 @@ def test_running_versions_match_themselves():
     assert check.version_mismatches(running) == []
     stale = dict(running, scipy="0.1")
     assert check.version_mismatches(stale) == [f"scipy {scipy.__version__} (digests recorded with 0.1)"]
+
+
+def test_differing_output_is_kept_and_a_matching_one_cleared(tmp_path):
+    run_dir, kept = tmp_path / "extract_small", tmp_path / "kept"
+    run_dir.mkdir()
+    (run_dir / "out.csv").write_bytes(b"patient_id,x\nS000,1\n")
+    path = check.keep_output("extract_small", run_dir, True, kept)
+    assert path == kept / "extract_small.csv"
+    assert path.read_bytes() == b"patient_id,x\nS000,1\n"
+    assert check.keep_output("extract_small", run_dir, False, kept) is None
+    assert not path.exists()
+    assert check.keep_output("extract_large", run_dir, False, kept) is None

@@ -8,6 +8,7 @@ of a zero), and the engine's NaN names must be the reference's flags.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,11 +103,14 @@ def test_one_voxel_roi_has_no_pairs():
     check(d)
 
 
-def test_1024_levels():
+# at 80 levels the 14 GLCMs of 6 400 cells exceed BATCH_CELLS and split into
+# batches of several matrices; at 1 024 levels each matrix is a batch
+@pytest.mark.parametrize("ng", [80, 1024])
+def test_1024_levels(ng):
     rng = np.random.default_rng(11)
-    levels = rng.integers(1, 1025, (6, 5, 4))
-    levels[0, 0, 0] = 1024
-    check(disc(levels, rng.random((6, 5, 4)) < 0.8, 1024))
+    levels = rng.integers(1, ng + 1, (6, 5, 4))
+    levels[0, 0, 0] = ng
+    check(disc(levels, rng.random((6, 5, 4)) < 0.8, ng))
 
 
 def test_wide_run_matrices_of_several_widths():

@@ -11,18 +11,22 @@ reads. The timed benchmark checks only the patients its seed picks; this
 checks all of them.
 
 Exit status: 0 when every block matches; 1 when any block differs, with the
-differing patients listed; 2 when Python, numpy or scipy is not the version
-the digests were recorded with, since the bytes are only comparable there.
+differing patients listed and the workload's output kept at
+.perfbench_results/pool-digests/<workload>.csv to read the moved rows from;
+2 when Python, numpy or scipy is not the version the digests were recorded
+with, since the bytes are only comparable there.
 """
 from __future__ import annotations
 
 import os
 import platform
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+KEPT = ROOT / ".perfbench_results" / "pool-digests"
 
 
 def pools(inputs) -> dict[str, list]:
@@ -46,6 +50,19 @@ def differing_patients(got: dict, want: dict) -> list[str]:
     """Patients whose block differs from, or is missing in, either side."""
     pids = list(want["patients"]) + [p for p in got["patients"] if p not in want["patients"]]
     return [p for p in pids if got["patients"].get(p) != want["patients"].get(p)]
+
+
+def keep_output(name: str, run_dir: Path, differs: bool, kept: Path = KEPT) -> Path | None:
+    """Copy a differing workload's out.csv from its run directory, which is
+    temporary, to <kept>/<name>.csv and return that path. A matching
+    workload's copy from an earlier check is removed."""
+    target = kept / f"{name}.csv"
+    if not differs:
+        target.unlink(missing_ok=True)
+        return None
+    kept.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(run_dir / "out.csv", target)
+    return target
 
 
 def main() -> int:
@@ -79,6 +96,9 @@ def main() -> int:
             differing_blocks += len(problems)
             status = "ok" if not problems else "DIFFERS: " + " ".join(problems)
             print(f"{name}: {len(want['patients'])} patients, {status}")
+            kept = keep_output(name, Path(tmp) / name, bool(problems))
+            if kept:
+                print(f"{name}: rows kept at {kept.relative_to(ROOT)}")
     print(f"{differing_blocks} differing blocks")
     return 1 if differing_blocks else 0
 
