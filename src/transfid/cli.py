@@ -113,17 +113,25 @@ def cmd_metrics(args) -> int:
     return _run_cohort(args, header, _metric_rows, want_features=False)
 
 
-def _number(cell: str, column: str, path: str, line: int, *, nan_ok: bool = False) -> float:
-    """`float(cell)`, or a data error naming the cell. A metric cell may be
-    infinite (`metrics` writes PSNR inf when MSE is 0) but never NaN, which
-    would leave the network ranking to row order."""
+def _number(cell: str, column: str, path: str, line: int) -> float:
+    """`float(cell)`, or a data error naming the cell."""
     try:
-        value = float(cell)
-        if nan_ok or not math.isnan(value):
-            return value
+        return float(cell)
     except ValueError:
-        pass
-    raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}")
+        raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}") from None
+
+
+def _metric(cell: str, column: str, path: str, line: int) -> float:
+    """A metric cell as `metrics` writes it: finite, or inf in psnr (PSNR when
+    MSE is 0). NaN would leave the network ranking to row order, and one
+    infinite MAE, MSE or SSIM would set its network's mean alone."""
+    value = _number(cell, column, path, line)
+    if math.isfinite(value) or (column == "psnr" and value == math.inf):
+        return value
+    if math.isnan(value):
+        raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}")
+    allowed = "finite or inf" if column == "psnr" else "finite"
+    raise TransfidError(f"{path}, line {line}: {column} must be {allowed}, got {cell!r}")
 
 
 _EMPTY_AS_NAN = {"": "nan"}  # .get(cell, cell) turns '' into 'nan', any other cell into itself
@@ -137,7 +145,7 @@ def _feature_values(cells: tuple[str, ...], path: str, line: int) -> np.ndarray:
     except ValueError:
         for key, cell in zip(ALL_FEATURE_KEYS, cells):
             if cell:
-                _number(cell, key, path, line, nan_ok=True)
+                _number(cell, key, path, line)
         raise
 
 
@@ -189,7 +197,7 @@ def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
                     f"{path}, line {line}: duplicate row for patient {pid!r}, network {network!r}"
                 )
             metrics[(pid, network)] = MetricSet(
-                **{name: _number(row[index[name]], name, path, line) for name in METRICS}
+                **{name: _metric(row[index[name]], name, path, line) for name in METRICS}
             )
     return metrics
 

@@ -97,14 +97,70 @@ def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0, mask: RoiMask | None = Non
     return _psnr_db(mse(a, b, mask), peak)
 
 
-def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # imported here, as at every scipy call site: `analyze` loads this
-    # module through config and must not pay for scipy.ndimage
-    from scipy.ndimage import correlate1d
+# planes of axis 0 per slab of `_windowed_sums`, chosen by timing 128x128x64
+# grids: a slab's buffers then stay in cache through its three passes
+SLAB_PLANES = 4
 
-    out = arr
-    for axis in range(3):
-        out = correlate1d(out, taps, axis=axis, mode="constant", cval=0.0)
+
+def _correlate(src: np.ndarray, taps: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = the symmetric `taps` along `axis` of `src`, which holds h = len(taps) // 2
+    more entries than `out` on each side of that axis; `tmp` is scratch of out's shape."""
+    h = len(taps) // 2
+    n = out.shape[axis]
+    lead = (slice(None),) * axis
+
+    def shifted(j: int) -> np.ndarray:
+        return src[lead + (slice(h + j, h + j + n),)]
+
+    np.multiply(shifted(0), taps[h], out=out)
+    for j in range(h, 0, -1):
+        np.add(shifted(-j), shifted(j), out=tmp)
+        tmp *= taps[h - j]
+        out += tmp
+
+
+def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The separable sums of `taps` along axes 0, 1 and 2 of `arr`, zero outside it.
+
+    Every voxel gets the operations of scipy.ndimage.correlate1d(mode="constant",
+    cval=0.0) applied along axes 0, 1 and 2 in turn, in the same order, so the
+    bits are the same: correlate1d's symmetric kernel writes x[0] * taps[h] and
+    then adds (x[-j] + x[+j]) * taps[h - j] for j = h down to 1, where h is
+    the window's half-width and cells outside the array read +0.0.
+
+    The passes run through axis 0 a slab of SLAB_PLANES planes at a time. Each
+    pass reads a zero-padded buffer that is reused from slab to slab, and the
+    last one lays the slab's rows end to end with their pad columns between
+    them, so that its shifts are slices of one contiguous array. Its results
+    at the pad columns mix neighbouring rows and are dropped.
+    """
+    h = len(taps) // 2
+    nz, ny, nx = arr.shape
+    pitch = nx + 2 * h
+    out = np.empty(arr.shape)
+    s = min(SLAB_PLANES, nz)
+    deep = np.empty((s + 2 * h, ny, nx))  # a slab's axis-0 source at an end of the grid
+    wide = np.zeros((s, ny + 2 * h, nx))  # axis-0 sums, zero rows on both sides
+    rows = np.zeros(s * ny * pitch)  # axis-1 sums, zero columns on both sides
+    row_sums = np.empty(s * ny * pitch)  # axis-2 sums, at every column
+    scratch = np.empty(s * ny * pitch)
+    for z0 in range(0, nz, s):
+        k = min(s, nz - z0)
+        lo, hi = z0 - h, z0 + k + h
+        if lo >= 0 and hi <= nz:
+            src = arr[lo:hi]
+        else:
+            part = arr[max(lo, 0) : hi]
+            src = deep[: k + 2 * h]
+            src.fill(0.0)
+            src[max(0, -lo) : max(0, -lo) + len(part)] = part
+        tmp = scratch[: k * ny * nx].reshape(k, ny, nx)
+        _correlate(src, taps, 0, wide[:k, h : h + ny], tmp)
+        size = k * ny * pitch
+        flat = rows[:size]
+        _correlate(wide[:k], taps, 1, flat.reshape(k, ny, pitch)[:, :, h : h + nx], tmp)
+        _correlate(flat, taps, 0, row_sums[: size - 2 * h], scratch[: size - 2 * h])
+        out[z0 : z0 + k] = row_sums[:size].reshape(k, ny, pitch)[:, :, :nx]
     return out
 
 

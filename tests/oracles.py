@@ -701,6 +701,45 @@ def ssim3d(a, b, window=5, k1=0.01, k2=0.03, dynamic_range=1.0, sigma=1.5):
     return total / (dims[0] * dims[1] * dims[2])
 
 
+def gaussian_taps(window, sigma):
+    """The 1-D Gaussian taps of a (2 * window + 1)-wide SSIM window."""
+    i = np.arange(-window, window + 1, dtype=np.float64)
+    return np.exp(-(i * i) / (2.0 * sigma * sigma))
+
+
+def correlate1d_windowed_sums(values, taps):
+    """The separable window sums as three `scipy.ndimage.correlate1d` passes,
+    zero outside the grid."""
+    from scipy.ndimage import correlate1d
+
+    for axis in range(3):
+        values = correlate1d(values, taps, axis=axis, mode="constant", cval=0.0)
+    return values
+
+
+def correlate1d_ssim3d(a, b, mask=None, window=5, k1=0.01, k2=0.03, dynamic_range=1.0, sigma=1.5):
+    """SSIM from `correlate1d` window sums over the whole grid, nothing cached:
+    the reference for `transfid.iqa.ssim3d`, whose slab-wise sums and cached
+    moments must keep every bit of it."""
+    taps = gaussian_taps(window, sigma)
+
+    def sums(x):
+        return correlate1d_windowed_sums(x, taps)
+
+    weight = sums(np.ones(a.shape))
+    mu_a = sums(a) / weight
+    mu_b = sums(b) / weight
+    var_a = sums(a * a) / weight - mu_a * mu_a
+    var_b = sums(b * b) / weight - mu_b * mu_b
+    cov = sums(a * b) / weight - mu_a * mu_b
+    c1 = (k1 * dynamic_range) ** 2
+    c2 = (k2 * dynamic_range) ** 2
+    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_b + var_a + c2)
+    )
+    return float(np.mean(ssim_map if mask is None else ssim_map[mask]))
+
+
 def ranks(v):
     """Average ranks by counting: (number below) + (number equal + 1) / 2."""
     out = []

@@ -604,6 +604,28 @@ class TestAnalyzeInputHazards:
         assert code == 2
         assert f"{metrics}, line 5: ssim is not a number: {cell!r}" in err
 
+    # `metrics` writes no infinite MAE, MSE or SSIM, and one such cell would
+    # set its network's mean, and with it the top network, alone
+    @pytest.mark.parametrize("column, cell", [
+        ("mae", "inf"), ("mae", "-inf"), ("mse", "inf"), ("mse", "-Infinity"),
+        ("ssim", "inf"), ("ssim", "-inf"), ("ssim", "Infinity"),
+    ])
+    def test_infinite_metric_cell(self, tmp_path, capsys, column, cell):
+        cells = {"mae": "0.2", "mse": "0.04", "ssim": "0.8", "psnr": "14", column: cell}
+        code, err, _, metrics = self._run(
+            tmp_path, capsys, metrics_rows=[",".join(["p3", "synth_a", *cells.values()])]
+        )
+        assert code == 2
+        assert f"{metrics}, line 5: {column} must be finite, got {cell!r}" in err
+
+    def test_negative_infinite_psnr(self, tmp_path, capsys):
+        # PSNR is inf when MSE is 0; -inf would need an infinite MSE
+        code, err, _, metrics = self._run(
+            tmp_path, capsys, metrics_rows=["p3,synth_a,0.2,0.04,0.8,-inf"]
+        )
+        assert code == 2
+        assert f"{metrics}, line 5: psnr must be finite or inf, got '-inf'" in err
+
     def test_infinite_metric_cell_is_a_number(self, tmp_path, capsys):
         # `metrics` writes PSNR inf when MSE is 0
         features, metrics = write_analyze_inputs(tmp_path)
@@ -690,9 +712,8 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
-    """Each scipy call site imports what it uses: `analyze` loads no scipy
-    at all, and `metrics` loads scipy.ndimage for SSIM but not the
-    radiomics modules' scipy.sparse or scipy.fft."""
+    """Each scipy call site imports what it uses, and only extraction has
+    any: `analyze` and `metrics` load no scipy module at all."""
     assert _scipy_modules_after("import transfid.cli") == []
 
     features, metrics = write_analyze_inputs(tmp_path)
@@ -708,5 +729,4 @@ def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
         "--out", str(tmp_path / "m.csv"), "--jobs", "1",
     ]
     loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_metrics!r}) == 0")
-    assert "scipy.ndimage" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.fft"))]
+    assert loaded == []

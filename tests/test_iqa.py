@@ -1,6 +1,7 @@
 """MAE, MSE, PSNR, SSIM, and cohort summaries."""
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -281,6 +282,66 @@ class TestSharedOriginal:
                 ssim=ssim3d(a, b, SsimParams(window=2), mask),
                 psnr=psnr(a, b, 0.5, mask),
             )
+
+
+class TestWindowedSums:
+    """The slab-wise window sums keep every bit of scipy's correlate1d."""
+
+    SHAPES = [
+        (3, 20, 17),  # an axis shorter than the taps
+        (19, 2, 23),
+        (21, 18, 1),
+        (iqa.SLAB_PLANES - 1, 15, 14),  # a first axis shorter than one slab
+        (1, 12, 13),
+        (3 * iqa.SLAB_PLANES + 1, 16, 11),  # not a multiple of the slab height
+        (5 * iqa.SLAB_PLANES - 1, 9, 24),
+        (4 * iqa.SLAB_PLANES, 13, 10),
+    ]
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_bits_equal_correlate1d(self, window):
+        rng = np.random.default_rng(window)
+        for shape in self.SHAPES:
+            for sigma in (0.3, 0.9, 1.5, 3.0):
+                taps = oracles.gaussian_taps(window, sigma)
+                for magnitude in (1e-5, 1.0, 1e5):
+                    values = rng.random(shape) * magnitude
+                    got = iqa._windowed_sums(values, taps)
+                    assert np.array_equal(got, oracles.correlate1d_windowed_sums(values, taps))
+
+    def test_ssim3d_bits_equal_the_correlate1d_reference(self, rng):
+        dims = (2 * iqa.SLAB_PLANES + 5, 14, 13)
+        flags = rng.random(dims) < 0.3
+        for window, sigma in ((5, 1.5), (2, 0.8), (3, 2.5)):
+            params = SsimParams(window=window, sigma=sigma, k2=0.05)
+            a = make_volume(rng.random(dims))
+            b = make_volume(np.clip(a.values + rng.normal(0, 0.1, dims), 0, 1))
+            for mask in (None, flags):
+                got = ssim3d(a, b, params, None if mask is None else make_mask(mask))
+                expected = oracles.correlate1d_ssim3d(
+                    a.values, b.values, mask, window, params.k1, params.k2, params.dynamic_range, sigma
+                )
+                assert float.hex(got) == float.hex(expected)
+
+    def test_memory_bound(self, rng):
+        # no whole-grid padded copy: that would read 5.72 and 2.72 maps
+        dims = (64, 48, 40)
+        a = make_volume(rng.random(dims))
+        b = make_volume(rng.random(dims))
+        map_bytes = a.values.nbytes
+        ssim3d(a, b)  # the weights and the original's moments are cached from here on
+        taps, _ = iqa._window_geometry(dims, SsimParams().window, SsimParams().sigma)
+        tracemalloc.start()
+        try:
+            ssim3d(a, b)
+            ssim_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            iqa._windowed_sums(a.values, taps)
+            sums_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ssim_peak <= 5.0 * map_bytes
+        assert sums_peak <= 2.0 * map_bytes
 
 
 class TestOverflow:
