@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -153,14 +154,36 @@ def run_pipeline(
     """Process all patients in manifest order, on at most `jobs` workers.
 
     The pool gets no more workers than there are patients: it starts all
-    of them at the first task.
+    of them at the first task. A worker that dies (an out-of-memory kill,
+    say) breaks the whole pool, and every patient still unfinished then
+    runs again alone (`_alone`), so only a patient whose own worker dies
+    is lost; every result that came in before the break is kept.
     """
     work = partial(process_patient, config=config, want_features=want_features, want_metrics=want_metrics)
     workers = min(jobs, len(records))
     if workers <= 1:
         return [work(r) for r in records]
+    results: list[PatientResult | None] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, records))
+        for future in [pool.submit(work, r) for r in records]:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(None)
+    return [_alone(work, r) if result is None else result for r, result in zip(records, results)]
+
+
+def _alone(work, record: PatientRecord) -> PatientResult:
+    """`work(record)` in a fresh one-worker pool; the patient is excluded
+    with `WorkerDied` if that worker dies too."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(work, record).result()
+        except BrokenProcessPool:
+            return PatientResult(
+                error="WorkerDied: the worker process died on this patient, also when run alone "
+                "(killed by a signal: out of memory?)"
+            )
 
 
 def build_cohort(

@@ -9,7 +9,6 @@ import math
 import operator
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +297,9 @@ def cmd_phantom(args) -> int:
 
 
 def _selftest_golden() -> dict:
+    # imported here: importlib.resources costs every other command 10-25 ms at start-up
+    from importlib import resources
+
     with resources.files("transfid.data").joinpath("selftest_golden.json").open("r") as fh:
         return json.load(fh)
 

@@ -19,19 +19,40 @@ def nearest_rank_percentile(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(idx, n - 1)])
 
 
+def fast_length(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= n: the FFT length
+    `scipy.fft.next_fast_len(n, real=True)` picks for a real transform."""
+    n = int(n)
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     """`values -> scipy.signal.fftconvolve(values, kernel, mode="same")` for
-    real arrays `values` of `shape`, made of the same `scipy.fft` calls and so
-    bit-identical. The kernel's spectrum is taken here, once, so each call
-    costs one `rfftn` and one `irfftn`. The result is a view into the
-    inverse transform's output, which is not copied out.
+    real arrays `values` of `shape`, bit-identical to it but made of
+    `numpy.fft` calls, so that extraction loads no scipy. The kernel's
+    spectrum is taken here, once, so each call costs one forward and one
+    inverse transform. The result is a view into the inverse transform's
+    output, which is not copied out.
 
-    Importing scipy.signal takes 0.6-1.1 s and scipy.fft about 0.2 s, so
-    scipy.fft is imported here, on the first local-intensity call, and no
-    command pays for it at start-up.
+    Both libraries run pocketfft one axis at a time, so the bits follow
+    from the order of the axes and of the scaling, which are scipy's:
+    forward, the last transformed axis real-to-complex, then the others in
+    increasing order; inverse, the others in increasing order unscaled,
+    the last one complex-to-real, then times 1/N, N the product of the FFT
+    lengths and 1/N rounded from long double. numpy's own `rfftn` takes
+    the axes the other way round, which moves bits. Each transform runs in
+    place on a zero-padded buffer and only on the lines the result needs:
+    lines of zeros, or lines outside the "same" window once their axis is
+    transformed back, are left alone, which keeps each line's bits.
     """
-    from scipy import fft
-
     ndim = len(shape)
     # an axis where either side has length 1 is broadcast in the product, not transformed
     axes = [a for a in range(ndim) if shape[a] != 1 and kernel.shape[a] != 1]
@@ -42,14 +63,38 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     same = tuple(slice(b, b + s) for b, s in zip(start, shape))
     if not axes:
         return lambda values: (values * kernel)[same]
-    fshape = [fft.next_fast_len(full[a], True) for a in axes]
-    spectrum = fft.rfftn(kernel, fshape, axes=axes)
-    linear = tuple(slice(n) for n in full)
+    length = {a: fast_length(full[a]) for a in axes}
+    last = axes[-1]
+    scale = float(1 / np.longdouble(math.prod(length.values())))
+    # values as wide as the kernel on an untransformed axis, so the product fits their buffer
+    wide = tuple(full[a] if a not in axes else shape[a] for a in range(ndim))
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        size = [length[a] if a in axes else n for a, n in enumerate(x.shape)]
+        size[last] = length[last] // 2 + 1
+        out = np.zeros(size, dtype=np.complex128)
+        lines = [slice(n) for n in x.shape]
+        lines[last] = slice(None)
+        np.fft.rfft(x, length[last], axis=last, out=out[tuple(lines)])
+        for a in axes[:-1]:
+            lines[a] = slice(None)
+            view = out[tuple(lines)]
+            np.fft.fft(view, axis=a, out=view)
+        return out
+
+    spectrum = forward(kernel)
 
     def convolve(values: np.ndarray) -> np.ndarray:
-        # the product is a temporary, so the inverse may transform it in place
-        product = fft.rfftn(values, fshape, axes=axes) * spectrum
-        return fft.irfftn(product, fshape, axes=axes, overwrite_x=True)[linear][same]
+        product = forward(np.broadcast_to(values, wide))
+        product *= spectrum
+        lines = [slice(None) if a in axes else same[a] for a in range(ndim)]
+        for a in axes[:-1]:
+            view = product[tuple(lines)]
+            np.fft.ifft(view, axis=a, norm="forward", out=view)
+            lines[a] = same[a]
+        out = np.fft.irfft(product[tuple(lines)], length[last], axis=last, norm="forward")
+        out *= scale
+        return out[(slice(None),) * last + (same[last],)]
 
     return convolve
 

@@ -23,8 +23,8 @@ of the grid. The mask-only arrays they read, the border distance and
 NGTDM's neighbour counts, are cached properties of that box mask, kept for
 ROI voxels only and built once per patient. Local intensity, which is not
 built here, stays on the whole grid on purpose: the grid sets its FFT size
-and so its bits. `zone_matrices` imports scipy itself, so that importing
-this module, which every command does, loads no scipy.
+and so its bits. No builder uses scipy: the zones' connected components
+are found in numpy (`connected_labels`), so extraction loads no scipy.
 """
 from __future__ import annotations
 
@@ -128,31 +128,59 @@ def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarr
     return np.concatenate(heads), np.concatenate(tails)
 
 
+def connected_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, rounds): the connected component of each of `n` nodes of
+    the undirected graph with int32 edges heads[i] -- tails[i], numbered in
+    order of each component's first node, as scipy's `connected_components`
+    numbers them, and the number of hooking rounds it took.
+
+    Every node starts as its own root, and every edge joins two roots.
+    Each round hooks the larger root of each edge onto its smallest
+    neighbouring root (`np.minimum.at`), points every node at its new root
+    by pointer jumping, moves each edge's ends to their roots and drops the
+    edges whose ends now agree. Parents only ever decrease, so each root is
+    its component's first node. A graph of zones takes a few rounds: 5 on
+    a 313 920-voxel ROI with 850 098 edges.
+    """
+    parent = np.arange(n, dtype=np.int32)
+    rounds = 0
+    while heads.size:
+        rounds += 1
+        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
+        while True:
+            up = np.take(parent, parent)  # for an int32 index, take is about twice [] here
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        heads = np.take(parent, heads)
+        tails = np.take(parent, tails)
+        apart = heads != tails
+        heads = heads[apart]
+        tails = tails[apart]
+    labels = np.cumsum(parent == np.arange(n, dtype=np.int32), dtype=np.int32) - 1
+    return np.take(labels, parent), rounds
+
+
 def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """(GLSZM, GLDZM): 26-connected equal-level zones tallied by size and
     by minimum border distance.
 
     ROI voxels are numbered in flat order; the equal-level pairs of the 13
-    directions are the edges of one graph whose connected components are
-    the zones of every level at once.
+    directions are the edges of one graph whose connected components
+    (`connected_labels`) are the zones of every level at once.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     m = d.mask.flags
     n = d.mask.voxel_count
     index = np.full(d.dims, -1, dtype=np.int32)
     index[m] = np.arange(n, dtype=np.int32)
-    heads, tails = equal_level_edges(d, index)
-    graph = coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n))
-    n_zones, zone_of = connected_components(graph, directed=False)
+    zone_of, _ = connected_labels(n, *equal_level_edges(d, index))
 
-    sizes = np.bincount(zone_of, minlength=n_zones)
+    sizes = np.bincount(zone_of)
     border = d.mask.border_distance
     # in the border's own dtype: a cast would take np.minimum.at off its fast path
-    dists = np.full(n_zones, np.iinfo(border.dtype).max, dtype=border.dtype)
+    dists = np.full(sizes.size, np.iinfo(border.dtype).max, dtype=border.dtype)
     np.minimum.at(dists, zone_of, border)
-    levels = np.empty(n_zones, dtype=np.int64)
+    levels = np.empty(sizes.size, dtype=np.int64)
     levels[zone_of] = d.levels[m]
     return _tally(levels, sizes, d.ng), _tally(levels, dists, d.ng)
 

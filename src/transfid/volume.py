@@ -153,12 +153,20 @@ def roi_border_distance(flags: np.ndarray) -> np.ndarray:
     """City-block distance from each ROI voxel, in C order, to the nearest
     voxel outside the ROI, counting the grid border as outside (minimum 1).
 
-    The scipy import is made here, on the first call, so that importing
-    this module loads no scipy.
+    The city-block metric is separable: a forward and a backward min-plus
+    pass along each axis in turn, d[k] = min(d[k], d[k -/+ 1] + 1) on
+    int32, give exactly the values of scipy's
+    `distance_transform_cdt(metric="taxicab")` on the padded mask.
     """
-    from scipy import ndimage
-
-    dist = ndimage.distance_transform_cdt(np.pad(flags, 1), metric="taxicab")[1:-1, 1:-1, 1:-1][flags]
+    dist = np.pad(flags, 1).astype(np.int32)
+    dist *= sum(dist.shape)  # farther than any voxel of the padded grid
+    for axis in range(3):
+        planes = np.moveaxis(dist, axis, 0)
+        for k in range(1, len(planes)):
+            np.minimum(planes[k], planes[k - 1] + 1, out=planes[k])
+        for k in range(len(planes) - 2, -1, -1):
+            np.minimum(planes[k], planes[k + 1] + 1, out=planes[k])
+    dist = dist[1:-1, 1:-1, 1:-1][flags]
     return dist.astype(np.min_scalar_type(dist.max()))
 
 

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,17 @@ from transfid.radiomics import ALL_FEATURE_KEYS
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
 PHANTOM7_SHA256 = "dec66bd39cc20943ae1ce8edad05d2b4506223b48aa8bb8d57b8a768465b9d6d"
+
+
+_process_patient = analysis.process_patient
+
+
+def _die_for(patients, record, *args, **kwargs):
+    """`process_patient`, except that for `patients` the worker process
+    ends at once with status 137, as an out-of-memory kill looks to the pool."""
+    if record.patient_id in patients:
+        os._exit(137)
+    return _process_patient(record, *args, **kwargs)
 
 
 @pytest.fixture
@@ -124,8 +137,10 @@ class TestPipeline:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr("transfid.analysis.ProcessPoolExecutor", RecordingPool)
         manifest, config = cohort
@@ -135,6 +150,36 @@ class TestPipeline:
                 "--out", str(tmp_path / "m.csv"), "--jobs", jobs,
             ]) == 0
         assert started == [2, 2]
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    def test_a_dying_worker_costs_its_own_patient_only(self, tmp_path, cohort, monkeypatch, capfd, command):
+        manifest, config = cohort
+        argv = [command, "--manifest", str(manifest), "--config", str(config), "--jobs", "2"]
+        assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
+
+        monkeypatch.setattr(analysis, "process_patient", partial(_die_for, {"p1"}))
+        capfd.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        err = capfd.readouterr().err
+        assert "warning: excluded patient p1: WorkerDied: " in err
+        assert "p0" not in err and "Traceback" not in err
+        # p0 keeps every byte of its rows, whether or not its first worker was lost with p1's
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+        assert (tmp_path / "out.csv").read_text().splitlines() == [r for r in clean if not r.startswith("p1,")]
+
+    def test_every_worker_dying_exits_2_without_a_traceback(self, tmp_path, cohort, monkeypatch, capfd):
+        manifest, config = cohort
+        monkeypatch.setattr(analysis, "process_patient", partial(_die_for, {"p0", "p1"}))
+        assert main([
+            "extract", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"), "--jobs", "2",
+        ]) == 2
+        err = capfd.readouterr().err
+        for pid in ("p0", "p1"):
+            assert f"warning: excluded patient {pid}: WorkerDied: " in err
+        assert "transfid: error: no patient could be processed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_crop_config_flows_through_extract(self, tmp_path, cohort):
         manifest, _ = cohort
@@ -712,8 +757,9 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
-    """Each scipy call site imports what it uses, and only extraction has
-    any: `analyze` and `metrics` load no scipy module at all."""
+    """No command loads any scipy module, at start-up or while it runs:
+    `analyze`, `metrics` and `extract` (in-process, at --jobs 1) run on
+    numpy alone."""
     assert _scipy_modules_after("import transfid.cli") == []
 
     features, metrics = write_analyze_inputs(tmp_path)
@@ -729,4 +775,11 @@ def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
         "--out", str(tmp_path / "m.csv"), "--jobs", "1",
     ]
     loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_metrics!r}) == 0")
+    assert loaded == []
+
+    run_extract = [
+        "extract", "--manifest", str(manifest), "--config", str(config),
+        "--out", str(tmp_path / "f.csv"), "--jobs", "1",
+    ]
+    loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_extract!r}) == 0")
     assert loaded == []

@@ -13,6 +13,7 @@ from transfid.radiomics import extract_all
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
 from transfid.radiomics.intensity import (
     _sphere_geometry,
+    fast_length,
     intensity_statistics,
     local_intensity,
     nearest_rank_percentile,
@@ -20,6 +21,7 @@ from transfid.radiomics.intensity import (
 )
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
+    connected_labels,
     equal_level_edges,
     glcm_matrices,
     glrlm_matrices,
@@ -111,6 +113,11 @@ class TestLocalIntensity:
             # the kernel's spectrum, taken once, serves every later array
             for values in (values, rng.random(values_shape)):
                 assert np.array_equal(convolve(values), fftconvolve(values, kernel, mode="same"))
+
+    def test_fft_length_is_scipys_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        assert [fast_length(n) for n in range(1, 20001)] == [next_fast_len(n, True) for n in range(1, 20001)]
 
     def test_one_sphere_transform_per_patient_and_one_grid_held(self):
         v, mask = generate_phantom(7, (24, 20, 16))
@@ -332,6 +339,25 @@ class TestGlrlm:
             assert_close_dict(got[agg], mapped)
 
 
+def one_voxel_snake(size: int) -> np.ndarray:
+    """Flags of one path, one voxel wide, through a size^3 cube: rows along
+    x two voxels apart, run back and forth and joined at their ends, in
+    planes two voxels apart, joined at their last rows' ends."""
+    flags = np.zeros((size, size, size), dtype=bool)
+    rows = list(range(0, size, 2))
+    x_end = 0
+    for z in range(0, size, 2):
+        for y in rows:
+            flags[:, y, z] = True
+            x_end = size - 1 - x_end
+            if y != rows[-1]:
+                flags[x_end, y + (1 if rows[0] == 0 else -1), z] = True
+        if z + 2 < size:
+            flags[x_end, rows[-1], z + 1] = True
+        rows.reverse()
+    return flags
+
+
 class TestZones:
     def test_constant_cube_single_zone(self):
         d = make_disc(np.ones((2, 2, 2), dtype=int), ng=1)
@@ -365,6 +391,41 @@ class TestZones:
         dzm_exp = oracles.row_column_features(gldzm, d.mask.voxel_count)
         assert_close_dict(szm_got, {n: szm_exp[s] for n, s in oracles.GLSZM_MAP.items()})
         assert_close_dict(dzm_got, {n: dzm_exp[s] for n, s in oracles.GLDZM_MAP.items()})
+
+    @pytest.mark.parametrize(
+        "case, zones",
+        [("constant", 1), ("all distinct", 120), ("snake", 1), ("checkerboard", 2), ("flat cube", 3), ("random", None)],
+    )
+    def test_zone_labels_are_scipys_connected_components(self, rng, case, zones):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        if case == "constant":
+            levels, ng = np.ones((7, 6, 5), dtype=np.int64), 1
+        elif case == "all distinct":  # no edge at all
+            levels, ng = np.arange(1, 121).reshape(6, 5, 4), 120
+        elif case == "snake":
+            levels, ng = one_voxel_snake(15).astype(np.int64), 1
+        elif case == "checkerboard":  # each parity is one zone through the cube's diagonals
+            x, y, z = np.indices((8, 7, 6))
+            levels, ng = 1 + (x + y + z) % 2, 2
+        elif case == "flat cube":  # one level but for a darkest and a brightest voxel
+            levels, ng = np.full((32, 32, 32), 512), 1024
+            levels[0, 0, 0], levels[-1, -1, -1] = 1, 1024
+        else:
+            levels, ng = random_discretized(rng, dims=(12, 12, 12), ng=3, mask_density=0.7).levels, 3
+        d = make_disc(levels, ng)
+        n = d.mask.voxel_count
+        index = np.full(d.dims, -1, dtype=np.int32)
+        index[d.mask.flags] = np.arange(n, dtype=np.int32)
+        heads, tails = equal_level_edges(d, index)
+        labels, rounds = connected_labels(n, heads, tails)
+        count, expected = connected_components(
+            coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n)), directed=False
+        )
+        assert np.array_equal(labels, expected)
+        assert zones is None or count == zones
+        assert rounds <= 4
 
     def test_wide_zone_formulas_hold_one_buffer(self):
         # one zone of 18 720 voxels beside 480 one-voxel zones of levels 2..32:

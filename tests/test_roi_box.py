@@ -149,6 +149,31 @@ def test_box_is_the_bounding_box_plus_one_voxel_clipped_at_the_grid():
     assert mask.box is mask.box
 
 
+@pytest.mark.parametrize("case", ["random", "single voxel", "full box", "shell", "ball"])
+def test_border_distance_is_scipys_taxicab_transform(case):
+    from scipy.ndimage import distance_transform_cdt
+
+    rng = np.random.default_rng(5)
+    if case == "random":
+        masks = [rng.random(tuple(rng.integers(1, 12, 3))) < rng.random() for _ in range(60)]
+    elif case == "single voxel":
+        masks = [np.ones((1, 1, 1), dtype=bool), np.zeros((5, 4, 3), dtype=bool)]
+        masks[1][2, 1, 1] = True
+    elif case == "full box":
+        masks = [np.ones(dims, dtype=bool) for dims in ((6, 5, 4), (1, 7, 1), (9, 9, 9))]
+    elif case == "shell":  # one voxel thick: every voxel borders the hollow or the grid
+        masks = [np.ones((9, 8, 7), dtype=bool)]
+        masks[0][1:-1, 1:-1, 1:-1] = False
+    else:
+        x, y, z = np.indices((31, 29, 27)) - np.array([15, 14, 13]).reshape(3, 1, 1, 1)
+        masks = [x * x + y * y + z * z <= 13**2]
+    for flags in (m for m in masks if m.any()):
+        expected = distance_transform_cdt(np.pad(flags, 1), metric="taxicab")[1:-1, 1:-1, 1:-1][flags]
+        got = volume.roi_border_distance(flags)
+        assert np.array_equal(got, expected)
+        assert got.dtype == np.min_scalar_type(expected.max())
+
+
 def test_patient_builds_its_border_distance_once(tmp_path, monkeypatch):
     v, m = generate_phantom(7, (12, 12, 11))
     paths = {ORIGINAL_SOURCE: tmp_path / "orig.nii"}
