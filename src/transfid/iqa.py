@@ -32,6 +32,18 @@ class SsimParams:
             if not (is_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number")
             object.__setattr__(self, name, float(value))
+        # ssim3d's c1 and c2, and the taps' denominator, must stay in float64
+        for name in ("k1", "k2"):
+            try:
+                square = (getattr(self, name) * self.dynamic_range) ** 2
+            except OverflowError:
+                square = math.inf
+            if square == math.inf:
+                raise ValueError(
+                    f"{name} must be small enough that ({name} * dynamic_range)^2 is finite in float64"
+                )
+        if not 2.0 * self.sigma * self.sigma > 0:
+            raise ValueError("sigma must be large enough that 2 * sigma^2 is above 0 in float64")
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,9 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     pass reads a zero-padded buffer that is reused from slab to slab, and the
     last one lays the slab's rows end to end with their pad columns between
     them, so that its shifts are slices of one contiguous array. Its results
-    at the pad columns mix neighbouring rows and are dropped.
+    at the pad columns mix neighbouring rows and are dropped. The axis-1 pass
+    writes a contiguous slab, copied once into that buffer's interior: written
+    there directly, its every output would be a strided view of short rows.
     """
     h = len(taps) // 2
     nz, ny, nx = arr.shape
@@ -142,7 +156,7 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     deep = np.empty((s + 2 * h, ny, nx))  # a slab's axis-0 source at an end of the grid
     wide = np.zeros((s, ny + 2 * h, nx))  # axis-0 sums, zero rows on both sides
     rows = np.zeros(s * ny * pitch)  # axis-1 sums, zero columns on both sides
-    row_sums = np.empty(s * ny * pitch)  # axis-2 sums, at every column
+    row_sums = np.empty(s * ny * pitch)  # axis-1 sums unpadded, then axis-2 sums at every column
     scratch = np.empty(s * ny * pitch)
     for z0 in range(0, nz, s):
         k = min(s, nz - z0)
@@ -158,7 +172,9 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
         _correlate(src, taps, 0, wide[:k, h : h + ny], tmp)
         size = k * ny * pitch
         flat = rows[:size]
-        _correlate(wide[:k], taps, 1, flat.reshape(k, ny, pitch)[:, :, h : h + nx], tmp)
+        dense = row_sums[: k * ny * nx].reshape(k, ny, nx)
+        _correlate(wide[:k], taps, 1, dense, tmp)
+        flat.reshape(k, ny, pitch)[:, :, h : h + nx] = dense
         _correlate(flat, taps, 0, row_sums[: size - 2 * h], scratch[: size - 2 * h])
         out[z0 : z0 + k] = row_sums[:size].reshape(k, ny, pitch)[:, :, :nx]
     return out
@@ -223,7 +239,10 @@ def ssim3d(
 
     The window weights depend on the grid only and are cached; the moments
     of `a` are kept until another original is scored, so scoring N networks
-    against one original costs 2 + 3N windowed sums, not 6N.
+    against one original costs 2 + 3N windowed sums, not 6N. Beyond those
+    caches a call holds the network's three windowed sums, one product map
+    while the last of them is taken, and two slab-sized buffers: the map is
+    built in place, slab by slab, over the last sum.
     """
     _check_pair(a, b)
     size = 2 * params.window + 1
@@ -236,37 +255,48 @@ def ssim3d(
     mu_a, var_a = _original_moments(a.values, params, taps, weight)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
-    # The map is ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)).
-    # Each factor is built in place, with the same operations in the same
-    # order as that expression; at most five maps of this call are alive at once.
     av, bv = a.values, b.values
     mu_b = _windowed_sums(bv, taps)
-    mu_b /= weight
     var_b = _windowed_sums(bv * bv, taps)
-    var_b /= weight
-    mu_b_sq = mu_b * mu_b
-    var_b -= mu_b_sq
-    var_b += var_a
-    var_b += c2
-    den = mu_a * mu_a
-    den += mu_b_sq
-    den += c1
-    den *= var_b
-    del var_b, mu_b_sq
-    cov = _windowed_sums(av * bv, taps)
-    cov /= weight
-    num = mu_a * mu_b
-    cov -= num
-    np.multiply(mu_a, 2.0, out=num)
-    num *= mu_b
-    num += c1
-    cov *= 2.0
-    cov += c2
-    num *= cov
-    num /= den
+    ssim_map = _windowed_sums(av * bv, taps)
+    # The map is ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)),
+    # built a slab of SLAB_PLANES planes at a time, so that a slab's operands
+    # stay in cache through its steps. Each factor is built in place, with the
+    # same operations in the same order as that expression, and the mean is
+    # taken over the whole map, so its pairwise summation is unchanged.
+    nz = len(av)
+    s = min(SLAB_PLANES, nz)
+    sq = np.empty((s,) + av.shape[1:])
+    den = np.empty_like(sq)
+    for z0 in range(0, nz, s):
+        zs = slice(z0, z0 + s)
+        k = min(s, nz - z0)
+        w, ma, mb, vb, cov = weight[zs], mu_a[zs], mu_b[zs], var_b[zs], ssim_map[zs]
+        sq_k, den_k = sq[:k], den[:k]
+        mb /= w
+        vb /= w
+        np.multiply(mb, mb, out=sq_k)
+        vb -= sq_k
+        vb += var_a[zs]
+        vb += c2
+        np.multiply(ma, ma, out=den_k)
+        den_k += sq_k
+        den_k += c1
+        den_k *= vb
+        cov /= w
+        num = sq_k  # mu_b^2 is spent; its buffer takes the numerator
+        np.multiply(ma, mb, out=num)
+        cov -= num
+        np.multiply(ma, 2.0, out=num)
+        num *= mb
+        num += c1
+        cov *= 2.0
+        cov += c2
+        num *= cov
+        np.divide(num, den_k, out=cov)
     if mask is not None:
-        return float(np.mean(num[mask.flags]))
-    return float(np.mean(num))
+        return float(np.mean(ssim_map[mask.flags]))
+    return float(np.mean(ssim_map))
 
 
 def compute_metrics(

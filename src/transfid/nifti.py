@@ -6,6 +6,7 @@ ignored: volumes are assumed co-registered on a shared grid.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -91,11 +92,15 @@ def _read_stored(path: str | Path):
 
 def _scale_checked(data: np.ndarray, scl_slope: float, scl_inter: float, path) -> None:
     """Apply scl_slope/scl_inter to float64 voxels in place when scl_slope
-    != 0, then reject NaN/Inf (including values the scaling overflows)."""
+    != 0, then reject NaN/Inf (including values the scaling overflows).
+
+    A NaN or infinite field reads as 0, as nifti1_io.c's FIXED_FLOAT reads
+    it: such a slope leaves the voxels unscaled, such an intercept adds 0."""
+    scl_slope, scl_inter = (x if math.isfinite(x) else 0.0 for x in (scl_slope, scl_inter))
     if scl_slope != 0.0:
         with np.errstate(over="ignore"):
-            data *= float(scl_slope)
-            data += float(scl_inter)
+            data *= scl_slope
+            data += scl_inter
     if not np.all(np.isfinite(data)):
         raise NonFiniteVoxel(f"{path}: volume contains NaN/Inf voxels")
 
@@ -103,8 +108,9 @@ def _scale_checked(data: np.ndarray, scl_slope: float, scl_inter: float, path) -
 def load_nifti(path: str | Path) -> Volume3D:
     """Load a 3D volume from an uncompressed NIfTI-1 file.
 
-    scl_slope/scl_inter are applied when scl_slope != 0; spacing comes
-    from pixdim[1..3]. Volumes with NaN/Inf voxels are rejected.
+    scl_slope/scl_inter are applied when scl_slope != 0, a non-finite one
+    read as 0; spacing comes from pixdim[1..3]. Volumes with NaN/Inf voxels
+    are rejected.
     """
     dims, spacing, stored, scl_slope, scl_inter = _read_stored(path)
     # one conversion straight into the C-ordered array the volume keeps

@@ -143,6 +143,10 @@ class TestValidation:
             ('{"ssim": {"dynamic_range": Infinity, "window": 2}}', "ssim.dynamic_range"),
             ('{"discretize": {"mode": "FBS", "bin_width": 0.04, "origin": NaN}}', "discretize.origin"),
             ('{"discretize": {"bins": 5000}}', "discretize.bins"),
+            # each passed validation once, then raised OverflowError or scored every patient NaN
+            ('{"ssim": {"k1": 1e200}}', "ssim.k1"),
+            ('{"ssim": {"k2": 1e160}}', "ssim.k2"),
+            ('{"ssim": {"sigma": 1e-200}}', "ssim.sigma"),
         ],
     )
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, key):

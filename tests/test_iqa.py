@@ -116,6 +116,29 @@ class TestSsim3d:
         with pytest.raises(ValueError, match="positive finite"):
             SsimParams(**{key: value})
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"k1": 1e200}, "k1"),  # the square raises OverflowError
+            ({"k1": 1e160}, "k1"),
+            ({"k2": 1e200}, "k2"),
+            ({"k1": 1e100, "dynamic_range": 1e300}, "k1"),  # the product is inf
+            ({"sigma": 1e-200}, "sigma"),  # 2 sigma^2 underflows to 0
+        ],
+    )
+    def test_constants_must_stay_in_float64(self, fields, key):
+        with pytest.raises(ValueError, match=rf"^{key} must be .* in float64$"):
+            SsimParams(**fields)
+
+    @pytest.mark.parametrize("fields", [{"k1": 1e-200}, {"k2": 1e-170}, {"sigma": 1e-160}, {"sigma": 1e200}])
+    def test_constants_near_the_float64_limits_are_allowed(self, fields, rng):
+        # c1 or c2 may underflow to 0, and 2 sigma^2 to a subnormal or overflow to
+        # inf; at sigma 1e-160 the outer taps' exponents overflow to -inf: a
+        # one-voxel window, which compute_metrics scores without a RuntimeWarning
+        a = make_volume(rng.random((12, 12, 12)))
+        b = make_volume(np.clip(a.values + rng.normal(0, 0.05, a.dims), 0, 1))
+        assert -1.0 <= compute_metrics(a, b, SsimParams(**fields)).ssim <= 1.0
+
     @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
     def test_window_must_be_an_int(self, window):
         with pytest.raises(ValueError, match="window must be an int >= 1"):
@@ -312,7 +335,13 @@ class TestWindowedSums:
     def test_ssim3d_bits_equal_the_correlate1d_reference(self, rng):
         dims = (2 * iqa.SLAB_PLANES + 5, 14, 13)
         flags = rng.random(dims) < 0.3
-        for window, sigma in ((5, 1.5), (2, 0.8), (3, 2.5)):
+        cases = [(dims, window, sigma) for window, sigma in ((5, 1.5), (2, 0.8), (3, 2.5))]
+        # the map is built a slab at a time: besides a last slab partly filled,
+        # a first axis shorter than one slab and a whole number of slabs
+        cases += [((iqa.SLAB_PLANES - 1, 9, 8), 1, 0.9), ((3 * iqa.SLAB_PLANES, 10, 11), 2, 1.2)]
+        for dims, window, sigma in cases:
+            if flags.shape != dims:
+                flags = rng.random(dims) < 0.3
             params = SsimParams(window=window, sigma=sigma, k2=0.05)
             a = make_volume(rng.random(dims))
             b = make_volume(np.clip(a.values + rng.normal(0, 0.1, dims), 0, 1))

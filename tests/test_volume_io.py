@@ -95,6 +95,25 @@ class TestLoadNifti:
         )
         assert load_nifti(path).value_at(0, 0, 0) == 3.0
 
+    @pytest.mark.parametrize(
+        "scl_slope, scl_inter, expected",
+        [
+            (np.nan, 99.0, 3.0),
+            (np.inf, 99.0, 3.0),
+            (-np.inf, 99.0, 3.0),
+            (1.0, np.nan, 3.0),
+            (2.0, np.inf, 6.0),
+        ],
+    )
+    def test_non_finite_scaling_reads_as_zero(self, tmp_path, scl_slope, scl_inter, expected):
+        # nifti1_io.c's FIXED_FLOAT: a non-finite slope means unscaled, a non-finite intercept adds 0
+        path = tmp_path / "scaled.nii"
+        write_nifti_reference(
+            path, np.full((1, 1, 1), 3, dtype=np.int16), datatype=4, np_dtype="i2",
+            scl_slope=scl_slope, scl_inter=scl_inter,
+        )
+        assert load_nifti(path).value_at(0, 0, 0) == expected
+
     def test_big_endian_autodetected(self, tmp_path):
         data = np.arange(6, dtype=np.float64).reshape((3, 2, 1), order="F")
         path = tmp_path / "big.nii"
@@ -285,6 +304,14 @@ class TestLoadMask:
                             dict(datatype=4, np_dtype="<i2", scl_slope=0.5, scl_inter=-1.0), None),
         "scaled_overflow": (np.array([0, 1e308, 0, 0, 0, 0]),
                             dict(datatype=64, np_dtype="<f8", scl_slope=10.0), None),
+        # a non-finite scaling field reads as 0, on both paths
+        "nan_slope_unscaled": (np.array([0, 1, 0, 2, 0, 0], dtype=np.int16),
+                               dict(datatype=4, np_dtype="<i2", scl_slope=np.nan, scl_inter=-1.0), None),
+        "inf_slope_unscaled": (np.array([0, 1, 0, 2, 0, 0], dtype=np.int16),
+                               dict(datatype=4, np_dtype="<i2", scl_slope=np.inf, scl_inter=-1.0), None),
+        "nan_intercept_adds_zero": (np.array([0, 1, 0, 2, 0, 0], dtype=np.int16),
+                                    dict(datatype=4, np_dtype="<i2", scl_slope=1.0,
+                                         scl_inter=np.nan), None),
         "empty": (np.zeros(6, dtype=np.int16), dict(datatype=4, np_dtype="<i2"), None),
         "dims_mismatch": (np.ones(6, dtype=np.int16), dict(datatype=4, np_dtype="<i2"), (2, 3, 2)),
         "nan_and_dims_mismatch": (np.array([np.nan, 1, 1, 1, 1, 1], dtype=np.float32), {}, (6, 1, 2)),
