@@ -368,19 +368,16 @@ def build_parser() -> _Parser:
     # a string default goes through the flag's type, so TRANSFID_JOBS is checked like --jobs
     jobs_default = os.environ.get("TRANSFID_JOBS") or "0"
 
-    p_extract = sub.add_parser("extract", help="extract 186 features per (patient, source)")
-    p_extract.add_argument("--manifest", required=True)
-    p_extract.add_argument("--config", default=None)
-    p_extract.add_argument("--out", required=True)
-    p_extract.add_argument("--jobs", type=_jobs, default=jobs_default)
-    p_extract.set_defaults(func=cmd_extract)
-
-    p_metrics = sub.add_parser("metrics", help="compute MAE/MSE/SSIM/PSNR per (patient, network)")
-    p_metrics.add_argument("--manifest", required=True)
-    p_metrics.add_argument("--config", default=None)
-    p_metrics.add_argument("--out", required=True)
-    p_metrics.add_argument("--jobs", type=_jobs, default=jobs_default)
-    p_metrics.set_defaults(func=cmd_metrics)
+    for name, help_text, func in (
+        ("extract", "extract 186 features per (patient, source)", cmd_extract),
+        ("metrics", "compute MAE/MSE/SSIM/PSNR per (patient, network)", cmd_metrics),
+    ):
+        p_cohort = sub.add_parser(name, help=help_text)
+        p_cohort.add_argument("--manifest", required=True)
+        p_cohort.add_argument("--config", default=None)
+        p_cohort.add_argument("--out", required=True)
+        p_cohort.add_argument("--jobs", type=_jobs, default=jobs_default)
+        p_cohort.set_defaults(func=func)
 
     p_analyze = sub.add_parser("analyze", help="concordance and discovery-group classification")
     p_analyze.add_argument("--features", required=True)

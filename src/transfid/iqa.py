@@ -188,7 +188,8 @@ def _window_geometry(
     of the in-bounds part of its window. Both depend on the grid only, so they
     are computed once per (dims, window, sigma) and returned read-only."""
     i = np.arange(-window, window + 1, dtype=np.float64)
-    taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a tiny sigma sends off-centre exponents to -inf: taps of 0
+        taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
     weight = _windowed_sums(np.ones(dims), taps)
     taps.flags.writeable = False
     weight.flags.writeable = False

@@ -49,12 +49,16 @@ class DiscretizationScheme:
 
 @dataclass(frozen=True)
 class DiscretizedVolume:
-    """Integer gray levels for in-mask voxels; out-of-mask voxels hold level 0."""
+    """Integer gray levels for in-mask voxels; out-of-mask voxels hold level 0.
+
+    `roi_levels` holds the levels of in-mask voxels only, in C order (1D),
+    gathered once with the range check."""
 
     dims: tuple[int, int, int]
     levels: np.ndarray = field(repr=False)
     ng: int
     mask: RoiMask
+    roi_levels: np.ndarray = field(init=False, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,12 +67,9 @@ class DiscretizedVolume:
         if lv.size and (lv.min() < 1 or lv.max() > self.ng):
             raise ValueError("in-mask levels must lie in [1, ng]")
         levels.flags.writeable = False
+        lv.flags.writeable = False
         object.__setattr__(self, "levels", levels)
-
-    @property
-    def roi_levels(self) -> np.ndarray:
-        """Levels of in-mask voxels only (1D)."""
-        return self.levels[self.mask.flags]
+        object.__setattr__(self, "roi_levels", lv)
 
     def pair_flags(self, tolerance: int) -> tuple[np.ndarray, ...]:
         """Read-only grids, one per direction of DIRECTIONS_13, True where a
@@ -156,31 +157,30 @@ def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> Disc
     """Map in-mask intensities to integer gray levels 1..Ng."""
     mask.check_aligned(v)
     roi = v.values[mask.flags]
-    levels = np.zeros(v.dims, dtype=np.int64)
 
     if scheme.mode == FBN:
         lo = float(roi.min())
         hi = float(roi.max())
         if hi == lo:
-            levels[mask.flags] = 1
+            lv = 1
             ng = 1
         else:
             ng = scheme.bins
             lv = np.floor(ng * (roi - lo) / (hi - lo)).astype(np.int64) + 1
             np.minimum(lv, ng, out=lv)
-            levels[mask.flags] = lv
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the range check
             bins = np.floor((roi - scheme.origin) / scheme.width)
         # beyond 2**53 a float bin number is no longer an exact integer (and NaN fails too)
         if not (-(2.0**53) <= bins.min() and bins.max() <= 2.0**53):
             raise InvalidScheme(f"{scheme.describe()} puts ROI intensities outside the bin range +-2**53")
-        raw = bins.astype(np.int64) + 1
-        raw += 1 - raw.min()
-        levels[mask.flags] = raw
-        ng = int(raw.max())
+        lv = bins.astype(np.int64) + 1
+        lv += 1 - lv.min()
+        ng = int(lv.max())
     if ng > MAX_LEVELS:
         raise InvalidScheme(
             f"{scheme.describe()} gives {ng} gray levels, more than the {MAX_LEVELS} supported"
         )
+    levels = np.zeros(v.dims, dtype=np.int32)
+    levels[mask.flags] = lv
     return DiscretizedVolume(v.dims, levels, ng=ng, mask=mask)

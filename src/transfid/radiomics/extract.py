@@ -33,9 +33,10 @@ def extract_all(
     built once per patient.
 
     A family says a value is undefined by returning NaN for it, and a
-    family that raises leaves all its values NaN. Any value that is not
-    finite (an overflow's infinity too) is stored as NaN and flagged, as
-    are the finite values IVH flags on a constant ROI.
+    family that raises leaves all its values NaN, unless it ran out of
+    memory: a `MemoryError` propagates, and the patient is excluded. Any
+    value that is not finite (an overflow's infinity too) is stored as NaN
+    and flagged, as are the finite values IVH flags on a constant ROI.
     """
     mask.check_aligned(v)
 
@@ -47,6 +48,8 @@ def extract_all(
         raises stores nothing and reads as NaN below."""
         try:
             results.update(compute())
+        except MemoryError:
+            raise
         except Exception:
             pass
 

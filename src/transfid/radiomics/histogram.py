@@ -46,17 +46,6 @@ def intensity_histogram_features(d: DiscretizedVolume) -> dict[str, float]:
     return features
 
 
-def ivh_curve(roi: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled fractional-volume curve nu(gamma), gamma in [0, 1] over `bins` steps."""
-    lo = float(roi.min())
-    hi = float(roi.max())
-    gammas = np.linspace(0.0, 1.0, bins + 1)
-    thresholds = lo + gammas * (hi - lo)
-    srt = np.sort(roi)
-    above = roi.size - np.searchsorted(srt, thresholds, side="left")
-    return gammas, above / roi.size
-
-
 def _intensity_at_volume_fraction(
     gammas: np.ndarray, nu: np.ndarray, fraction: float, lo: float, hi: float
 ) -> float:
@@ -99,7 +88,10 @@ def ivh_features(v: Volume3D, mask: RoiMask, ivh_bins: int) -> tuple[dict[str, f
         }
         return features, set(IVH_NAMES)
 
-    gammas, nu = ivh_curve(roi, ivh_bins)
+    # the fractional-volume curve nu(gamma), gamma in [0, 1] over `ivh_bins` steps
+    gammas = np.linspace(0.0, 1.0, ivh_bins + 1)
+    above = roi.size - np.searchsorted(np.sort(roi), lo + gammas * (hi - lo), side="left")
+    nu = above / roi.size
     v10 = float(np.interp(0.10, gammas, nu))
     v90 = float(np.interp(0.90, gammas, nu))
     i10 = _intensity_at_volume_fraction(gammas, nu, 0.10, lo, hi)

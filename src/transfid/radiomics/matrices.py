@@ -52,8 +52,7 @@ def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     ng = d.ng
     out = []
     for off in DIRECTIONS_13:
-        # a step of 0 or less has no pair, and a step of 1 slices its empty grid
-        step = max(flat_step(d.dims, off), 1)
+        step = flat_step(d.dims, off)
         pairs = flat_pairs(d.dims, off, lambda s: flags[:-s] & flags[s:]).reshape(-1)[:-step]
         # (a - 1) * ng + (b - 1) for a at p and b at p + step, kept at the pairs
         key = levels[:-step] * ng
@@ -94,14 +93,14 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     starts just after a cell whose flag is False (the leading zero cell
     serves the first one), so the k-th start pairs with the k-th end: the
     run's length is their distance plus one, and its level is read at its
-    end. A step of 0 or less only arises across a size-1 axis, where no
-    pair exists and every run has length 1; a step of 1 lays those out.
+    end. Across a size-1 axis no pair flag is True, and every run has
+    length 1.
     """
     mask = d.mask.flags.ravel()
     levels = d.levels.ravel()
     out = []
     for off, same_next in zip(DIRECTIONS_13, d.pair_flags(0)):
-        step = max(flat_step(d.dims, off), 1)
+        step = flat_step(d.dims, off)
         in_roi = _by_residue(mask, step)
         same = _by_residue(same_next.ravel(), step)
         ends = np.flatnonzero(in_roi & ~same)
@@ -181,7 +180,7 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     dists = np.full(sizes.size, np.iinfo(border.dtype).max, dtype=border.dtype)
     np.minimum.at(dists, zone_of, border)
     levels = np.empty(sizes.size, dtype=np.int64)
-    levels[zone_of] = d.levels[m]
+    levels[zone_of] = d.roi_levels
     return _tally(levels, sizes, d.ng), _tally(levels, dists, d.ng)
 
 
@@ -210,9 +209,9 @@ def ngldm_matrix(d: DiscretizedVolume, alpha: int) -> np.ndarray:
     m = d.mask.flags
     dep = np.zeros(m.size, dtype=np.uint8)  # at most 26
     for off, pairs in zip(DIRECTIONS_13, d.pair_flags(alpha)):
-        step = max(flat_step(d.dims, off), 1)  # as in `glcm_matrices`
+        step = flat_step(d.dims, off)
         close = pairs.reshape(-1)[:-step]
         dep[:-step] += close
         dep[step:] += close
 
-    return _tally(d.levels[m], dep.reshape(d.dims)[m] + 1, d.ng)
+    return _tally(d.roi_levels, dep.reshape(d.dims)[m] + 1, d.ng)

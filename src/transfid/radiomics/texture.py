@@ -361,29 +361,24 @@ def ngtdm_features(d: DiscretizedVolume) -> dict[str, float]:
     ss = s_i[present]
     n_gp = present.size
 
-    coarse_denom = float(np.sum(pp * ss))
+    ps = pp * ss
+    coarse_denom = float(np.sum(ps))
+    s_total = float(np.sum(ss))
     coarseness = 1.0 / coarse_denom if coarse_denom > 0 else 1.0 / NGTDM_COARSENESS_GUARD
 
     li, lj = np.meshgrid(levels, levels, indexing="ij")
     if n_gp >= 2:
         pij = np.outer(pp, pp)
-        contrast = (
-            float(np.sum(pij * (li - lj) ** 2))
-            / (n_gp * (n_gp - 1))
-            * float(np.sum(ss))
-            / n_vc
-        )
+        contrast = float(np.sum(pij * (li - lj) ** 2)) / (n_gp * (n_gp - 1)) * s_total / n_vc
     else:
         contrast = 0.0
 
     ip = levels * pp
     busy_denom = float(np.sum(np.abs(ip[:, None] - ip[None, :])))
-    busyness = float(np.sum(pp * ss)) / busy_denom if busy_denom > 0 else 0.0
+    busyness = coarse_denom / busy_denom if busy_denom > 0 else 0.0
 
-    ps = pp * ss
     complexity = float(np.sum(np.abs(li - lj) * (ps[:, None] + ps[None, :]) / (pp[:, None] + pp[None, :]))) / n_vc
 
-    s_total = float(np.sum(ss))
     if s_total > 0:
         strength = float(np.sum((pp[:, None] + pp[None, :]) * (li - lj) ** 2)) / s_total
     else:

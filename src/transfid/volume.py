@@ -191,12 +191,14 @@ DIRECTIONS_13: tuple[tuple[int, int, int], ...] = tuple(
 
 
 def flat_step(dims: tuple[int, int, int], offset: tuple[int, int, int]) -> int:
-    """C-order flat distance from a voxel to its neighbor at +offset.
+    """C-order flat distance from a voxel to its neighbor at +offset, at
+    least 1, so that the slices [:-s] and [s:] are always the pair slices.
 
     It is that neighbor's flat position only where the neighbor lies in the
-    grid; `flat_pairs` says where that holds."""
+    grid; `flat_pairs` says where that holds. The distance is 0 or less only
+    across a size-1 axis, where no voxel has a neighbor at +offset."""
     _, ny, nz = dims
-    return (offset[0] * ny + offset[1]) * nz + offset[2]
+    return max((offset[0] * ny + offset[1]) * nz + offset[2], 1)
 
 
 def flat_pairs(dims: tuple[int, int, int], offset: tuple[int, int, int], test) -> np.ndarray:
@@ -207,16 +209,15 @@ def flat_pairs(dims: tuple[int, int, int], offset: tuple[int, int, int], test) -
     `test(s)` compares the contiguous slices [:-s] and [s:], p with p + s
     at every p < n - s. Where the neighbor leaves the grid, p + s wraps to
     another voxel, so the faces where it does are cleared: index -1 of each
-    axis where the offset is +1, and index 0 where it is -1. A step of 0 or
-    less only arises across a size-1 axis, where no voxel has a neighbor
-    at +offset, and gives no pair.
+    axis where the offset is +1, and index 0 where it is -1. Across a
+    size-1 axis that face is the whole grid, so the grid comes out all
+    False whatever the step.
     """
     flat = np.zeros(math.prod(dims), dtype=bool)
     grid = flat.reshape(dims)
     step = flat_step(dims, offset)
-    if step > 0:
-        flat[:-step] = test(step)
-        for axis, o in enumerate(offset):
-            if o:
-                grid[(slice(None),) * axis + (-1 if o > 0 else 0,)] = False
+    flat[:-step] = test(step)
+    for axis, o in enumerate(offset):
+        if o:
+            grid[(slice(None),) * axis + (-1 if o > 0 else 0,)] = False
     return grid

@@ -225,6 +225,22 @@ class TestProcessPatient:
         assert result.error is None and len(result.features) == 3
         assert len(computed) == 1
 
+    def test_a_family_out_of_memory_excludes_the_patient(self, tmp_path, monkeypatch):
+        """A MemoryError in one family is not a flagged NaN: it leaves
+        `extract_all`, and the patient is excluded with that reason."""
+        from transfid import analysis
+        from transfid.manifest import parse_manifest
+        from transfid.radiomics import extract
+
+        def refused(*args, **kwargs):
+            raise MemoryError("synthetic allocation refused")
+
+        (record,) = parse_manifest(write_cohort(tmp_path, n_patients=1))
+        monkeypatch.setattr(extract, "glcm_features", refused)
+        result = analysis.process_patient(record, RunConfig.from_dict({}))
+        assert result.error == "MemoryError: synthetic allocation refused"
+        assert not result.features and not result.metrics
+
 
 class TestBuildCohort:
     def test_counts_two_patients_one_network(self, tmp_path):

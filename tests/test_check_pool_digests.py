@@ -44,3 +44,24 @@ def test_differing_output_is_kept_and_a_matching_one_cleared(tmp_path):
     assert check.keep_output("extract_small", run_dir, False, kept) is None
     assert not path.exists()
     assert check.keep_output("extract_large", run_dir, False, kept) is None
+
+
+def test_differing_seeds_are_listed_in_numeric_order_with_their_first_problem():
+    replayed = []
+
+    def replay(seed):
+        replayed.append(seed)
+        return {2: ["groups.csv bytes differ", "more"], 10: ["exit 2: boom"]}.get(seed, [])
+
+    seeds = {"10": {}, "2": {}, "0": {}}
+    differing = check.differing_seeds(seeds, replay)
+    assert replayed == [0, 2, 10]
+    assert differing == ["2 (groups.csv bytes differ)", "10 (exit 2: boom)"]
+    assert check.seeds_status(3, differing) == (
+        "analyze_cohort: 3 seeds, DIFFERS: 2 (groups.csv bytes differ) 10 (exit 2: boom)"
+    )
+
+
+def test_matching_seeds_report_ok():
+    assert check.differing_seeds({"0": {}, "1": {}}, lambda seed: []) == []
+    assert check.seeds_status(2, []) == "analyze_cohort: 2 seeds, ok"

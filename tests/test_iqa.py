@@ -2,6 +2,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -138,6 +139,16 @@ class TestSsim3d:
         a = make_volume(rng.random((12, 12, 12)))
         b = make_volume(np.clip(a.values + rng.normal(0, 0.05, a.dims), 0, 1))
         assert -1.0 <= compute_metrics(a, b, SsimParams(**fields)).ssim <= 1.0
+
+    def test_tiny_sigma_taps_are_built_without_a_warning(self, rng):
+        # ssim3d called directly, with the window geometry not yet cached
+        a = make_volume(rng.random((12, 12, 12)))
+        iqa._window_geometry.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ssim3d(a, a, SsimParams(sigma=1e-160)) == pytest.approx(1.0, abs=1e-12)
+        taps, _ = iqa._window_geometry(a.dims, SsimParams().window, 1e-160)
+        assert taps.tolist() == [0.0] * SsimParams().window + [1.0] + [0.0] * SsimParams().window
 
     @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
     def test_window_must_be_an_int(self, window):

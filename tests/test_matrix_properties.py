@@ -23,7 +23,7 @@ from transfid.radiomics.matrices import (
     ngtdm_table,
     zone_matrices,
 )
-from transfid.volume import RoiMask, flat_step
+from transfid.volume import RoiMask, flat_pairs, flat_step
 
 from conftest import discretized_volumes
 
@@ -81,6 +81,21 @@ def test_glrlm_on_a_large_grid_matches_run_scanner(kind):
     for off, matrix in zip(DIRECTIONS_13, glrlm_matrices(d)):
         expected = oracles.glrlm_direction_matrix(d.levels, d.mask.flags, d.ng, off)
         assert np.array_equal(matrix, expected), off
+
+
+@pytest.mark.parametrize("dims", [(1, 4, 5), (4, 1, 5), (4, 5, 1), (1, 1, 5), (1, 5, 1), (5, 1, 1)])
+def test_pair_step_is_slice_safe_across_size_1_axes(dims):
+    """Every step is at least 1, and an offset that crosses a size-1 axis
+    gets an all-False pair grid; the others get the in-grid pairs."""
+    n = dims[0] * dims[1] * dims[2]
+    for off in DIRECTIONS_13:
+        assert flat_step(dims, off) >= 1, off
+        grid = flat_pairs(dims, off, lambda s: np.ones(n, dtype=bool)[s:])
+        inside = np.zeros(dims, dtype=bool)
+        inside[oracles.shift_slices(dims, off)[0]] = True
+        assert np.array_equal(grid, inside), off
+        if any(o and d == 1 for o, d in zip(off, dims)):
+            assert not grid.any(), off
 
 
 @PROPERTY

@@ -145,6 +145,14 @@ class TestDiscretize:
             assert levels[np.argmax(values)] == ng
             assert levels.min() >= 1 and levels.max() <= ng
 
+    def test_roi_levels_are_gathered_once_and_read_only(self, rng):
+        vol = make_volume(rng.random((6, 4, 3)))
+        mask = make_mask(rng.random((6, 4, 3)) < 0.6)
+        d = discretize(vol, mask, DiscretizationScheme("FBN", 5))
+        assert d.roi_levels is d.roi_levels
+        np.testing.assert_array_equal(d.roi_levels, d.levels[mask.flags])
+        assert not d.roi_levels.flags.writeable
+
     def test_fbn_all_levels_attainable(self):
         ng = 6
         ramp = np.linspace(0.0, 1.0, 60).reshape(60, 1, 1)

@@ -7,14 +7,16 @@ Runs the CLI on the whole pool of each image workload, exactly as
 large patients), extract_small (136 small patients) and metrics_cohort (the
 12 large patients again, through `metrics`). Each patient's block of rows is
 compared with `perfbench/reference_digests.json`, which this script only
-reads. The timed benchmark checks only the patients its seed picks; this
-checks all of them.
+reads. It then replays every analyze_cohort seed recorded there, as
+`record_digests.py` runs it, and checks its groups.csv and
+groups.summary.json against the recorded digests. The timed benchmark
+checks only the patients and the seed it picks; this checks all of them.
 
-Exit status: 0 when every block matches; 1 when any block differs, with the
-differing patients listed and the workload's output kept at
-.perfbench_results/pool-digests/<workload>.csv to read the moved rows from;
-2 when Python, numpy or scipy is not the version the digests were recorded
-with, since the bytes are only comparable there.
+Exit status: 0 when every block and every seed matches; 1 when any block or
+seed differs, with the differing patients and seeds listed and an image
+workload's output kept at .perfbench_results/pool-digests/<workload>.csv to
+read the moved rows from; 2 when Python, numpy or scipy is not the version
+the digests were recorded with, since the bytes are only comparable there.
 """
 from __future__ import annotations
 
@@ -65,6 +67,23 @@ def keep_output(name: str, run_dir: Path, differs: bool, kept: Path = KEPT) -> P
     return target
 
 
+def differing_seeds(seeds, replay) -> list[str]:
+    """The recorded seeds, in numeric order, for which replay(seed) finds
+    a problem, each with the first one it found."""
+    differing = []
+    for seed in sorted(seeds, key=int):
+        problems = replay(int(seed))
+        if problems:
+            differing.append(f"{seed} ({problems[0]})")
+    return differing
+
+
+def seeds_status(total: int, differing: list[str]) -> str:
+    """The report line of the analyze_cohort replay."""
+    status = "ok" if not differing else "DIFFERS: " + " ".join(differing)
+    return f"analyze_cohort: {total} seeds, {status}"
+
+
 def main() -> int:
     # the benchmark's modules resolve ./src and each other from the repository root
     os.chdir(ROOT)
@@ -73,6 +92,7 @@ def main() -> int:
     import inputs
     import record_digests
     import run
+    import workloads
 
     why_not = run.preflight()
     if why_not:
@@ -99,8 +119,24 @@ def main() -> int:
             kept = keep_output(name, Path(tmp) / name, bool(problems))
             if kept:
                 print(f"{name}: rows kept at {kept.relative_to(ROOT)}")
-    print(f"{differing_blocks} differing blocks")
-    return 1 if differing_blocks else 0
+
+        analyze = workloads.WORKLOADS["analyze_cohort"]
+
+        def replay(seed: int) -> list[str]:
+            directory = Path(tmp) / f"analyze{seed}"
+            directory.mkdir()
+            analyze.write_inputs(seed, directory)
+            code, _, _, _, stderr = run.run_cli(analyze.argv("out.csv", 1), directory)
+            problems = ([f"exit {code}: {stderr.strip()}"] if code
+                        else analyze.check(seed, directory, "out.csv", [], reference))
+            shutil.rmtree(directory)
+            return problems
+
+        seeds = reference["analyze_cohort"]["seeds"]
+        differing = differing_seeds(seeds, replay)
+        print(seeds_status(len(seeds), differing))
+    print(f"{differing_blocks} differing blocks, {len(differing)} differing analyze seeds")
+    return 1 if differing_blocks or differing else 0
 
 
 if __name__ == "__main__":
