@@ -17,7 +17,7 @@ from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
 from .preprocess import crop_centered, min_max_normalize
 from .radiomics import ALL_FEATURE_IDS, ALL_FEATURE_KEYS, FeatureVector, extract_all
-from .stats import PairedSample, TestResult, paired_t_test, spearman_rho
+from .stats import PairedSample, spearman_rho
 from .volume import RoiMask, Volume3D
 
 GROUP1 = "Group1"
@@ -305,22 +305,6 @@ def classify_groups(
             )
         )
     return assignments
-
-
-def compare_networks(
-    table: CohortTable, metric_name: str, network_a: str, network_b: str
-) -> TestResult:
-    """Paired t-test of one metric between two networks over shared patients."""
-    if metric_name not in METRICS:
-        raise ValueError(f"unknown metric {metric_name!r}")
-    xs, ys = [], []
-    for pid in table.patients:
-        ma = table.metrics.get((pid, network_a))
-        mb = table.metrics.get((pid, network_b))
-        if ma is not None and mb is not None:
-            xs.append(getattr(ma, metric_name))
-            ys.append(getattr(mb, metric_name))
-    return paired_t_test(PairedSample(np.array(xs), np.array(ys)))
 
 
 def group_counts_by_family(assignments: list[GroupAssignment]) -> dict[str, dict[str, int]]:

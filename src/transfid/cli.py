@@ -19,7 +19,7 @@ from .errors import CohortTooSmall, ConfigError, TransfidError
 from .iqa import METRICS, MetricSet, mae, mse, psnr, ssim3d
 from .manifest import ORIGINAL_SOURCE, csv_rows, open_csv, parse_manifest
 from .nifti import MAX_DIM, MAX_SPACING, MIN_SPACING, save_nifti
-from .phantom import generate_phantom
+from .phantom import MAX_VOXELS, generate_phantom
 from .radiomics import ALL_FEATURE_KEYS, extract_all
 from .radiomics import FeatureVector  # noqa: F401  (perfbench/layers.py probes cli.FeatureVector)
 
@@ -181,6 +181,8 @@ def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.nd
             rows.setdefault(source, []).append((patients.setdefault(pid, len(patients)), values))
     if ORIGINAL_SOURCE not in rows:
         raise TransfidError(f"{path}: no {ORIGINAL_SOURCE} rows")
+    if len(rows) == 1:
+        raise TransfidError(f"{path}: no synthetic source rows")
     features = {source: analysis.feature_table(len(patients), r) for source, r in rows.items()}
     return list(patients), list(rows), features
 
@@ -215,6 +217,9 @@ def cmd_analyze(args) -> int:
     )
     ranked = analysis.rank_networks(table)
     top = ranked[0]
+    # networks without metrics rank last, so this is "no network has any"
+    if not any((pid, top) in metrics for pid in patients):
+        raise TransfidError(f"{args.metrics}: no row for any patient and network of {args.features}")
     records = analysis.concordance(table)
     assignments = analysis.classify_groups(records, top, threshold=args.threshold)
 
@@ -281,6 +286,14 @@ def _triple(kind, low: float, high: float):
         return values
 
     return parse
+
+
+def _dims(text: str) -> tuple:
+    """--dims: three voxel counts, refused above MAX_VOXELS before any allocation."""
+    dims = _triple(int, 1, MAX_DIM)(text)
+    if math.prod(dims) > MAX_VOXELS:
+        raise argparse.ArgumentTypeError(f"must hold at most {MAX_VOXELS} voxels in all, got {text!r}")
+    return dims
 
 
 def cmd_phantom(args) -> int:
@@ -389,7 +402,7 @@ def build_parser() -> _Parser:
 
     p_phantom = sub.add_parser("phantom", help="write a deterministic test volume and mask")
     p_phantom.add_argument("--seed", type=_count, required=True)
-    p_phantom.add_argument("--dims", type=_triple(int, 1, MAX_DIM), default="16,16,16")
+    p_phantom.add_argument("--dims", type=_dims, default="16,16,16")
     p_phantom.add_argument("--spacing", type=_triple(float, MIN_SPACING, MAX_SPACING), default="1,1,1")
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--mask-out", default=None)

@@ -66,10 +66,6 @@ class UndefinedMetric(TransfidError):
 
 
 # statistics
-class EmptyInput(TransfidError):
-    """An aggregate was requested over zero values."""
-
-
 class TooFewSamples(TransfidError):
     """Fewer paired samples than the test requires."""
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checks import is_int, is_number
-from .errors import DimsMismatch, EmptyInput, VolumeTooSmall
-from .stats import mean_std
+from .errors import DimsMismatch, VolumeTooSmall
 from .volume import RoiMask, Volume3D
 
 
@@ -322,10 +321,3 @@ def compute_metrics(
             ssim=ssim3d(original, synthetic, ssim_params, mask),
             psnr=_psnr_db(err, peak),
         )
-
-
-def summarize(values: list[MetricSet]) -> dict[str, tuple[float, float]]:
-    """Cohort (mean, sample std) of each metric; std is NaN for one set."""
-    if not values:
-        raise EmptyInput("summarize over no metric sets")
-    return {name: mean_std([getattr(m, name) for m in values]) for name in METRICS}

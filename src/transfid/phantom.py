@@ -9,6 +9,8 @@ from .volume import RoiMask, Volume3D
 _NOISE_PITCH = 4
 # ellipsoid semi-axis fraction giving roughly 30% volume coverage
 _ELLIPSOID_FRACTION = 0.83
+# generate_phantom peaks at about 50 bytes per voxel: 256^3 voxels take 0.8 GB
+MAX_VOXELS = 256**3
 
 
 def generate_phantom(

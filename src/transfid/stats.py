@@ -1,4 +1,4 @@
-"""Rank correlation, paired t-testing, and descriptive statistics."""
+"""Spearman rank correlation over paired samples, on numpy alone."""
 from __future__ import annotations
 
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, TooFewSamples
+from .errors import TooFewSamples
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,6 @@ class PairedSample:
     @property
     def n(self) -> int:
         return int(self.x.size)
-
-
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    p_value: float
-    df: int
-    degenerate: bool = False
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -79,43 +71,3 @@ def spearman_rho(s: PairedSample) -> float:
         return math.nan
     rho = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, rho))
-
-
-def t_sf(t: float, df: int) -> float:
-    """Upper tail P(T > t) of Student's t with df degrees of freedom."""
-    # imported here: no command runs a t-test, so none should pay for
-    # loading scipy.special
-    from scipy.special import stdtr
-
-    return float(stdtr(df, -t))
-
-
-def paired_t_test(s: PairedSample) -> TestResult:
-    """Two-sided paired t-test on x - y.
-
-    All-zero differences give t=0, p=1; zero-variance nonzero differences
-    give an infinite statistic with p=0, flagged degenerate.
-    """
-    d = s.x - s.y
-    n = s.n
-    df = n - 1
-    mean = float(np.mean(d))
-    sd = float(np.sqrt(np.sum((d - mean) ** 2) / df))
-    if sd == 0.0:
-        if mean == 0.0:
-            return TestResult(statistic=0.0, p_value=1.0, df=df)
-        t = math.inf if mean > 0 else -math.inf
-        return TestResult(statistic=t, p_value=0.0, df=df, degenerate=True)
-    t = mean / (sd / math.sqrt(n))
-    p = 2.0 * t_sf(abs(t), df)
-    return TestResult(statistic=t, p_value=min(1.0, p), df=df)
-
-
-def mean_std(values) -> tuple[float, float]:
-    """Sample mean and sample (n-1) standard deviation; std is NaN for n=1."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput("mean_std over no values")
-    if arr.size == 1:
-        return float(arr[0]), math.nan
-    return float(np.mean(arr)), float(np.std(arr, ddof=1))

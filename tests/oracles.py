@@ -764,22 +764,6 @@ def spearman(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
-def t_two_sided_p(t, df):
-    """Two-sided p by numerical integration of the t density."""
-    from scipy.integrate import quad
-
-    def pdf(u):
-        return math.exp(
-            math.lgamma((df + 1) / 2.0)
-            - math.lgamma(df / 2.0)
-            - 0.5 * math.log(df * math.pi)
-            - (df + 1) / 2.0 * math.log1p(u * u / df)
-        )
-
-    tail, _ = quad(pdf, abs(t), math.inf)
-    return 2.0 * tail
-
-
 # ------------------------------------------------------------- whole vector
 
 # independent name -> generic-formula assignments for the matrix families

@@ -14,13 +14,12 @@ from transfid.analysis import (
     ConcordanceRecord,
     build_cohort,
     classify_groups,
-    compare_networks,
     concordance,
     group_counts_by_family,
     rank_networks,
 )
 from transfid.config import RunConfig
-from transfid.errors import CohortTooSmall, TooFewSamples, UnknownTopNetwork
+from transfid.errors import CohortTooSmall, UnknownTopNetwork
 from transfid.iqa import MetricSet
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import save_nifti
@@ -418,37 +417,3 @@ class TestClassifyGroups:
         assignments = classify_groups(records, top_network="n0")
         counts = group_counts_by_family(assignments)["TOTAL"]
         assert counts[GROUP1] + counts[GROUP2] + counts[GROUP3] == 186
-
-
-class TestCompareNetworks:
-    def _table(self, a_vals, b_vals):
-        patients = [f"p{i}" for i in range(len(a_vals))]
-        metrics = {}
-        for i, pid in enumerate(patients):
-            metrics[(pid, "a")] = MetricSet(mae=a_vals[i], mse=0.0, ssim=0.0, psnr=0.0)
-            metrics[(pid, "b")] = MetricSet(mae=b_vals[i], mse=0.0, ssim=0.0, psnr=0.0)
-        return CohortTable(
-            patients=patients,
-            networks=["a", "b"],
-            features={},
-            metrics=metrics,
-        )
-
-    def test_identical_networks(self, rng):
-        vals = rng.random(6)
-        res = compare_networks(self._table(vals, vals), "mae", "a", "b")
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
-
-    def test_consistent_margin_small_p(self, rng):
-        base = rng.random(10)
-        margin = 10.0 * 0.01
-        res = compare_networks(
-            self._table(base + margin + rng.normal(0, 0.01, 10), base), "mae", "a", "b"
-        )
-        assert res.p_value < 1e-4
-
-    def test_single_shared_patient(self):
-        table = self._table([0.1], [0.2])
-        with pytest.raises(TooFewSamples):
-            compare_networks(table, "mae", "a", "b")

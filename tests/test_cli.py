@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: pipelines, determinism, exit codes."""
+import ast
 import csv
 import hashlib
 import json
@@ -506,6 +507,8 @@ class TestExitCodes:
             (["phantom", "--seed", "-1"], None, "--seed"),
             (["metrics", "--manifest", "m.csv"], "abc", "TRANSFID_JOBS"),
             (["metrics", "--manifest", "m.csv", "--jobs", "-1"], None, "--jobs"),
+            # each count fits a NIfTI header, but the phantom would need 4 TiB
+            (["phantom", "--seed", "1", "--dims", "32767,32767,32767"], None, "--dims"),
         ],
     )
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, env, named):
@@ -710,6 +713,36 @@ class TestAnalyzeInputHazards:
         assert f"{features}: header names column {ALL_FEATURE_KEYS[0]!r} twice" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_no_synthetic_rows(self, tmp_path, capsys):
+        # no network to rank, so no top network
+        features, metrics = write_analyze_inputs(tmp_path)
+        lines = features.read_text().splitlines(keepends=True)
+        features.write_text("".join(line for line in lines if ",synth_a," not in line))
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{features}: no synthetic source rows" in err and "Traceback" not in err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_no_metrics_for_any_network(self, tmp_path, capsys):
+        # a top network chosen by name alone would decide Group2
+        features, metrics = write_analyze_inputs(
+            tmp_path, features_rows=[feature_row(f"p{i}", "synth_b") for i in range(3)]
+        )
+        metrics.write_text("patient_id,network,mae,mse,ssim,psnr\nq9,netZ,0.1,0.01,0.9,20\n")
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{metrics}: no row for any patient and network of {features}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("which", ["features", "metrics"])
     @pytest.mark.parametrize("junk", [b"\xff\xfe,1\n", b'"' + b"x" * 200_000 + b'"\n'])
     def test_unreadable_csv(self, tmp_path, capsys, which, junk):
@@ -783,3 +816,23 @@ def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
     ]
     loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_extract!r}) == 0")
     assert loaded == []
+
+
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy, lazily inside a function
+    included: an installed transfid needs numpy alone."""
+    package = Path(transfid.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(package)}:{node.lineno} {m}"
+                for m in modules if m.split(".")[0] == "scipy"
+            ]
+    assert found == []

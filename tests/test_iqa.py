@@ -10,8 +10,8 @@ import pytest
 
 import oracles
 from transfid import iqa
-from transfid.errors import DimsMismatch, EmptyInput, VolumeTooSmall
-from transfid.iqa import MetricSet, SsimParams, compute_metrics, mae, mse, psnr, ssim3d, summarize
+from transfid.errors import DimsMismatch, VolumeTooSmall
+from transfid.iqa import MetricSet, SsimParams, compute_metrics, mae, mse, psnr, ssim3d
 from transfid.phantom import generate_phantom
 from transfid.volume import Volume3D
 
@@ -398,34 +398,3 @@ class TestOverflow:
             assert got.mse == math.inf and got.psnr == -math.inf
         else:
             assert math.isfinite(got.mse) and math.isfinite(got.psnr)
-
-
-class TestSummarize:
-    def test_single_element(self):
-        sets = [MetricSet(mae=0.02, mse=0.001, ssim=0.9, psnr=30.0)]
-        summary = summarize(sets)
-        assert list(summary) == ["mae", "mse", "ssim", "psnr"]
-        assert summary["mae"][0] == 0.02
-        assert math.isnan(summary["mae"][1])
-
-    def test_two_point(self):
-        sets = [
-            MetricSet(mae=0.02, mse=0.001, ssim=0.9, psnr=30.0),
-            MetricSet(mae=0.03, mse=0.002, ssim=0.8, psnr=28.0),
-        ]
-        mean, std = summarize(sets)["mae"]
-        assert mean == pytest.approx(0.025)
-        assert std == pytest.approx(0.0070710678, abs=1e-9)
-
-    def test_random_vs_two_pass_oracle(self, rng):
-        values = rng.random(100)
-        sets = [MetricSet(mae=v, mse=v, ssim=v, psnr=v) for v in values]
-        got_mean, got_std = summarize(sets)["mae"]
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-        assert got_mean == pytest.approx(mean, abs=1e-12)
-        assert got_std == pytest.approx(std, abs=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            summarize([])
