@@ -355,6 +355,11 @@ class TestRankNetworks:
         table = self._table({"only": 0.4})
         assert rank_networks(table) == ["only"]
 
+    def test_network_without_metrics_ranks_last(self):
+        table = self._table({"b": 0.2, "c": 0.1})
+        table.networks.insert(0, "a")  # features only: no metric row for any patient
+        assert rank_networks(table) == ["b", "c", "a"]
+
 
 class TestClassifyGroups:
     def test_majority_rule(self):

@@ -16,11 +16,11 @@ import pytest
 
 import transfid
 from transfid import analysis
-from transfid.cli import main
+from transfid.cli import build_parser, main
 from transfid.iqa import SsimParams, mae, mse, ssim3d
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import load_mask, load_nifti, save_nifti
-from transfid.phantom import generate_phantom
+from transfid.phantom import MAX_VOXELS, generate_phantom
 from transfid.preprocess import crop_centered, min_max_normalize
 from transfid.radiomics import ALL_FEATURE_KEYS
 
@@ -509,6 +509,7 @@ class TestExitCodes:
             (["metrics", "--manifest", "m.csv", "--jobs", "-1"], None, "--jobs"),
             # each count fits a NIfTI header, but the phantom would need 4 TiB
             (["phantom", "--seed", "1", "--dims", "32767,32767,32767"], None, "--dims"),
+            (["phantom", "--seed", "1", "--dims", "256,256,257"], None, "--dims"),
         ],
     )
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, env, named):
@@ -520,6 +521,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dims", ["256,256,256", "32767,512,1"])
+    def test_dims_at_voxel_bound_accepted(self, dims):
+        # parsed only: generating either phantom takes about 0.8 GB
+        args = build_parser().parse_args(["phantom", "--seed", "1", "--dims", dims, "--out", "v.nii"])
+        assert math.prod(args.dims) <= MAX_VOXELS
+        assert args.dims == tuple(int(d) for d in dims.split(","))
 
     @pytest.mark.parametrize("command", ["extract", "metrics"])
     def test_every_patient_excluded_is_data_error(self, tmp_path, capsys, command):
@@ -742,6 +750,20 @@ class TestAnalyzeInputHazards:
         assert f"{metrics}: no row for any patient and network of {features}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_top_network_is_one_with_metrics(self, tmp_path, capsys):
+        # "synth_0" sorts first by name but has features only, so it ranks last
+        code, err, _, _ = self._run(
+            tmp_path, capsys,
+            features_rows=[
+                feature_row(f"p{i}", "synth_0", [str(i + j) for j in range(len(ALL_FEATURE_KEYS))])
+                for i in range(3)
+            ],
+        )
+        assert code == 0, err
+        summary = json.loads((tmp_path / "g.summary.json").read_text())
+        assert summary["networks_ranked"] == ["synth_a", "synth_0"]
+        assert summary["top_network"] == "synth_a"
 
     @pytest.mark.parametrize("which", ["features", "metrics"])
     @pytest.mark.parametrize("junk", [b"\xff\xfe,1\n", b'"' + b"x" * 200_000 + b'"\n'])

@@ -1,8 +1,10 @@
-"""Average ranks and Spearman correlation."""
+"""Paired samples, average ranks and Spearman correlation."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 import oracles
 from transfid.errors import TooFewSamples
@@ -11,6 +13,39 @@ from transfid.stats import PairedSample, average_ranks, spearman_rho
 
 def sample(x, y):
     return PairedSample(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+class TestPairedSample:
+    def test_coerces_to_float64(self):
+        s = PairedSample([1, 2, 3], (4, 5, 6))
+        assert s.x.dtype == np.float64 and s.y.dtype == np.float64
+        np.testing.assert_array_equal(s.x, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(s.y, [4.0, 5.0, 6.0])
+        assert s.n == 3
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            sample([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="1D"):
+            sample([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("side, bad", [("x", math.nan), ("y", math.inf), ("x", -math.inf)])
+    def test_non_finite_refused(self, side, bad):
+        values = {"x": [1.0, 2.0, 3.0], "y": [4.0, 5.0, 6.0]}
+        values[side][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sample(values["x"], values["y"])
+
+    def test_no_pairs(self):
+        with pytest.raises(TooFewSamples):
+            sample([], [])
+
+    def test_frozen(self):
+        s = sample([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.x = np.zeros(2)
 
 
 class TestAverageRanks:
@@ -29,6 +64,20 @@ class TestAverageRanks:
                 equal = np.sum(values == x)
                 expected.append(less + (equal + 1) / 2.0)
             np.testing.assert_array_equal(average_ranks(values), expected)
+
+    def test_each_nan_is_its_own_group(self):
+        ranks = average_ranks([np.nan, 1.0, np.nan, 0.0])
+        assert ranks[3] == 1.0 and ranks[1] == 2.0
+        assert sorted(ranks[[0, 2]]) == [3.0, 4.0]
+
+    def test_signed_zeros_tie(self):
+        np.testing.assert_array_equal(average_ranks([0.0, -0.0, 1.0]), [1.5, 1.5, 3.0])
+
+    def test_rank_sum_is_exact(self, rng):
+        # spearman_rho centres the ranks on (n + 1) / 2 on the strength of this
+        for n in (2, 7, 50, 501):
+            values = rng.integers(0, 4, size=n).astype(float)
+            assert float(np.sum(average_ranks(values))) == n * (n + 1) / 2
 
 
 class TestSpearman:
@@ -71,6 +120,26 @@ class TestSpearman:
                 assert math.isnan(got)
             else:
                 assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_two_pairs(self):
+        assert spearman_rho(sample([0, 1], [5, 7])) == 1.0
+        assert spearman_rho(sample([0, 1], [7, 5])) == -1.0
+
+    def test_symmetric_exact(self, rng):
+        for _ in range(20):
+            x = rng.integers(0, 5, size=9).astype(float)
+            y = rng.normal(size=9)
+            assert spearman_rho(sample(x, y)) == spearman_rho(sample(y, x))
+
+    def test_matches_scipy_spearmanr(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            x = rng.integers(0, 8, size=n).astype(float)
+            y = x + rng.integers(-3, 4, size=n)
+            if np.ptp(x) == 0 or np.ptp(y) == 0:
+                continue
+            expected = scipy_stats.spearmanr(x, y).statistic
+            assert spearman_rho(sample(x, y)) == pytest.approx(expected, abs=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
