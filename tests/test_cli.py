@@ -780,6 +780,76 @@ class TestAnalyzeInputHazards:
         assert f"{bad}: not a readable UTF-8 CSV file" in capsys.readouterr().err
 
 
+def write_pinned_analyze_inputs(tmp_path):
+    """A seeded 12-patient features/metrics pair over three networks, holding
+    each input `analyze` must take in stride: empty and infinite cells,
+    integer ties, a constant column, a missing (patient, source) row, and a
+    network (`netC`) with features but no metric rows."""
+    rng = np.random.default_rng(26)
+    patients = [f"p{i}" for i in range(12)]
+    original = rng.normal(size=(12, len(ALL_FEATURE_KEYS)))
+    original[:, :40] = np.round(original[:, :40] * 2)  # integer ties
+    original[:, 40] = 3.0  # constant: rho is NaN on every network
+    sources = {
+        ORIGINAL_SOURCE: original,
+        "netA": original + rng.normal(0, 0.9, original.shape),
+        "netB": original * rng.choice([-1.0, 1.0], original.shape[1]) + rng.normal(0, 0.5, original.shape),
+        "netC": rng.normal(size=original.shape),
+    }
+    sources["netA"][:, :40] = np.round(sources["netA"][:, :40])
+    for values in sources.values():
+        values[rng.random(values.shape) < 0.05] = np.nan  # empty cells
+        values[rng.random(values.shape) < 0.02] = np.inf
+        values[rng.random(values.shape) < 0.02] = -np.inf
+    features = tmp_path / "features.csv"
+    with open(features, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id", "source", *ALL_FEATURE_KEYS, "flags"])
+        for i, pid in enumerate(patients):
+            for source, values in sources.items():
+                if (pid, source) != ("p5", "netB"):
+                    cells = ("" if math.isnan(v) else repr(v) for v in values[i].tolist())
+                    writer.writerow([pid, source, *cells, ""])
+    metrics = tmp_path / "metrics.csv"
+    with open(metrics, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id", "network", "mae", "mse", "ssim", "psnr"])
+        for pid in patients:
+            for network, ssim in (("netA", 0.8), ("netB", 0.6)):
+                mae, ssim = rng.uniform(0.05, 0.1), ssim + rng.uniform(-0.1, 0.1)
+                writer.writerow([pid, network, repr(mae), repr(mae * mae), repr(ssim), repr(20.0 + ssim)])
+    return features, metrics
+
+
+# sha256 of (groups.csv, groups.summary.json) from the inputs above, per
+# --threshold; at 0.5 and 0.75 all three groups and the anomalous flag occur
+ANALYZE_PIN_SHA256 = {
+    "0.5": (
+        "57b7569bd8d3e734217a84805bbe4d26093a216907c4b83f019bab776fc58289",
+        "e97ff453209a95a4f7336d7d5e560f26ce7c8bf8f4370b339f8b31bd7c1198ed",
+    ),
+    "0.75": (
+        "ac33e2440d4f532c7bcbfa8e890b3f364983d12352787c46d23a9ab74190ff5d",
+        "fa460309d8d1a965a43d0d8bc0eb22e350fe6d01c2f5b6ae826953cdab539d25",
+    ),
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(ANALYZE_PIN_SHA256))
+def test_analyze_output_bytes_are_pinned(tmp_path, threshold):
+    features, metrics = write_pinned_analyze_inputs(tmp_path)
+    groups = tmp_path / "groups.csv"
+    assert main([
+        "analyze", "--features", str(features), "--metrics", str(metrics),
+        "--out", str(groups), "--threshold", threshold,
+    ]) == 0
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (groups, tmp_path / "groups.summary.json")
+    )
+    assert digests == ANALYZE_PIN_SHA256[threshold]
+
+
 def test_cli_import_skips_scipy_signal_and_stats():
     """`import transfid.cli` must not pay for scipy.signal or scipy.stats (~1 s)."""
     src = str(Path(transfid.__file__).resolve().parents[1])
