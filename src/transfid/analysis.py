@@ -16,7 +16,7 @@ from .iqa import METRICS, MetricSet, compute_metrics
 from .manifest import ORIGINAL_SOURCE, PatientRecord, parse_manifest
 from .nifti import load_mask, load_nifti
 from .preprocess import crop_centered, min_max_normalize
-from .radiomics import ALL_FEATURE_IDS, ALL_FEATURE_KEYS, FeatureVector, extract_all
+from .radiomics import ALL_FEATURE_KEYS, FeatureVector, extract_all
 from .stats import PairedSample, spearman_rho
 from .volume import RoiMask, Volume3D
 
@@ -59,21 +59,32 @@ def feature_table(n_patients: int, rows) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConcordanceRecord:
-    """Per-network Spearman rho of one feature across patients."""
+class Concordance:
+    """Spearman rho of each feature across patients, per network.
 
-    feature_key: str
-    rho: dict[str, float]
-    n_effective: dict[str, int]
-    degenerate: dict[str, bool]
+    `rho[j, k]` is feature `feature_keys[j]` against `networks[k]`, NaN
+    where that pair is degenerate; `n_effective[j, k]` counts the patients
+    it was taken over. Both are (186, len(networks)) arrays.
+    """
+
+    feature_keys: tuple[str, ...]
+    networks: list[str]
+    rho: np.ndarray
+    n_effective: np.ndarray
 
 
 @dataclass(frozen=True)
-class GroupAssignment:
-    feature_key: str
-    group: str
-    passes: dict[str, bool]
-    anomalous: bool = False
+class Grouping:
+    """Discovery group of each feature, in `Concordance.feature_keys` order.
+
+    `group[j]` is GROUP1, GROUP2 or GROUP3; `passes[j, k]` is whether
+    network k's rho exceeds the threshold; `anomalous[j]` marks a Group3
+    feature that some network passed anyway.
+    """
+
+    group: np.ndarray
+    passes: np.ndarray
+    anomalous: np.ndarray
 
 
 def preprocess_pair(
@@ -186,11 +197,9 @@ def _alone(work, record: PatientRecord) -> PatientResult:
             )
 
 
-def build_cohort(
-    manifest: str | Path | list[PatientRecord], config: RunConfig, jobs: int = 1
-) -> CohortTable:
+def build_cohort(manifest: str | Path, config: RunConfig, jobs: int = 1) -> CohortTable:
     """Assemble the full cohort table; failed patients are excluded with a note."""
-    records = manifest if isinstance(manifest, list) else parse_manifest(manifest)
+    records = parse_manifest(manifest)
     results = run_pipeline(records, config, jobs=jobs)
 
     patients: list[str] = []
@@ -220,11 +229,11 @@ def build_cohort(
     )
 
 
-def concordance(table: CohortTable) -> list[ConcordanceRecord]:
+def concordance(table: CohortTable) -> Concordance:
     """Spearman rho between original and synthetic feature values per network.
 
     Patients with a non-finite value on either side are dropped per
-    feature; fewer than two usable pairs, or a constant side, marks the
+    feature; fewer than two usable pairs, or a constant side, makes the
     (feature, network) pair degenerate with NaN rho.
     """
     if len(table.patients) < 2:
@@ -232,26 +241,16 @@ def concordance(table: CohortTable) -> list[ConcordanceRecord]:
 
     original = table.features[ORIGINAL_SOURCE]
     finite = np.isfinite(original)
-    pairs = {n: (table.features[n], finite & np.isfinite(table.features[n])) for n in table.networks}
-    records = []
-    for j, fid in enumerate(ALL_FEATURE_IDS):
-        rho: dict[str, float] = {}
-        n_eff: dict[str, int] = {}
-        degenerate: dict[str, bool] = {}
-        for network, (synthetic, usable) in pairs.items():
+    rho = np.full((len(ALL_FEATURE_KEYS), len(table.networks)), np.nan)
+    n_effective = np.empty(rho.shape, dtype=np.int64)
+    for k, network in enumerate(table.networks):
+        synthetic = table.features[network]
+        usable = finite & np.isfinite(synthetic)
+        n_effective[:, k] = np.count_nonzero(usable, axis=0)
+        for j in np.flatnonzero(n_effective[:, k] >= 2):
             ok = usable[:, j]
-            n_eff[network] = int(np.count_nonzero(ok))
-            if n_eff[network] < 2:
-                rho[network] = math.nan
-                degenerate[network] = True
-                continue
-            value = spearman_rho(PairedSample(original[ok, j], synthetic[ok, j]))
-            rho[network] = value
-            degenerate[network] = math.isnan(value)
-        records.append(
-            ConcordanceRecord(feature_key=fid.key, rho=rho, n_effective=n_eff, degenerate=degenerate)
-        )
-    return records
+            rho[j, k] = spearman_rho(PairedSample(original[ok, j], synthetic[ok, j]))
+    return Concordance(ALL_FEATURE_KEYS, list(table.networks), rho, n_effective)
 
 
 def rank_networks(table: CohortTable) -> list[str]:
@@ -268,9 +267,7 @@ def rank_networks(table: CohortTable) -> list[str]:
     return sorted(table.networks, key=lambda n: (-means[n][0], means[n][1], n))
 
 
-def classify_groups(
-    records: list[ConcordanceRecord], top_network: str, threshold: float = 0.50
-) -> list[GroupAssignment]:
+def classify_groups(result: Concordance, top_network: str, threshold: float = 0.50) -> Grouping:
     """Partition features into the three discovery groups.
 
     A network passes on strict rho > threshold (NaN never passes).
@@ -278,45 +275,21 @@ def classify_groups(
     network; everything else is Group3, flagged anomalous when some
     non-top network passed anyway.
     """
-    assignments = []
-    for record in records:
-        networks = list(record.rho.keys())
-        if top_network not in networks:
-            raise UnknownTopNetwork(f"{top_network!r} not among networks {networks}")
-        passes = {
-            n: (not math.isnan(record.rho[n])) and record.rho[n] > threshold for n in networks
-        }
-        n_pass = sum(passes.values())
-        if n_pass > len(networks) / 2:
-            group = GROUP1
-            anomalous = False
-        elif passes[top_network]:
-            group = GROUP2
-            anomalous = False
-        else:
-            group = GROUP3
-            anomalous = n_pass > 0
-        assignments.append(
-            GroupAssignment(
-                feature_key=record.feature_key,
-                group=group,
-                passes=passes,
-                anomalous=anomalous,
-            )
-        )
-    return assignments
+    if top_network not in result.networks:
+        raise UnknownTopNetwork(f"{top_network!r} not among networks {result.networks}")
+    passes = result.rho > threshold
+    n_pass = np.count_nonzero(passes, axis=1)
+    majority = n_pass > len(result.networks) / 2
+    top = passes[:, result.networks.index(top_network)]
+    group = np.select([majority, top], [GROUP1, GROUP2], GROUP3)
+    return Grouping(group=group, passes=passes, anomalous=~majority & ~top & (n_pass > 0))
 
 
-def group_counts_by_family(assignments: list[GroupAssignment]) -> dict[str, dict[str, int]]:
+def group_counts_by_family(feature_keys: tuple[str, ...], group: np.ndarray) -> dict[str, dict[str, int]]:
     """Group tallies per feature family, plus totals."""
     counts: dict[str, dict[str, int]] = {}
-    for assignment in assignments:
-        family = assignment.feature_key.split(".", 1)[0].upper()
-        fam = counts.setdefault(family, {GROUP1: 0, GROUP2: 0, GROUP3: 0})
-        fam[assignment.group] += 1
-    totals = {GROUP1: 0, GROUP2: 0, GROUP3: 0}
-    for fam in counts.values():
-        for group, n in fam.items():
-            totals[group] += n
-    counts["TOTAL"] = totals
+    for key, name in zip(feature_keys, group.tolist()):
+        family = key.split(".", 1)[0].upper()
+        counts.setdefault(family, {GROUP1: 0, GROUP2: 0, GROUP3: 0})[name] += 1
+    counts["TOTAL"] = {name: sum(fam[name] for fam in counts.values()) for name in (GROUP1, GROUP2, GROUP3)}
     return counts

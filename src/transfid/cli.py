@@ -32,8 +32,9 @@ class _UsageError(Exception):
     """A usage error found after parsing: exits 1, as argparse's own do."""
 
 
-def _refuse_same_output(flag: str, path: str, other_flag: str, other_path: str | None) -> None:
-    """Two outputs at one path: the second write would replace the first."""
+def _refuse_same_file(flag: str, path: str, other_flag: str, other_path: str | None) -> None:
+    """An output at the path of an input, or of another output: writing it
+    would replace that file. A path of None is a flag not given."""
     if other_path is not None and Path(path).resolve() == Path(other_path).resolve():
         raise _UsageError(f"{flag} and {other_flag} name the same file {path!r}")
 
@@ -70,8 +71,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _run_cohort(args, header: list[str], rows_of, **want) -> int:
     """Run the pipeline and write `rows_of(record, result)` for each processed
     patient; warn about each excluded one, and write nothing if all are."""
+    _refuse_same_file("--out", args.out, "--manifest", args.manifest)
+    _refuse_same_file("--out", args.out, "--config", args.config)
     config = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict({})
     records = parse_manifest(args.manifest)
+    images = {Path(p).resolve() for r in records for p in (r.mask_path, *r.source_paths.values())}
+    if Path(args.out).resolve() in images:
+        raise _UsageError(f"--out names {args.out!r}, an image that --manifest lists")
     results = analysis.run_pipeline(records, config, jobs=args.jobs, **want)
     kept = []
     for record, result in zip(records, results):
@@ -204,7 +210,11 @@ def _read_metrics_csv(path: str) -> dict[tuple[str, str], MetricSet]:
 
 
 def cmd_analyze(args) -> int:
-    _refuse_same_output("--out", args.out, "--summary", args.summary)
+    summary_path = args.summary or str(Path(args.out).with_suffix(".summary.json"))
+    _refuse_same_file("--out", args.out, "--summary", args.summary)
+    for flag, path in (("--out", args.out), ("--summary", summary_path)):
+        _refuse_same_file(flag, path, "--features", args.features)
+        _refuse_same_file(flag, path, "--metrics", args.metrics)
     patients, sources, features = _read_features_csv(args.features)
     metrics = _read_metrics_csv(args.metrics)
     networks = sorted({s for s in sources if s != ORIGINAL_SOURCE})
@@ -220,16 +230,19 @@ def cmd_analyze(args) -> int:
     # networks without metrics rank last, so this is "no network has any"
     if not any((pid, top) in metrics for pid in patients):
         raise TransfidError(f"{args.metrics}: no row for any patient and network of {args.features}")
-    records = analysis.concordance(table)
-    assignments = analysis.classify_groups(records, top, threshold=args.threshold)
+    result = analysis.concordance(table)
+    grouping = analysis.classify_groups(result, top, threshold=args.threshold)
 
     header = ["feature_id", "group", *(f"rho_{n}" for n in networks), *(f"pass_{n}" for n in networks)]
     rows = (
-        [record.feature_key, assignment.group]
-        + [_fmt(record.rho[n], 9) for n in networks]
-        + [str(assignment.passes[n]).lower() for n in networks]
-        + [str(assignment.anomalous).lower()]
-        for record, assignment in zip(records, assignments)
+        [key, group, *(_fmt(r, 9) for r in rho), *(str(p).lower() for p in passes), str(anomalous).lower()]
+        for key, group, rho, passes, anomalous in zip(
+            result.feature_keys,
+            grouping.group.tolist(),
+            result.rho.tolist(),
+            grouping.passes.tolist(),
+            grouping.anomalous.tolist(),
+        )
     )
     _write_csv(args.out, header + ["anomalous"], rows)
 
@@ -237,10 +250,9 @@ def cmd_analyze(args) -> int:
         "threshold": args.threshold,
         "networks_ranked": ranked,
         "top_network": top,
-        "group_counts": analysis.group_counts_by_family(assignments),
+        "group_counts": analysis.group_counts_by_family(result.feature_keys, grouping.group),
     }
-    summary_path = Path(args.summary) if args.summary else Path(args.out).with_suffix(".summary.json")
-    _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(Path(summary_path), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -297,7 +309,7 @@ def _dims(text: str) -> tuple:
 
 
 def cmd_phantom(args) -> int:
-    _refuse_same_output("--out", args.out, "--mask-out", args.mask_out)
+    _refuse_same_file("--out", args.out, "--mask-out", args.mask_out)
     volume, mask = generate_phantom(args.seed, args.dims, args.spacing)
 
     out = Path(args.out)

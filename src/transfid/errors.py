@@ -76,7 +76,7 @@ class CohortTooSmall(TransfidError):
 
 
 class UnknownTopNetwork(TransfidError):
-    """top_network is not one of the networks in the records."""
+    """top_network is not one of the concordance's networks."""
 
 
 class ConfigError(TransfidError):

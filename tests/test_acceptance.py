@@ -16,7 +16,7 @@ from transfid.analysis import (
     GROUP1,
     GROUP2,
     GROUP3,
-    ConcordanceRecord,
+    Concordance,
     build_cohort,
     classify_groups,
     concordance,
@@ -121,22 +121,11 @@ def test_statistics():
         assert spearman_rho(PairedSample(x, np.exp(x))) == spearman_rho(PairedSample(x, x))
 
 
-def _random_records(rng, n_networks=5, nan_fraction=0.05):
+def _random_concordance(rng, n_networks=5, nan_fraction=0.05):
     networks = [f"n{i}" for i in range(n_networks)]
-    records = []
-    for key in ALL_FEATURE_KEYS:
-        rho = {}
-        for n in networks:
-            rho[n] = math.nan if rng.random() < nan_fraction else float(rng.uniform(-1, 1))
-        records.append(
-            ConcordanceRecord(
-                feature_key=key,
-                rho=rho,
-                n_effective={n: 10 for n in networks},
-                degenerate={n: math.isnan(v) for n, v in rho.items()},
-            )
-        )
-    return networks, records
+    shape = (len(ALL_FEATURE_KEYS), n_networks)
+    rho = np.where(rng.random(shape) < nan_fraction, math.nan, rng.uniform(-1, 1, shape))
+    return Concordance(ALL_FEATURE_KEYS, networks, rho, np.full(shape, 10))
 
 
 def test_grouping_semantics():
@@ -144,44 +133,36 @@ def test_grouping_semantics():
         start = time.perf_counter()
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            networks, records = _random_records(rng)
+            result = _random_concordance(rng)
+            networks = result.networks
             top = networks[int(rng.integers(0, len(networks)))]
             threshold = 0.5
-            assignments = classify_groups(records, top, threshold)
-            assert len(assignments) == 186
+            grouping = classify_groups(result, top, threshold)
+            assert grouping.group.shape == grouping.anomalous.shape == (186,)
 
-            for record, assignment in zip(records, assignments):
-                passes = {
-                    n: (not math.isnan(record.rho[n])) and record.rho[n] > threshold
-                    for n in networks
-                }
-                n_pass = sum(passes.values())
+            for j, rho in enumerate(result.rho.tolist()):
+                passes = [(not math.isnan(r)) and r > threshold for r in rho]
+                n_pass = sum(passes)
                 if n_pass > len(networks) / 2:
                     expected = GROUP1
-                elif passes[top]:
+                elif passes[networks.index(top)]:
                     expected = GROUP2
                 else:
                     expected = GROUP3
-                assert assignment.group == expected
-                assert assignment.passes == passes
+                assert grouping.group[j] == expected
+                assert grouping.passes[j].tolist() == passes
+                assert grouping.anomalous[j] == (expected == GROUP3 and n_pass > 0)
 
             # monotonicity: raising a single rho never demotes the feature
             order = {GROUP1: 0, GROUP2: 1, GROUP3: 2}
             idx = int(rng.integers(0, 186))
-            record = records[idx]
-            network = networks[int(rng.integers(0, len(networks)))]
-            bumped_rho = dict(record.rho)
-            old = bumped_rho[network]
-            bumped_rho[network] = 1.0 if math.isnan(old) else min(1.0, old + float(rng.uniform(0, 2)))
-            bumped = ConcordanceRecord(
-                feature_key=record.feature_key,
-                rho=bumped_rho,
-                n_effective=record.n_effective,
-                degenerate={n: math.isnan(v) for n, v in bumped_rho.items()},
-            )
-            before = classify_groups([record], top, threshold)[0].group
-            after = classify_groups([bumped], top, threshold)[0].group
-            assert order[after] <= order[before]
+            k = int(rng.integers(0, len(networks)))
+            bumped_rho = result.rho.copy()
+            old = bumped_rho[idx, k]
+            bumped_rho[idx, k] = 1.0 if math.isnan(old) else min(1.0, old + float(rng.uniform(0, 2)))
+            bumped = Concordance(result.feature_keys, networks, bumped_rho, result.n_effective)
+            after = classify_groups(bumped, top, threshold).group[idx]
+            assert order[after] <= order[grouping.group[idx]]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -191,11 +172,9 @@ def test_group_sizes_sum_to_186():
         assert 18 + 75 + 93 == 186
         rng = np.random.default_rng(11)
         for _ in range(50):
-            networks, records = _random_records(rng)
-            assignments = classify_groups(records, networks[0])
-            sizes = {g: 0 for g in (GROUP1, GROUP2, GROUP3)}
-            for a in assignments:
-                sizes[a.group] += 1
+            result = _random_concordance(rng)
+            group = classify_groups(result, result.networks[0]).group
+            sizes = {g: int(np.count_nonzero(group == g)) for g in (GROUP1, GROUP2, GROUP3)}
             assert sizes[GROUP1] + sizes[GROUP2] + sizes[GROUP3] == 186
 
 
@@ -224,12 +203,12 @@ def test_perfect_translation_cohort(tmp_path):
         for pid in table.patients:
             assert table.metrics[(pid, "synth_identity")].ssim == pytest.approx(1.0, abs=1e-12)
 
-        records = concordance(table)
-        assignments = classify_groups(records, "synth_identity")
-        for record, assignment in zip(records, assignments):
-            if not record.degenerate["synth_identity"]:
-                assert record.rho["synth_identity"] == 1.0
-                assert assignment.group == GROUP1
+        result = concordance(table)
+        group = classify_groups(result, "synth_identity").group
+        defined = ~np.isnan(result.rho[:, 0])
+        assert defined.any()
+        assert (result.rho[defined, 0] == 1.0).all()
+        assert (group[defined] == GROUP1).all()
 
 
 def test_determinism_and_performance(tmp_path):

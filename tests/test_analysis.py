@@ -11,7 +11,7 @@ from transfid.analysis import (
     GROUP2,
     GROUP3,
     CohortTable,
-    ConcordanceRecord,
+    Concordance,
     build_cohort,
     classify_groups,
     concordance,
@@ -57,13 +57,11 @@ def table_with_feature_values(per_network: dict[str, np.ndarray], originals: np.
     )
 
 
-def record_with(rhos: dict[str, float], key="is.mean") -> ConcordanceRecord:
-    return ConcordanceRecord(
-        feature_key=key,
-        rho=rhos,
-        n_effective={n: 10 for n in rhos},
-        degenerate={n: math.isnan(v) for n, v in rhos.items()},
-    )
+def concordance_with(*rows: dict[str, float]) -> Concordance:
+    """A concordance whose feature j has rho `rows[j][network]`."""
+    networks = list(rows[0])
+    rho = np.array([[row[n] for n in networks] for row in rows], dtype=float)
+    return Concordance(ALL_FEATURE_KEYS[: len(rows)], networks, rho, np.full(rho.shape, 10))
 
 
 def write_cohort(tmp_path, n_patients=2, networks=("synth_a",), mutate=None, seed0=50):
@@ -287,37 +285,33 @@ class TestConcordance:
     def test_identical_network_gives_rho_one(self, tmp_path):
         manifest = write_cohort(tmp_path, n_patients=3)
         table = build_cohort(manifest, RunConfig.from_dict({"ssim": {"window": 1}}))
-        records = concordance(table)
-        assert len(records) == 186
-        for record in records:
-            if not record.degenerate["synth_a"]:
-                assert record.rho["synth_a"] == 1.0
+        result = concordance(table)
+        assert result.feature_keys == ALL_FEATURE_KEYS and result.networks == ["synth_a"]
+        assert result.rho.shape == result.n_effective.shape == (186, 1)
+        defined = result.rho[~np.isnan(result.rho)]
+        assert defined.size and (defined == 1.0).all()
 
     def test_rank_reversal_gives_minus_one(self):
         originals = np.array([1.0, 2.0, 3.0, 4.0])
         table = table_with_feature_values({"net": -originals}, originals)
-        records = concordance(table)
-        for record in records:
-            assert record.rho["net"] == -1.0
+        assert (concordance(table).rho == -1.0).all()
 
     def test_noisy_cohort_matches_rank_oracle(self, rng):
         originals = rng.random(10)
         synth = originals + rng.normal(0, 0.3, 10)
         table = table_with_feature_values({"net": synth}, originals)
-        records = concordance(table)
+        rho = concordance(table).rho
         expected = oracles.spearman(list(originals), list(synth))
-        for record in records:
-            assert record.rho["net"] == pytest.approx(expected, abs=1e-12)
+        assert np.abs(rho - expected).max() <= 1e-12
 
     def test_nan_features_dropped_pairwise(self):
         originals = np.array([1.0, 2.0, 3.0])
         table = table_with_feature_values({"net": np.array([1.0, 2.0, 3.0])}, originals)
         # poison one patient's synthetic row with NaNs
         table.features["net"][1, :] = math.nan
-        records = concordance(table)
-        for record in records:
-            assert record.n_effective["net"] == 2
-            assert record.rho["net"] == 1.0
+        result = concordance(table)
+        assert (result.n_effective == 2).all()
+        assert (result.rho == 1.0).all()
 
     def test_single_patient_raises(self):
         originals = np.array([1.0])
@@ -363,62 +357,59 @@ class TestRankNetworks:
 
 class TestClassifyGroups:
     def test_majority_rule(self):
-        record = record_with({"n1": 0.6, "n2": 0.6, "n3": 0.6, "n4": 0.2, "n5": 0.1})
-        assignment = classify_groups([record], top_network="n1")[0]
-        assert assignment.group == GROUP1
+        result = concordance_with({"n1": 0.6, "n2": 0.6, "n3": 0.6, "n4": 0.2, "n5": 0.1})
+        grouping = classify_groups(result, top_network="n1")
+        assert grouping.group[0] == GROUP1
 
     def test_top_only_rule(self):
-        record = record_with({"n1": 0.7, "n2": 0.3, "n3": 0.2, "n4": 0.1, "n5": 0.0})
-        assignment = classify_groups([record], top_network="n1")[0]
-        assert assignment.group == GROUP2
+        result = concordance_with({"n1": 0.7, "n2": 0.3, "n3": 0.2, "n4": 0.1, "n5": 0.0})
+        grouping = classify_groups(result, top_network="n1")
+        assert grouping.group[0] == GROUP2
 
     def test_all_below_threshold(self):
-        record = record_with({"n1": 0.4, "n2": 0.3, "n3": 0.2, "n4": 0.1, "n5": 0.0})
-        assignment = classify_groups([record], top_network="n1")[0]
-        assert assignment.group == GROUP3
-        assert not assignment.anomalous
+        result = concordance_with({"n1": 0.4, "n2": 0.3, "n3": 0.2, "n4": 0.1, "n5": 0.0})
+        grouping = classify_groups(result, top_network="n1")
+        assert grouping.group[0] == GROUP3
+        assert not grouping.anomalous[0]
 
     def test_anomalous_flag(self):
-        record = record_with({"n1": 0.2, "n2": 0.8, "n3": 0.1, "n4": 0.1, "n5": 0.0})
-        assignment = classify_groups([record], top_network="n1")[0]
-        assert assignment.group == GROUP3
-        assert assignment.anomalous
+        result = concordance_with({"n1": 0.2, "n2": 0.8, "n3": 0.1, "n4": 0.1, "n5": 0.0})
+        grouping = classify_groups(result, top_network="n1")
+        assert grouping.group[0] == GROUP3
+        assert grouping.anomalous[0]
 
     def test_threshold_edge_is_strict(self):
-        record = record_with({"n1": 0.5, "n2": 0.5, "n3": 0.5, "n4": 0.5, "n5": 0.5})
-        assignment = classify_groups([record], top_network="n1", threshold=0.5)[0]
-        assert assignment.group == GROUP3
+        result = concordance_with({"n1": 0.5, "n2": 0.5, "n3": 0.5, "n4": 0.5, "n5": 0.5})
+        grouping = classify_groups(result, top_network="n1", threshold=0.5)
+        assert grouping.group[0] == GROUP3
 
     def test_nan_never_passes(self):
-        record = record_with({"n1": math.nan, "n2": math.nan, "n3": math.nan})
-        assignment = classify_groups([record], top_network="n1")[0]
-        assert assignment.group == GROUP3
+        result = concordance_with({"n1": math.nan, "n2": math.nan, "n3": math.nan})
+        grouping = classify_groups(result, top_network="n1")
+        assert grouping.group[0] == GROUP3
 
     def test_exact_half_is_not_majority(self):
-        record = record_with({"n1": 0.6, "n2": 0.6, "n3": 0.1, "n4": 0.2})
-        assignment = classify_groups([record], top_network="n3")[0]
+        result = concordance_with({"n1": 0.6, "n2": 0.6, "n3": 0.1, "n4": 0.2})
+        grouping = classify_groups(result, top_network="n3")
         # 2 of 4 passing is not a strict majority and top fails
-        assert assignment.group == GROUP3
-        assert assignment.anomalous
+        assert grouping.group[0] == GROUP3
+        assert grouping.anomalous[0]
 
     def test_unknown_top_network(self):
-        record = record_with({"n1": 0.6})
+        result = concordance_with({"n1": 0.6})
         with pytest.raises(UnknownTopNetwork):
-            classify_groups([record], top_network="zz")
+            classify_groups(result, top_network="zz")
 
     def test_network_order_invariance(self, rng):
         rhos = {f"n{i}": float(rng.uniform(-1, 1)) for i in range(5)}
-        record_a = record_with(dict(sorted(rhos.items())))
-        record_b = record_with(dict(sorted(rhos.items(), reverse=True)))
-        a = classify_groups([record_a], top_network="n2")[0]
-        b = classify_groups([record_b], top_network="n2")[0]
-        assert a.group == b.group
+        a = classify_groups(concordance_with(dict(sorted(rhos.items()))), top_network="n2")
+        b = classify_groups(concordance_with(dict(sorted(rhos.items(), reverse=True))), top_network="n2")
+        assert a.group[0] == b.group[0]
 
     def test_group_counts_partition(self, rng):
-        records = []
-        for key in ALL_FEATURE_KEYS:
-            rhos = {f"n{i}": float(rng.uniform(-1, 1)) for i in range(5)}
-            records.append(record_with(rhos, key=key))
-        assignments = classify_groups(records, top_network="n0")
-        counts = group_counts_by_family(assignments)["TOTAL"]
-        assert counts[GROUP1] + counts[GROUP2] + counts[GROUP3] == 186
+        rows = ({f"n{i}": float(rng.uniform(-1, 1)) for i in range(5)} for _ in range(186))
+        result = concordance_with(*rows)
+        counts = group_counts_by_family(result.feature_keys, classify_groups(result, top_network="n0").group)
+        totals = counts.pop("TOTAL")
+        assert sum(totals.values()) == 186
+        assert totals == {g: sum(family[g] for family in counts.values()) for g in (GROUP1, GROUP2, GROUP3)}

@@ -453,6 +453,54 @@ class TestExitCodes:
         assert "--out and --summary name the same file" in capsys.readouterr().err
         assert not groups.exists()
 
+    @pytest.mark.parametrize("output", ["--out", "--summary"])
+    @pytest.mark.parametrize("target", ["--features", "--metrics"])
+    def test_analyze_output_over_an_input_is_usage_error(self, tmp_path, capsys, output, target):
+        features, metrics = write_analyze_inputs(tmp_path)
+        flags = {"--features": str(features), "--metrics": str(metrics), "--out": str(tmp_path / "g.csv")}
+        flags[output] = flags[target]
+        before = Path(flags[target]).read_bytes()
+        assert main(["analyze", *(item for pair in flags.items() for item in pair)]) == 1
+        assert f"{output} and {target} name the same file" in capsys.readouterr().err
+        assert Path(flags[target]).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "metrics.csv"]
+
+    def test_analyze_default_summary_over_an_input_is_usage_error(self, tmp_path, capsys):
+        # without --summary, --out g.csv writes its summary to g.summary.json
+        features, metrics = write_analyze_inputs(tmp_path)
+        features = features.rename(tmp_path / "g.summary.json")
+        before = features.read_bytes()
+        assert main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ]) == 1
+        assert "--summary and --features name the same file" in capsys.readouterr().err
+        assert features.read_bytes() == before
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    @pytest.mark.parametrize("target", ["--manifest", "--config"])
+    def test_cohort_output_over_an_input_is_usage_error(self, tmp_path, capsys, cohort, command, target):
+        manifest, config = cohort
+        victim = manifest if target == "--manifest" else config
+        before = victim.read_bytes()
+        assert main([
+            command, "--manifest", str(manifest), "--config", str(config),
+            "--out", str(victim), "--jobs", "1",
+        ]) == 1
+        assert f"--out and {target} name the same file" in capsys.readouterr().err
+        assert victim.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    @pytest.mark.parametrize("image", ["p1_orig.nii", "p1_synth_bad.nii", "p1_mask.nii"])
+    def test_cohort_output_over_an_image_is_usage_error(self, tmp_path, capsys, cohort, command, image):
+        manifest, _ = cohort
+        victim = tmp_path / image
+        before = victim.read_bytes()
+        assert main([command, "--manifest", str(manifest), "--out", str(victim), "--jobs", "1"]) == 1
+        assert f"--out names {str(victim)!r}, an image that --manifest lists" in capsys.readouterr().err
+        assert victim.read_bytes() == before
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
@@ -848,23 +896,6 @@ def test_analyze_output_bytes_are_pinned(tmp_path, threshold):
         for path in (groups, tmp_path / "groups.summary.json")
     )
     assert digests == ANALYZE_PIN_SHA256[threshold]
-
-
-def test_cli_import_skips_scipy_signal_and_stats():
-    """`import transfid.cli` must not pay for scipy.signal or scipy.stats (~1 s)."""
-    src = str(Path(transfid.__file__).resolve().parents[1])
-    code = (
-        "import sys, transfid.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
 
 
 def _scipy_modules_after(code: str) -> list[str]:
