@@ -479,27 +479,20 @@ class TestExitCodes:
         assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("command", ["extract", "metrics"])
-    @pytest.mark.parametrize("target", ["--manifest", "--config"])
-    def test_cohort_output_over_an_input_is_usage_error(self, tmp_path, capsys, cohort, command, target):
+    @pytest.mark.parametrize("victim, message", [
+        ("manifest.csv", "--out and --manifest name the same file"),
+        ("config.json", "--out and --config name the same file"),
+        *((image, "an image that --manifest lists") for image in ("p1_orig.nii", "p1_synth_bad.nii", "p1_mask.nii")),
+    ])
+    def test_cohort_output_over_an_input_is_usage_error(self, tmp_path, capsys, cohort, command, victim, message):
         manifest, config = cohort
-        victim = manifest if target == "--manifest" else config
-        before = victim.read_bytes()
+        before = (tmp_path / victim).read_bytes()
         assert main([
             command, "--manifest", str(manifest), "--config", str(config),
-            "--out", str(victim), "--jobs", "1",
+            "--out", str(tmp_path / victim), "--jobs", "1",
         ]) == 1
-        assert f"--out and {target} name the same file" in capsys.readouterr().err
-        assert victim.read_bytes() == before
-
-    @pytest.mark.parametrize("command", ["extract", "metrics"])
-    @pytest.mark.parametrize("image", ["p1_orig.nii", "p1_synth_bad.nii", "p1_mask.nii"])
-    def test_cohort_output_over_an_image_is_usage_error(self, tmp_path, capsys, cohort, command, image):
-        manifest, _ = cohort
-        victim = tmp_path / image
-        before = victim.read_bytes()
-        assert main([command, "--manifest", str(manifest), "--out", str(victim), "--jobs", "1"]) == 1
-        assert f"--out names {str(victim)!r}, an image that --manifest lists" in capsys.readouterr().err
-        assert victim.read_bytes() == before
+        assert message in capsys.readouterr().err
+        assert (tmp_path / victim).read_bytes() == before
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
