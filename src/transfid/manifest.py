@@ -1,9 +1,10 @@
 """Cohort manifest parsing.
 
-The manifest is a UTF-8 CSV with header ``patient_id,source,path`` and one
-row per (patient, source), each as wide as the header. The source named
-"mask" carries the ROI path; "original_mri" is the reference image; every
-other source is treated as a synthetic network output.
+The manifest is a UTF-8 CSV (a leading byte-order mark is ignored) with
+header ``patient_id,source,path`` and one row per (patient, source), each
+as wide as the header. The source named "mask" carries the ROI path;
+"original_mri" is the reference image; every other source is treated as a
+synthetic network output.
 """
 from __future__ import annotations
 
@@ -50,11 +51,12 @@ class PatientRecord:
 
 @contextlib.contextmanager
 def open_csv(path: str | Path):
-    """Open a UTF-8 CSV for reading; a byte that is not UTF-8 or a cell
-    over the csv module's size limit, met while the file is read, becomes
-    a TransfidError."""
+    """Open a UTF-8 CSV for reading, skipping a leading byte-order mark as
+    spreadsheet programs write one; a byte that is not UTF-8 or a cell over
+    the csv module's size limit, met while the file is read, becomes a
+    TransfidError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (UnicodeDecodeError, csv.Error) as exc:
         raise TransfidError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
