@@ -7,7 +7,7 @@ import numpy as np
 
 from .checks import is_int, is_number
 from .errors import CropLosesRoi, InvalidScheme
-from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, flat_pairs
+from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, flat_pairs, flat_position_dtype
 
 FBN = "FBN"
 FBS = "FBS"
@@ -71,10 +71,13 @@ class DiscretizedVolume:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "roi_levels", lv)
 
-    def pair_flags(self, tolerance: int) -> tuple[np.ndarray, ...]:
-        """Read-only grids, one per direction of DIRECTIONS_13, True where a
-        voxel and its neighbor at +offset are both in the mask with levels at
-        most `tolerance` apart; built once per tolerance and kept with the volume.
+    def pair_positions(self, tolerance: int) -> tuple[np.ndarray, ...]:
+        """Read-only arrays, one per direction of DIRECTIONS_13, of the
+        ascending flat positions p where voxel p and its neighbor at +offset
+        (flat p + s, s = `flat_step`) are both in the mask with levels at
+        most `tolerance` apart; built once per tolerance and kept with the
+        volume. They are int32 unless the grid has 2**31 cells or more
+        (`flat_position_dtype`).
 
         In-mask levels lie in [1, ng], so a tolerance above ng selects what
         ng does and is taken as ng."""
@@ -82,11 +85,12 @@ class DiscretizedVolume:
             raise ValueError(f"pair tolerance must be non-negative, got {tolerance}")
         tolerance = min(tolerance, self.ng)
         if tolerance not in self._pairs:
-            self._pairs[tolerance] = tuple(self._pair_grid(off, tolerance) for off in DIRECTIONS_13)
+            self._pairs[tolerance] = tuple(self._pair_list(off, tolerance) for off in DIRECTIONS_13)
         return self._pairs[tolerance]
 
-    def _pair_grid(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
-        """Each voxel compared with its neighbor on flat slices (`flat_pairs`).
+    def _pair_list(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
+        """Each voxel compared with its neighbor on flat slices (`flat_pairs`),
+        in one transient grid whose True positions are kept.
 
         |a - b| <= tolerance is one unsigned comparison: a - b + tolerance
         lies in [0, 2 * tolerance] exactly then, and wraps past it below. At
@@ -106,8 +110,9 @@ class DiscretizedVolume:
             return near
 
         grid = flat_pairs(self.dims, offset, close)
-        grid.flags.writeable = False
-        return grid
+        positions = np.flatnonzero(grid).astype(flat_position_dtype(self.dims))
+        positions.flags.writeable = False
+        return positions
 
 
 def min_max_normalize(v: Volume3D) -> Volume3D:

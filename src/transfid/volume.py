@@ -201,6 +201,11 @@ def flat_step(dims: tuple[int, int, int], offset: tuple[int, int, int]) -> int:
     return max((offset[0] * ny + offset[1]) * nz + offset[2], 1)
 
 
+def flat_position_dtype(dims: tuple[int, int, int]) -> type:
+    """int32 if every flat position of a `dims` grid fits it (< 2**31 cells), else int64."""
+    return np.int32 if math.prod(dims) < 2**31 else np.int64
+
+
 def flat_pairs(dims: tuple[int, int, int], offset: tuple[int, int, int], test) -> np.ndarray:
     """A writeable bool grid, True at each voxel whose neighbor at +offset
     lies in the grid and passes `test`.

@@ -83,6 +83,27 @@ def test_glrlm_on_a_large_grid_matches_run_scanner(kind):
         assert np.array_equal(matrix, expected), off
 
 
+@pytest.mark.parametrize("kind", ["constant", "checkerboard", "random levels"])
+def test_glrlm_with_steps_past_uint16_matches_run_scanner(kind):
+    """Steps above 65 536 sort their residues on int64 keys, not uint16.
+    Three planes along x give runs of up to 3 voxels, chains of two links
+    that a wrong key order would split."""
+    dims = (3, 260, 256)
+    if kind == "constant":
+        levels, ng = np.ones(dims, dtype=np.int64), 1
+    elif kind == "checkerboard":  # no equal-level link along either direction
+        levels, ng = np.indices(dims).sum(axis=0) % 2 + 1, 2
+    else:
+        levels, ng = np.random.default_rng(17).integers(1, 4, size=dims), 3
+    d = DiscretizedVolume(dims, levels, ng=ng, mask=RoiMask(dims, np.ones(dims, dtype=bool)))
+    got = glrlm_matrices(d)
+    for off, step in [((1, 0, 0), 66560), ((1, 1, 1), 66817)]:
+        assert flat_step(dims, off) == step
+        assert (d.pair_positions(0)[DIRECTIONS_13.index(off)].size == 0) == (kind == "checkerboard")
+        expected = oracles.glrlm_direction_matrix(d.levels, d.mask.flags, d.ng, off)
+        assert np.array_equal(got[DIRECTIONS_13.index(off)], expected), off
+
+
 @pytest.mark.parametrize("dims", [(1, 4, 5), (4, 1, 5), (4, 5, 1), (1, 1, 5), (1, 5, 1), (5, 1, 1)])
 def test_pair_step_is_slice_safe_across_size_1_axes(dims):
     """Every step is at least 1, and an offset that crosses a size-1 axis

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from transfid import preprocess
 from transfid.errors import CropLosesRoi, InvalidScheme
 from transfid.phantom import generate_phantom
 from transfid.preprocess import (
@@ -17,7 +18,7 @@ from transfid.preprocess import (
     discretize,
     min_max_normalize,
 )
-from transfid.volume import DIRECTIONS_13
+from transfid.volume import DIRECTIONS_13, RoiMask, flat_position_dtype, neighbor_sum
 
 from conftest import discretized_volumes, make_mask, make_volume
 
@@ -242,25 +243,65 @@ class TestDiscretize:
         assert peak < 1.25 * d.levels.nbytes
 
 
-class TestPairFlags:
+class TestPairPositions:
     @pytest.mark.parametrize("tolerance", [0, 1, "ng", 2**40])
     @settings(max_examples=100, deadline=None, database=None)
     @given(d=discretized_volumes())
-    def test_grids_follow_the_pair_rule(self, d, tolerance):
+    def test_positions_follow_the_pair_rule(self, d, tolerance):
         if tolerance == "ng":
             tolerance = d.ng
         dims, flags, levels = d.dims, d.mask.flags, d.levels
-        grids = d.pair_flags(tolerance)
-        assert len(grids) == len(DIRECTIONS_13)
-        for off, grid in zip(DIRECTIONS_13, grids):
+        lists = d.pair_positions(tolerance)
+        assert len(lists) == len(DIRECTIONS_13)
+        for off, positions in zip(DIRECTIONS_13, lists):
             src, dst = oracles.shift_slices(dims, off)
             expected = np.zeros(dims, dtype=bool)
             expected[src] = flags[src] & flags[dst] & (abs(levels[src] - levels[dst]) <= tolerance)
-            assert np.array_equal(grid, expected), off
-            assert not grid.flags.writeable
+            assert np.array_equal(positions, np.flatnonzero(expected)), off
+            assert positions.dtype == np.int32 and not positions.flags.writeable
 
     def test_negative_tolerance_is_refused(self):
         d = DiscretizedVolume((2, 2, 2), np.ones((2, 2, 2), dtype=int), ng=1,
                               mask=make_mask(np.ones((2, 2, 2), dtype=bool)))
         with pytest.raises(ValueError, match="non-negative"):
-            d.pair_flags(-1)
+            d.pair_positions(-1)
+
+    @pytest.mark.parametrize("dims, dtype", [
+        ((2**31 - 1, 1, 1), np.int32),
+        ((1023, 1024, 2048), np.int32),
+        ((1024, 1024, 2048), np.int64),
+        ((2**31, 1, 1), np.int64),
+        ((4096, 4096, 4096), np.int64),
+    ])
+    def test_position_dtype_is_decided_from_dims(self, dims, dtype):
+        assert flat_position_dtype(dims) is dtype
+
+    def test_lists_take_the_dims_rule(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "flat_position_dtype", lambda dims: np.int64)
+        d = DiscretizedVolume((3, 3, 3), np.ones((3, 3, 3), dtype=int), ng=1,
+                              mask=make_mask(np.ones((3, 3, 3), dtype=bool)))
+        assert all(p.dtype == np.int64 for p in d.pair_positions(0))
+
+    def test_lists_hold_at_most_half_of_the_dense_grids(self):
+        """An ROI shaped like the benchmark's large one: a 108x108x56 box
+        holding a 313 920-voxel ellipsoid of smoothed noise, at FBN 32."""
+        dims = (128, 128, 64)
+        axes = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
+        flags = sum(((a - (n - 1) / 2) / (0.83 * n / 2)) ** 2 for a, n in zip(axes, dims)) <= 1.0
+        field = np.random.default_rng(5).standard_normal(dims)
+        for _ in range(6):  # six 3x3x3 box sums: about a Gaussian of sd 2 voxels
+            field += neighbor_sum(field)
+        box, mask = RoiMask(dims, flags).box
+        d = discretize(make_volume(field[box]), mask, DiscretizationScheme("FBN", 32))
+        assert d.dims == (108, 108, 56) and mask.voxel_count == 313920
+        grid = math.prod(d.dims)  # bytes of one dense bool grid
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lists = d.pair_positions(0)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert sum(p.nbytes for p in lists) <= held <= len(DIRECTIONS_13) * grid / 2
+        # built one transient grid at a time, not 13 grids at once
+        assert peak <= held + 3 * grid

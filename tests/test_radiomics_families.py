@@ -647,13 +647,13 @@ class TestExactMoments:
 class TestSharedPairPass:
     def test_runs_zones_and_ngldm_build_the_pairs_once(self, rng, monkeypatch):
         built = []
-        pair_grid = DiscretizedVolume._pair_grid
+        pair_list = DiscretizedVolume._pair_list
 
         def counting(self, offset, tolerance):
             built.append(tolerance)
-            return pair_grid(self, offset, tolerance)
+            return pair_list(self, offset, tolerance)
 
-        monkeypatch.setattr(DiscretizedVolume, "_pair_grid", counting)
+        monkeypatch.setattr(DiscretizedVolume, "_pair_list", counting)
         d = random_discretized(rng, ng=3)
         glrlm_matrices(d)
         zone_matrices(d)
