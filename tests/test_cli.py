@@ -433,6 +433,23 @@ class TestPhantomCommand:
         assert np.array_equal(mask.flags, generate_phantom(3, (12, 10, 8))[1].flags)
 
 
+@pytest.mark.parametrize(
+    ("seed", "dims", "digest"),
+    [
+        (0, (16, 16, 16), "0cad28eb1df4d7097753ab492114f6502ec4e29ce99e873cb0eacfb52247385a"),
+        (3, (5, 9, 3), "6c5b3da4f51c857c3789a9ec7bfd100ade948c5a787cd1ecdbdd0b31f3f8329a"),
+        (7, (1, 1, 1), "2ae1c19c0cbd378e46c927a9f3611923ec07cc1ae357502a09536d455275cf21"),
+        (42, (33, 20, 7), "78b25594a4bc8431577bb223d3afd47a65c04a634fe3f42e0545e79dc57fdd51"),
+    ],
+)
+def test_phantom_bytes_are_pinned(seed, dims, digest):
+    """The sha256 of a phantom's float64 values followed by its bool flags,
+    frozen from the generator: every voxel keeps its bits."""
+    v, m = generate_phantom(seed, dims)
+    assert v.values.dtype == np.float64 and m.flags.dtype == bool
+    assert hashlib.sha256(v.values.tobytes() + m.flags.tobytes()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
