@@ -179,13 +179,13 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _window_geometry(
     dims: tuple[int, int, int], window: int, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(taps, weight): the 1-D Gaussian taps and, per voxel, the summed weight
-    of the in-bounds part of its window. Both depend on the grid only, so they
-    are computed once per (dims, window, sigma) and returned read-only."""
+    of the in-bounds part of its window, read-only. Both depend on the grid
+    only, and a worker scores one patient's grid at a time, so one is kept."""
     i = np.arange(-window, window + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma sends off-centre exponents to -inf: taps of 0
         taps = np.exp(-(i * i) / (2.0 * sigma * sigma))

@@ -11,6 +11,8 @@ _NOISE_PITCH = 4
 _ELLIPSOID_FRACTION = 0.83
 # generate_phantom peaks at about 50 bytes per voxel: 256^3 voxels take 0.8 GB
 MAX_VOXELS = 256**3
+# the lattice corners of a voxel's cell, in the order their trilinear terms are summed
+_CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
 def generate_phantom(
@@ -32,24 +34,12 @@ def generate_phantom(
     idx = [c.astype(np.int64) for c in coords]
     frac = [c - i for c, i in zip(coords, idx)]
 
-    def corner(ox: int, oy: int, oz: int) -> np.ndarray:
-        return lattice[
-            np.ix_(idx[0] + ox, idx[1] + oy, idx[2] + oz)
-        ]
-
-    fx = frac[0][:, None, None]
-    fy = frac[1][None, :, None]
-    fz = frac[2][None, None, :]
-    values = (
-        corner(0, 0, 0) * (1 - fx) * (1 - fy) * (1 - fz)
-        + corner(1, 0, 0) * fx * (1 - fy) * (1 - fz)
-        + corner(0, 1, 0) * (1 - fx) * fy * (1 - fz)
-        + corner(0, 0, 1) * (1 - fx) * (1 - fy) * fz
-        + corner(1, 1, 0) * fx * fy * (1 - fz)
-        + corner(1, 0, 1) * fx * (1 - fy) * fz
-        + corner(0, 1, 1) * (1 - fx) * fy * fz
-        + corner(1, 1, 1) * fx * fy * fz
-    )
+    fx, fy, fz = frac[0][:, None, None], frac[1][None, :, None], frac[2][None, None, :]
+    wx, wy, wz = (1 - fx, fx), (1 - fy, fy), (1 - fz, fz)
+    values = np.zeros(dims)
+    for ox, oy, oz in _CORNERS:
+        # in place: a fresh sum per corner would peak 8 bytes per voxel higher
+        values += lattice[np.ix_(idx[0] + ox, idx[1] + oy, idx[2] + oz)] * wx[ox] * wy[oy] * wz[oz]
     lo, hi = values.min(), values.max()
     values = (values - lo) / (hi - lo) if hi > lo else np.zeros(dims)
 

@@ -7,7 +7,7 @@ from ..config import RunConfig
 from ..preprocess import discretize
 from ..volume import RoiMask, Volume3D
 from .histogram import intensity_histogram_features, ivh_features
-from .ids import ALL_FEATURE_IDS, AGG_NONE
+from .ids import ALL_FEATURE_IDS, ALL_FEATURE_KEYS, AGG_NONE
 from .intensity import intensity_statistics, local_intensity
 from .texture import glcm_features, glrlm_features, ngldm_features, ngtdm_features, zone_features
 from .vector import FeatureVector
@@ -72,13 +72,13 @@ def extract_all(
     run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, config.ngldm_alpha)})
 
     values = {}
-    for fid in ALL_FEATURE_IDS:
+    for fid, key in zip(ALL_FEATURE_IDS, ALL_FEATURE_KEYS):
         value = float(results.get((fid.family, fid.aggregation), {}).get(fid.name, math.nan))
-        values[fid.key] = value if math.isfinite(value) else math.nan
+        values[key] = value if math.isfinite(value) else math.nan
     flags = {
-        fid.key
-        for fid in ALL_FEATURE_IDS
-        if math.isnan(values[fid.key]) or (fid.family == "IVH" and fid.name in ivh_flagged)
+        key
+        for fid, key in zip(ALL_FEATURE_IDS, ALL_FEATURE_KEYS)
+        if math.isnan(values[key]) or (fid.family == "IVH" and fid.name in ivh_flagged)
     }
 
     provenance = {

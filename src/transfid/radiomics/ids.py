@@ -30,9 +30,9 @@ EXPECTED_FAMILY_COUNTS = {
 
 LI_NAMES = ("local_peak", "global_peak")
 
-IS_NAMES = (
+# the 16 statistics basic_distribution_stats returns for IS and IH; the registry sorts names
+DISTRIBUTION_NAMES = (
     "coefficient_of_variation",
-    "energy",
     "interquartile_range",
     "kurtosis",
     "maximum",
@@ -46,35 +46,21 @@ IS_NAMES = (
     "quartile_coefficient_of_dispersion",
     "range",
     "robust_mean_absolute_deviation",
-    "root_mean_square",
     "skewness",
     "variance",
 )
+
+IS_NAMES = (*DISTRIBUTION_NAMES, "energy", "root_mean_square")
 
 IH_NAMES = (
-    "coefficient_of_variation",
+    *DISTRIBUTION_NAMES,
     "entropy",
-    "interquartile_range",
-    "kurtosis",
-    "maximum",
+    "mode",
+    "uniformity",
     "maximum_gradient",
     "maximum_gradient_level",
-    "mean",
-    "mean_absolute_deviation",
-    "median",
-    "median_absolute_deviation",
-    "minimum",
     "minimum_gradient",
     "minimum_gradient_level",
-    "mode",
-    "percentile_10",
-    "percentile_90",
-    "quartile_coefficient_of_dispersion",
-    "range",
-    "robust_mean_absolute_deviation",
-    "skewness",
-    "uniformity",
-    "variance",
 )
 
 IVH_NAMES = (

@@ -37,8 +37,8 @@ from ..volume import DIRECTIONS_13, flat_pairs, flat_step, neighbor_sum
 
 def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
     """(level x magnitude) count matrix of paired levels 1..ng and
-    magnitudes 1..max, as float64."""
-    width = int(magnitudes.max())
+    magnitudes 1..max, as float64; with no magnitudes, one zero column."""
+    width = int(magnitudes.max(initial=1))
     counts = np.bincount((levels - 1) * width + (magnitudes - 1), minlength=ng * width)
     return counts.reshape(ng, width).astype(np.float64)
 
@@ -88,12 +88,10 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
         starts = np.ones(links.size + 1, dtype=bool)  # each chain's first link, then the end
         np.not_equal(links[1:], links[:-1] + step, out=starts[1:-1])
         bounds = np.flatnonzero(starts)
-        lengths = bounds[1:] - bounds[:-1] + 1
-        width = int(lengths.max(initial=1))
-        key = (levels[links[bounds[:-1]]].astype(np.int64) - 1) * width + (lengths - 1)
-        runs = np.bincount(key, minlength=d.ng * width).reshape(d.ng, width)
-        runs[:, 0] = in_roi - runs @ np.arange(1, width + 1)
-        out.append(runs.astype(np.float64))
+        runs = _tally(levels[links[bounds[:-1]]], bounds[1:] - bounds[:-1] + 1, d.ng)
+        # exact, as every term is an integer below 2**53; a float @ would load BLAS pages
+        runs[:, 0] = in_roi - (runs * np.arange(1, runs.shape[1] + 1)).sum(axis=1)
+        out.append(runs)
     return out
 
 

@@ -28,14 +28,6 @@ def nan_names(features):
     return {name for name, value in features.items() if math.isnan(value)}
 
 
-@pytest.fixture
-def small_pair(rng):
-    values = rng.random((6, 5, 4))
-    flags = rng.random((6, 5, 4)) < 0.7
-    flags[2, 2, 2] = True
-    return make_volume(values), make_mask(flags)
-
-
 @st.composite
 def discretized_volumes(draw):
     """Volumes of 1 to 7 voxels per axis (size-1 axes included), with a

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import transfid
-from transfid import analysis
+from transfid import analysis, cli
 from transfid.cli import build_parser, main
 from transfid.iqa import SsimParams, mae, mse, ssim3d
 from transfid.manifest import ORIGINAL_SOURCE
 from transfid.nifti import load_mask, load_nifti, save_nifti
 from transfid.phantom import MAX_VOXELS, generate_phantom
 from transfid.preprocess import crop_centered, min_max_normalize
-from transfid.radiomics import ALL_FEATURE_KEYS
+from transfid.radiomics import ALL_FEATURE_KEYS, FeatureVector
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
 PHANTOM7_SHA256 = "dec66bd39cc20943ae1ce8edad05d2b4506223b48aa8bb8d57b8a768465b9d6d"
@@ -455,6 +455,19 @@ class TestExitCodes:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_selftest_fails_on_nan_where_golden_is_finite(self, capsys, monkeypatch):
+        extract_all = cli.extract_all
+
+        def extract_with_nan(*args):
+            vector = extract_all(*args)
+            values = {**vector.values, "is.mean": math.nan}
+            return FeatureVector(values, vector.flags | {"is.mean"}, vector.provenance)
+
+        monkeypatch.setattr(cli, "extract_all", extract_with_nan)
+        assert main(["selftest"]) == 2
+        assert "[FAIL] phantom features match committed golden values  (is.mean: nan vs golden" \
+            in capsys.readouterr().out
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["metrics", "--bogus"]) == 1
@@ -969,3 +982,29 @@ def test_no_module_imports_scipy():
                 for m in modules if m.split(".")[0] == "scipy"
             ]
     assert found == []
+
+
+# imported only for perfbench/layers.py, which probes cli.FeatureVector
+IMPORTED_FOR_PROBES = {"cli.py FeatureVector"}
+
+
+def test_every_module_level_import_is_used():
+    """Each name a module imports at module level is read in that module.
+    A package's `__init__` imports to re-export, so it is left out."""
+    package = Path(transfid.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(package)} {name}" for name in names if name not in read]
+    assert sorted(set(unused) - IMPORTED_FOR_PROBES) == []
+    assert IMPORTED_FOR_PROBES <= set(unused)

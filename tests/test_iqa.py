@@ -150,6 +150,13 @@ class TestSsim3d:
         taps, _ = iqa._window_geometry(a.dims, SsimParams().window, 1e-160)
         assert taps.tolist() == [0.0] * SsimParams().window + [1.0] + [0.0] * SsimParams().window
 
+    def test_window_geometry_keeps_one_grid(self, rng):
+        # each entry holds a full-grid float64 weight array
+        for dims in ((12, 12, 12), (11, 13, 12)):
+            a = make_volume(rng.random(dims))
+            ssim3d(a, a)
+        assert iqa._window_geometry.cache_info().currsize == 1
+
     @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
     def test_window_must_be_an_int(self, window):
         with pytest.raises(ValueError, match="window must be an int >= 1"):

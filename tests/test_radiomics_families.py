@@ -11,8 +11,10 @@ from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics import extract_all
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
+from transfid.radiomics.ids import DISTRIBUTION_NAMES, IH_NAMES, IS_NAMES
 from transfid.radiomics.intensity import (
     _sphere_geometry,
+    basic_distribution_stats,
     fast_length,
     intensity_statistics,
     local_intensity,
@@ -21,6 +23,7 @@ from transfid.radiomics.intensity import (
 )
 from transfid.radiomics.matrices import (
     DIRECTIONS_13,
+    _tally,
     connected_labels,
     equal_level_edges,
     glcm_matrices,
@@ -208,6 +211,21 @@ class TestIntensityHistogram:
         assert_close_dict(got, expected, rel=1e-10)
 
 
+def test_distribution_stats_return_the_shared_names(rng):
+    values = rng.random(40)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    features = basic_distribution_stats(values, np.sort(values), distinct, inverse)
+    assert sorted(features) == sorted(DISTRIBUTION_NAMES)
+
+
+@pytest.mark.parametrize("levels", [[1, 2, 3, 1, 2, 2], [1, 1, 1, 1, 1, 1]], ids=["regular", "single-level"])
+def test_is_and_ih_return_their_registry_names(levels):
+    levels = np.array(levels).reshape(6, 1, 1)
+    vol = make_volume(levels * 0.5)
+    assert sorted(intensity_statistics(vol, make_mask(levels > 0))) == sorted(IS_NAMES)
+    assert sorted(intensity_histogram_features(make_disc(levels))) == sorted(IH_NAMES)
+
+
 class TestIvh:
     def test_half_and_half_step_curve(self):
         values = np.array([0.0] * 8 + [1.0] * 8).reshape(16, 1, 1)
@@ -327,6 +345,11 @@ class TestGlrlm:
         # one run of 2 and one of 3
         assert x_dir[0, 1] == 1
         assert x_dir[0, 2] == 1
+
+    def test_tally_with_no_magnitudes_is_one_zero_column(self):
+        # a direction with no equal-level link, as across a size-1 axis
+        runs = _tally(np.empty(0, np.int32), np.empty(0, np.int64), 3)
+        assert runs.dtype == np.float64 and runs.shape == (3, 1) and not runs.any()
 
     def test_random_vs_run_scanner_oracle(self, rng):
         d = random_discretized(rng, ng=5)
