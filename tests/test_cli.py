@@ -469,6 +469,14 @@ class TestExitCodes:
         assert "[FAIL] phantom features match committed golden values  (is.mean: nan vs golden" \
             in capsys.readouterr().out
 
+    def test_selftest_fails_on_finite_where_golden_is_nan(self, capsys, monkeypatch):
+        golden = cli._selftest_golden()
+        key = next(k for k, v in golden["features"].items() if v is not None)
+        monkeypatch.setattr(cli, "_selftest_golden", lambda: {**golden, "features": {key: None}})
+        assert main(["selftest"]) == 2
+        assert f"[FAIL] phantom features match committed golden values  ({key}: expected NaN, got" \
+            in capsys.readouterr().out
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["metrics", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
@@ -804,6 +812,19 @@ class TestAnalyzeInputHazards:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{features}: no synthetic source rows" in err and "Traceback" not in err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_no_original_rows(self, tmp_path, capsys):
+        features, metrics = write_analyze_inputs(tmp_path)
+        lines = features.read_text().splitlines(keepends=True)
+        features.write_text("".join(line for line in lines if f",{ORIGINAL_SOURCE}," not in line))
+        code = main([
+            "analyze", "--features", str(features), "--metrics", str(metrics),
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{features}: no {ORIGINAL_SOURCE} rows" in err and "Traceback" not in err
         assert not (tmp_path / "g.csv").exists()
 
     def test_no_metrics_for_any_network(self, tmp_path, capsys):

@@ -169,6 +169,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict([1, 2, 3])
 
+    def test_section_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        # the manifest does not exist: a config that passed would exit 2
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"ssim": 5}))
+        assert main([
+            "extract", "--manifest", str(tmp_path / "none.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "transfid: config error: ssim must be an object" in err and "Traceback" not in err
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from transfid import preprocess
@@ -105,6 +106,45 @@ class TestCropCentered:
         flags[1, 0, 0] = flags[2, 0, 0] = True  # centroid x = 1.5 -> 2
         assert make_mask(flags).centroid == (2, 0, 0)
 
+    @pytest.mark.parametrize("target", [(0, 2, 2), (2, 2, -1)])
+    def test_non_positive_target_is_refused(self, target):
+        vol, mask = make_volume(np.ones((2, 2, 2))), make_mask(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="crop target must be positive"):
+            crop_centered(vol, mask, target)
+
+    @staticmethod
+    def padded_window(array, starts, target):
+        """`target` cells from `starts` of `array`, zero outside it: the
+        array padded by the target on every side, then sliced."""
+        pad = max(target)
+        window = tuple(slice(s + pad, s + pad + t) for s, t in zip(starts, target))
+        return np.pad(array, pad)[window]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_window_matches_a_padded_reference(self, data):
+        dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
+        target = tuple(data.draw(st.integers(1, 9)) for _ in range(3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        values = rng.random(dims)
+        flags = rng.random(dims) < data.draw(st.sampled_from((0.05, 0.5, 1.0)))
+        # a voxel on the first or the last plane of an axis pulls the centroid there
+        corner = tuple(data.draw(st.sampled_from((0, n - 1))) for n in dims)
+        if data.draw(st.booleans()):
+            flags[:] = False
+        flags[corner] = True
+        mask = make_mask(flags)
+        starts = [c - t // 2 for c, t in zip(mask.centroid, target)]
+        expected_flags = self.padded_window(flags, starts, target)
+        if not expected_flags.any():
+            with pytest.raises(CropLosesRoi):
+                crop_centered(make_volume(values), mask, target)
+            return
+        out_vol, out_mask = crop_centered(make_volume(values), mask, target)
+        np.testing.assert_array_equal(out_vol.values, self.padded_window(values, starts, target))
+        np.testing.assert_array_equal(out_mask.flags, expected_flags)
+
 
 class TestDiscretize:
     def test_fbn_formula(self):
@@ -153,6 +193,13 @@ class TestDiscretize:
         assert d.roi_levels is d.roi_levels
         np.testing.assert_array_equal(d.roi_levels, d.levels[mask.flags])
         assert not d.roi_levels.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_in_mask_levels_outside_1_to_ng_are_refused(self, bad):
+        flags = np.array([True, True, False]).reshape(3, 1, 1)
+        levels = np.array([1, bad, 0]).reshape(3, 1, 1)
+        with pytest.raises(ValueError, match=r"in-mask levels must lie in \[1, ng\]"):
+            DiscretizedVolume((3, 1, 1), levels, ng=3, mask=RoiMask((3, 1, 1), flags))
 
     def test_fbn_all_levels_attainable(self):
         ng = 6

@@ -49,6 +49,16 @@ class TestCountLaw:
         with pytest.raises(ValueError):
             FeatureVector(values=values)
 
+    def test_vector_rejects_keys_out_of_registry_order(self):
+        values = {k: 0.0 for k in reversed(ALL_FEATURE_KEYS)}
+        with pytest.raises(ValueError, match="feature vector keys are not in canonical order"):
+            FeatureVector(values=values)
+
+    def test_vector_rejects_a_flag_that_names_no_feature(self):
+        values = {k: 0.0 for k in ALL_FEATURE_KEYS}
+        with pytest.raises(ValueError, match=r"flags reference unknown features: \['glcm.bogus'\]"):
+            FeatureVector(values=values, flags=frozenset({"is.mean", "glcm.bogus"}))
+
 
 class TestDocsInSync:
     def test_feature_id_docs_list_every_key_in_order(self):

@@ -140,6 +140,13 @@ class TestLoadNifti:
         with pytest.raises(MalformedHeader):
             load_nifti(path)
 
+    def test_file_shorter_than_the_header(self, tmp_path):
+        path = tmp_path / "short.nii"
+        write_nifti_reference(path, np.zeros((2, 2, 2), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:347])
+        with pytest.raises(MalformedHeader, match="file shorter than the 348-byte header"):
+            load_nifti(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.nii"
         write_nifti_reference(path, np.zeros((4, 4, 4), dtype=np.float32))
@@ -366,6 +373,42 @@ class TestTypes:
         with pytest.raises(EmptyMask):
             RoiMask((2, 2, 2), np.zeros((2, 2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 0, 2), (2, -1, 2), (1, 1, 1, 1)])
+    def test_volume_rejects_bad_dims(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive ints"):
+            Volume3D(dims, (1, 1, 1), np.zeros(4))
+
+    def test_volume_rejects_a_wrong_value_count(self):
+        with pytest.raises(ValueError, match=r"^value count 7 does not match dims \(2, 2, 2\)$"):
+            Volume3D((2, 2, 2), (1, 1, 1), np.zeros(7))
+        with pytest.raises(ValueError, match=r"^value count 8 does not match dims \(2, 2, 3\)$"):
+            Volume3D((2, 2, 3), (1, 1, 1), np.zeros((2, 2, 2)))
+
+    def test_mask_rejects_a_wrong_flag_count(self):
+        with pytest.raises(DimsMismatch, match=r"^mask flag count 9 does not match dims \(2, 2, 2\)$"):
+            RoiMask((2, 2, 2), np.ones(9, dtype=bool))
+
+    def test_unaligned_mask_is_refused(self):
+        mask = RoiMask((2, 2, 2), np.ones((2, 2, 2), dtype=bool))
+        volume = Volume3D((2, 2, 1), (1, 1, 1), np.zeros((2, 2, 1)))
+        with pytest.raises(DimsMismatch, match=r"mask dims \(2, 2, 2\) != volume dims \(2, 2, 1\)"):
+            mask.check_aligned(volume)
+
+    def test_flat_values_are_read_x_fastest(self):
+        values = np.arange(24.0).reshape((2, 3, 4))
+        flat = Volume3D((2, 3, 4), (1, 1, 1), values.ravel(order="F"))
+        np.testing.assert_array_equal(flat.values, values)
+
+    def test_int_and_flat_masks_give_the_flags_of_the_bool_mask(self, rng):
+        flags = rng.random((3, 4, 5)) < 0.5
+        flags[0, 0, 0] = True
+        expected = RoiMask((3, 4, 5), flags).flags
+        counts = np.where(flags, rng.integers(1, 9, flags.shape), 0)
+        for given in (counts, counts.astype(np.float64), flags.ravel(order="F"), counts.ravel(order="F")):
+            mask = RoiMask((3, 4, 5), given)
+            assert mask.flags.dtype == bool and mask.flags.shape == (3, 4, 5)
+            np.testing.assert_array_equal(mask.flags, expected)
+
 
 def _write_manifest(path, rows):
     path.write_text("patient_id,source,path\n" + "\n".join(",".join(r) for r in rows) + "\n")
@@ -445,6 +488,20 @@ class TestManifest:
             "patient_id,source,path\np1,original_mri,a.nii\n\n\np1,original_mri,b.nii\n"
         )
         with pytest.raises(DuplicateEntry, match=r"m\.csv, line 5: duplicate"):
+            parse_manifest(manifest)
+
+    def test_duplicate_mask(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        _write_manifest(
+            manifest,
+            [
+                ("p1", "original_mri", "a.nii"),
+                ("p1", "mask", "m.nii"),
+                ("p1", "synth_a", "s.nii"),
+                ("p1", "mask", "m2.nii"),
+            ],
+        )
+        with pytest.raises(DuplicateEntry, match=r"m\.csv, line 5: duplicate mask for patient 'p1'"):
             parse_manifest(manifest)
 
     def test_row_wider_than_header(self, tmp_path):
