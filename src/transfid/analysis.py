@@ -214,7 +214,7 @@ def build_cohort(manifest: str | Path, config: RunConfig, jobs: int = 1) -> Coho
         patients.append(record.patient_id)
         for source in record.source_paths:
             vector = result.features[source]
-            rows.setdefault(source, []).append((row, [vector[k] for k in ALL_FEATURE_KEYS]))
+            rows.setdefault(source, []).append((row, list(vector.values.values())))
         for network, metric_set in result.metrics.items():
             metrics[(record.patient_id, network)] = metric_set
 

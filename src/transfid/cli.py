@@ -98,7 +98,7 @@ def _feature_rows(record, result):
         yield [
             record.patient_id,
             source,
-            *(_fmt(vector[key], 12) for key in ALL_FEATURE_KEYS),
+            *(_fmt(value, 12) for value in vector.values.values()),
             ";".join(k for k in ALL_FEATURE_KEYS if k in vector.flags),
         ]
 
@@ -137,21 +137,6 @@ def _metric(cell: str, column: str, path: str, line: int) -> float:
         raise TransfidError(f"{path}, line {line}: {column} is not a number: {cell!r}")
     allowed = "finite or inf" if column == "psnr" else "finite"
     raise TransfidError(f"{path}, line {line}: {column} must be {allowed}, got {cell!r}")
-
-
-_EMPTY_AS_NAN = {"": "nan"}  # .get(cell, cell) turns '' into 'nan', any other cell into itself
-
-
-def _feature_values(cells: tuple[str, ...], path: str, line: int) -> np.ndarray:
-    """One row's 186 feature cells as floats; an empty cell reads as NaN.
-    A row that fails is walked cell by cell only to name the bad cell."""
-    try:
-        return np.fromiter(map(float, map(_EMPTY_AS_NAN.get, cells, cells)), np.float64, len(cells))
-    except ValueError:
-        for key, cell in zip(ALL_FEATURE_KEYS, cells):
-            if cell:
-                _number(cell, key, path, line)
-        raise
 
 
 def _read_features_csv(path: str) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
@@ -256,7 +241,9 @@ def _read_features_rows(path: str) -> tuple[list[str], list[str], dict[str, np.n
                     raise TransfidError(
                         f"{path}, line {line}: unknown feature {unknown[0]!r} in flags"
                     )
-            values = _feature_values(feature_cells(row), path, line)
+            # an empty cell reads as NaN
+            cells = zip(ALL_FEATURE_KEYS, feature_cells(row))
+            values = np.array([_number(c, key, path, line) if c else math.nan for key, c in cells])
             rows.setdefault(source, []).append((patients.setdefault(pid, len(patients)), values))
     if ORIGINAL_SOURCE not in rows:
         raise TransfidError(f"{path}: no {ORIGINAL_SOURCE} rows")

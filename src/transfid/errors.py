@@ -15,7 +15,8 @@ class UnsupportedDatatype(TransfidError):
 
 
 class NonFiniteVoxel(TransfidError):
-    """Loaded volume contains NaN or infinite voxel values."""
+    """Loaded volume contains NaN or infinite voxel values, or values whose
+    range overflows float64."""
 
 
 class DimsMismatch(TransfidError):

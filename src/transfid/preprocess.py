@@ -1,12 +1,13 @@
 """Intensity normalization, ROI-centered cropping, and gray-level discretization."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import is_int, is_number
-from .errors import CropLosesRoi, InvalidScheme
+from .errors import CropLosesRoi, InvalidScheme, NonFiniteVoxel
 from .volume import DIRECTIONS_13, RoiMask, Volume3D, _adopt, flat_pairs, flat_position_dtype
 
 FBN = "FBN"
@@ -52,13 +53,16 @@ class DiscretizedVolume:
     """Integer gray levels for in-mask voxels; out-of-mask voxels hold level 0.
 
     `roi_levels` holds the levels of in-mask voxels only, in C order (1D),
-    gathered once with the range check."""
+    gathered once with the range check, and `level_counts` the in-mask
+    voxels of each level 1..ng (int64), tallied once from them; both are
+    read-only."""
 
     dims: tuple[int, int, int]
     levels: np.ndarray = field(repr=False)
     ng: int
     mask: RoiMask
     roi_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    level_counts: np.ndarray = field(init=False, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,10 +70,12 @@ class DiscretizedVolume:
         lv = levels[self.mask.flags]
         if lv.size and (lv.min() < 1 or lv.max() > self.ng):
             raise ValueError("in-mask levels must lie in [1, ng]")
-        levels.flags.writeable = False
-        lv.flags.writeable = False
+        counts = np.bincount(lv, minlength=self.ng + 1)[1:]
+        for array in (levels, lv, counts):
+            array.flags.writeable = False
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "roi_levels", lv)
+        object.__setattr__(self, "level_counts", counts)
 
     def pair_positions(self, tolerance: int) -> tuple[np.ndarray, ...]:
         """Read-only arrays, one per direction of DIRECTIONS_13, of the
@@ -90,11 +96,8 @@ class DiscretizedVolume:
 
     def _pair_list(self, offset: tuple[int, int, int], tolerance: int) -> np.ndarray:
         """Each voxel compared with its neighbor on flat slices (`flat_pairs`),
-        in one transient grid whose True positions are kept.
-
-        |a - b| <= tolerance is one unsigned comparison: a - b + tolerance
-        lies in [0, 2 * tolerance] exactly then, and wraps past it below. At
-        tolerance 0 it is a == b, which needs no int32 difference array."""
+        in one transient grid whose True positions are kept. At tolerance 0
+        the rule is a == b, which needs no int32 difference array."""
         levels = self.levels.reshape(-1)
         flags = self.mask.flags.reshape(-1)
 
@@ -102,9 +105,7 @@ class DiscretizedVolume:
             if tolerance == 0:
                 near = levels[:-step] == levels[step:]
             else:
-                gap = levels[:-step] - levels[step:]
-                gap += tolerance
-                near = gap.view(np.uint32) <= 2 * tolerance
+                near = np.abs(levels[:-step] - levels[step:]) <= tolerance
             near &= flags[:-step]
             near &= flags[step:]
             return near
@@ -116,11 +117,14 @@ class DiscretizedVolume:
 
 
 def min_max_normalize(v: Volume3D) -> Volume3D:
-    """Affinely map the whole volume onto [0, 1]; constant volumes map to zeros."""
+    """Affinely map the whole volume onto [0, 1]; constant volumes map to
+    zeros, and a range wider than float64 holds is refused."""
     lo = float(v.values.min())
     hi = float(v.values.max())
     if hi == lo:
         return _adopt(v.dims, v.spacing, np.zeros(v.dims))
+    if not math.isfinite(hi - lo):
+        raise NonFiniteVoxel(f"intensity range [{lo:g}, {hi:g}] overflows float64: max - min is inf")
     out = v.values - lo
     out /= hi - lo
     return _adopt(v.dims, v.spacing, out)
@@ -140,19 +144,15 @@ def crop_centered(
         raise ValueError(f"crop target must be positive, got {target}")
 
     center = mask.centroid
+    # each axis's window holds the centroid, which lies in the grid, so it overlaps the grid
     starts = [c - t // 2 for c, t in zip(center, target)]
+    src = tuple(slice(max(s, 0), min(s + t, n)) for s, t, n in zip(starts, target, v.dims))
+    dst = tuple(slice(w.start - s, w.stop - s) for w, s in zip(src, starts))
 
     out_vals = np.zeros(target)
     out_flags = np.zeros(target, dtype=bool)
-    src_lo = [max(0, s) for s in starts]
-    src_hi = [min(d, s + t) for d, s, t in zip(v.dims, starts, target)]
-    if all(lo < hi for lo, hi in zip(src_lo, src_hi)):
-        dst_lo = [lo - s for lo, s in zip(src_lo, starts)]
-        dst_hi = [hi - s for hi, s in zip(src_hi, starts)]
-        src = tuple(slice(lo, hi) for lo, hi in zip(src_lo, src_hi))
-        dst = tuple(slice(lo, hi) for lo, hi in zip(dst_lo, dst_hi))
-        out_vals[dst] = v.values[src]
-        out_flags[dst] = mask.flags[src]
+    out_vals[dst] = v.values[src]
+    out_flags[dst] = mask.flags[src]
     if not out_flags.any():
         raise CropLosesRoi(f"crop to {target} at centroid {center} removed the whole ROI")
     return _adopt(target, v.spacing, out_vals), RoiMask(target, out_flags)
@@ -171,6 +171,11 @@ def discretize(v: Volume3D, mask: RoiMask, scheme: DiscretizationScheme) -> Disc
             ng = 1
         else:
             ng = scheme.bins
+            if not math.isfinite(ng * (hi - lo)):  # bounds ng * (roi - lo) below
+                raise InvalidScheme(
+                    f"{scheme.describe()} overflows float64 on the ROI range [{lo:g}, {hi:g}]: "
+                    "bins * (max - min) is inf"
+                )
             lv = np.floor(ng * (roi - lo) / (hi - lo)).astype(np.int64) + 1
             np.minimum(lv, ng, out=lv)
     else:

@@ -72,14 +72,13 @@ def extract_all(
     run(lambda: {("NGLDM", AGG_NONE): ngldm_features(d, config.ngldm_alpha)})
 
     values = {}
+    flags = set()
     for fid, key in zip(ALL_FEATURE_IDS, ALL_FEATURE_KEYS):
         value = float(results.get((fid.family, fid.aggregation), {}).get(fid.name, math.nan))
-        values[key] = value if math.isfinite(value) else math.nan
-    flags = {
-        key
-        for fid, key in zip(ALL_FEATURE_IDS, ALL_FEATURE_KEYS)
-        if math.isnan(values[key]) or (fid.family == "IVH" and fid.name in ivh_flagged)
-    }
+        finite = math.isfinite(value)
+        values[key] = value if finite else math.nan
+        if not finite or (fid.family == "IVH" and fid.name in ivh_flagged):
+            flags.add(key)
 
     provenance = {
         "scheme": config.scheme.describe(),

@@ -19,14 +19,13 @@ def intensity_histogram_features(d: DiscretizedVolume) -> dict[str, float]:
     """
     roi_levels = d.roi_levels
     levels = roi_levels.astype(np.float64)
-    tally = np.bincount(roi_levels, minlength=d.ng + 1)[1:]
     # the distinct values are the levels 1..ng, so neither a sort nor a search is needed
     distinct = np.arange(1, d.ng + 1, dtype=np.float64)
     features = basic_distribution_stats(
-        levels, np.repeat(distinct, tally), distinct, roi_levels - 1
+        levels, np.repeat(distinct, d.level_counts), distinct, roi_levels - 1
     )
 
-    counts = tally.astype(np.float64)
+    counts = d.level_counts.astype(np.float64)
     n = levels.size
     p = counts / n
     occupied = p > 0
@@ -49,13 +48,12 @@ def intensity_histogram_features(d: DiscretizedVolume) -> dict[str, float]:
 def _intensity_at_volume_fraction(
     gammas: np.ndarray, nu: np.ndarray, fraction: float, lo: float, hi: float
 ) -> float:
-    """Interpolated intensity where the volume fraction drops to `fraction`."""
+    """Interpolated intensity where the volume fraction drops to `fraction`;
+    nu[0] is 1 > `fraction`, so the drop comes after the first step."""
     below = np.nonzero(nu <= fraction)[0]
     if below.size == 0:
         return hi
     k = int(below[0])
-    if k == 0:
-        return lo
     g0, g1 = gammas[k - 1], gammas[k]
     n0, n1 = nu[k - 1], nu[k]
     gamma = g0 + (n0 - fraction) * (g1 - g0) / (n0 - n1)
@@ -68,6 +66,7 @@ def ivh_features(v: Volume3D, mask: RoiMask, ivh_bins: int) -> tuple[dict[str, f
 
     IVH is the one family that flags finite values: on a constant ROI the
     curve is a step, and all seven take a documented convention, flagged.
+    A range wider than float64 holds has no curve: all seven are NaN.
     """
     if not 1 <= ivh_bins <= MAX_IVH_BINS:
         raise ValueError(f"ivh_bins must be in [1, {MAX_IVH_BINS}], got {ivh_bins}")
@@ -87,6 +86,8 @@ def ivh_features(v: Volume3D, mask: RoiMask, ivh_bins: int) -> tuple[dict[str, f
             "area_under_curve": 1.0,
         }
         return features, set(IVH_NAMES)
+    if not math.isfinite(hi - lo):
+        return dict.fromkeys(IVH_NAMES, math.nan), set()
 
     # the fractional-volume curve nu(gamma), gamma in [0, 1] over `ivh_bins` steps
     gammas = np.linspace(0.0, 1.0, ivh_bins + 1)

@@ -75,11 +75,11 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     radix sort) puts each residue's links in increasing order, so a chain
     is a stretch where each link lies s past the one before; links of two
     residues are never s apart. A run has the level of its first link.
-    Each level's length-1 runs are its ROI voxels outside longer runs, and
-    across a size-1 axis, where there are no links, every run has length 1.
+    Each level's length-1 runs are its ROI voxels (`level_counts`) outside
+    longer runs, and across a size-1 axis, where there are no links, every
+    run has length 1.
     """
     levels = d.levels.ravel()
-    in_roi = np.bincount(d.roi_levels, minlength=d.ng + 1)[1:]
     out = []
     for off, pos in zip(DIRECTIONS_13, d.pair_positions(0)):
         step = flat_step(d.dims, off)
@@ -90,7 +90,7 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
         bounds = np.flatnonzero(starts)
         runs = _tally(levels[links[bounds[:-1]]], bounds[1:] - bounds[:-1] + 1, d.ng)
         # exact, as every term is an integer below 2**53; a float @ would load BLAS pages
-        runs[:, 0] = in_roi - (runs * np.arange(1, runs.shape[1] + 1)).sum(axis=1)
+        runs[:, 0] = d.level_counts - (runs * np.arange(1, runs.shape[1] + 1)).sum(axis=1)
         out.append(runs)
     return out
 

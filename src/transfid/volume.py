@@ -16,6 +16,16 @@ import numpy as np
 from .errors import DimsMismatch, EmptyMask, NonFiniteVoxel
 
 
+def _shaped(array: np.ndarray, dims: tuple[int, int, int], error: type, noun: str) -> np.ndarray:
+    """`array` if it is shaped `dims`, else the same cells read in x-fastest
+    order; an array of any other size raises `error`, naming `noun`."""
+    if array.shape == dims:
+        return array
+    if array.size != math.prod(dims):
+        raise error(f"{noun} count {array.size} does not match dims {dims}")
+    return array.reshape(dims, order="F")
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """A 3D scalar field with voxel counts and physical spacing in mm."""
@@ -37,12 +47,7 @@ class Volume3D:
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
         if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
             raise ValueError(f"spacing must be three positive finite reals, got {self.spacing}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != dims:
-            if values.size == dims[0] * dims[1] * dims[2]:
-                values = values.reshape(dims, order="F")
-            else:
-                raise ValueError(f"value count {values.size} does not match dims {dims}")
+        values = _shaped(np.asarray(self.values, dtype=np.float64), dims, ValueError, "value")
         if not np.all(np.isfinite(values)):
             raise NonFiniteVoxel("volume contains NaN or infinite values")
         values = np.ascontiguousarray(values) if own else values.copy()
@@ -90,11 +95,7 @@ class RoiMask:
         flags = np.asarray(self.flags)
         if flags.dtype != np.bool_:
             flags = flags != 0
-        if flags.shape != dims:
-            if flags.size == dims[0] * dims[1] * dims[2]:
-                flags = flags.reshape(dims, order="F")
-            else:
-                raise DimsMismatch(f"mask flag count {flags.size} does not match dims {dims}")
+        flags = _shaped(flags, dims, DimsMismatch, "mask flag")
         if not flags.any():
             raise EmptyMask("mask selects no voxels")
         flags = flags.copy()

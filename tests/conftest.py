@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizedVolume
 from transfid.volume import RoiMask, Volume3D
 
@@ -21,6 +22,16 @@ def make_volume(values, spacing=(1.0, 1.0, 1.0)):
 def make_mask(flags):
     flags = np.asarray(flags, dtype=bool)
     return RoiMask(flags.shape, flags)
+
+
+def overflowing_phantom():
+    """The 16^3 phantom of seed 0 with two ROI voxels set to -1e308 and
+    1e308: every voxel is finite, but max - min overflows float64."""
+    v, m = generate_phantom(0, (16, 16, 16))
+    values = v.values.copy()
+    roi = np.argwhere(m.flags)
+    values[tuple(roi[0])], values[tuple(roi[-1])] = -1e308, 1e308
+    return v.with_values(values), m
 
 
 def nan_names(features):

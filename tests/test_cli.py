@@ -2,6 +2,7 @@
 import ast
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from transfid.nifti import load_mask, load_nifti, save_nifti
 from transfid.phantom import MAX_VOXELS, generate_phantom
 from transfid.preprocess import crop_centered, min_max_normalize
 from transfid.radiomics import ALL_FEATURE_KEYS, FeatureVector
+
+from conftest import overflowing_phantom
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
 PHANTOM7_SHA256 = "dec66bd39cc20943ae1ce8edad05d2b4506223b48aa8bb8d57b8a768465b9d6d"
@@ -343,6 +346,57 @@ class TestPipeline:
         assert all(math.isfinite(float(row[name])) for row in written for name in ("mae", "mse", "ssim"))
         assert written[1]["mse"] == "0" and written[1]["psnr"] == "inf"
 
+    @staticmethod
+    def write_overflowing_cohort(tmp_path):
+        """One patient whose original and network are both `overflowing_phantom`."""
+        v, m = overflowing_phantom()
+        save_nifti(tmp_path / "o.nii", v)
+        save_nifti(tmp_path / "m.nii", v.with_values(m.flags.astype(float)))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "patient_id,source,path\n"
+            f"p0,{ORIGINAL_SOURCE},{tmp_path / 'o.nii'}\np0,mask,{tmp_path / 'm.nii'}\n"
+            f"p0,synth_a,{tmp_path / 'o.nii'}\n"
+        )
+        return manifest
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    def test_an_overflowing_range_is_a_named_exclusion_under_either_warning_filter(self, tmp_path, command):
+        # max - min overflows float64, so the range must be refused before any
+        # arithmetic on it warns: a warning made an error would end in a traceback
+        manifest = self.write_overflowing_cohort(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(transfid.__file__).resolve().parents[1])
+        outcomes = []
+        for warnings in ({}, {"PYTHONWARNINGS": "error::RuntimeWarning"}):
+            done = subprocess.run(
+                [sys.executable, "-m", "transfid.cli", command, "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out.csv"), "--jobs", "1"],
+                env={**env, **warnings}, capture_output=True, text=True, check=False,
+            )
+            outcomes.append((done.returncode, done.stderr))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 2 and "Traceback" not in err
+        assert "warning: excluded patient p0: NonFiniteVoxel: intensity range [-1e+308, 1e+308] " \
+            "overflows float64: max - min is inf" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_an_overflowing_fbn_range_is_a_named_exclusion(self, tmp_path, capsys):
+        # unnormalized, FBN must refuse the range: binning it puts every voxel on level 1
+        manifest = self.write_overflowing_cohort(tmp_path)
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps({"preprocess": {"normalize": False}}))
+        out = tmp_path / "features.csv"
+        assert main([
+            "extract", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(out), "--jobs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "warning: excluded patient p0: InvalidScheme: FBN(bins=32) overflows float64 on the " \
+            "ROI range [-1e+308, 1e+308]: bins * (max - min) is inf" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-160])
     def test_underflowing_squared_errors_exclude_the_patient(self, tmp_path, capsys, scale):
         # unnormalized, 1e-300 leaves MAE near 1e-301 but squares every error
@@ -422,6 +476,13 @@ class TestPhantomCommand:
         err = capsys.readouterr().err
         assert "--out and --mask-out name the same file" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_small_grid_has_an_roi(self, tmp_path):
+        # every voxel centre of (2, 2, 2) lies just outside the ellipsoid
+        for dims in itertools.product(range(1, 7), repeat=3):
+            assert generate_phantom(3, dims)[1].voxel_count >= 1
+        assert main(["phantom", "--seed", "3", "--dims", "2,2,2", "--out", str(tmp_path / "p.nii")]) == 0
+        assert load_mask(tmp_path / "p_mask.nii", load_nifti(tmp_path / "p.nii")).voxel_count == 8
 
     def test_mask_out_path(self, tmp_path):
         out = tmp_path / "p.nii"

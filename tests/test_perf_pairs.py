@@ -3,6 +3,7 @@ benchmark result lines: no benchmark runs here."""
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,31 @@ def test_pycache_is_cleared_in_every_subdirectory(tmp_path):
     pairs.clear_pycache(tmp_path)
     assert not list(tmp_path.rglob("__pycache__"))
     assert (tmp_path / "src/pkg/m.py").exists()
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_both_trees_unpack_side_by_side_at_paths_of_equal_length(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg/m.py").write_text("A = 1\n")
+    (repo / "gone.py").write_text("")
+    (repo / ".gitignore").write_text("*.log\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "first")
+    (repo / "pkg/m.py").write_text("A = 2\n")  # an uncommitted edit
+    (repo / "new.py").write_text("B = 1\n")  # an untracked file
+    (repo / "run.log").write_text("")  # an ignored file
+    (repo / "gone.py").unlink()
+    trees = pairs.unpack_trees(repo, "HEAD", tmp_path)
+    assert trees == {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    assert len(str(trees["parent"])) == len(str(trees["change"]))
+    assert (trees["parent"] / "pkg/m.py").read_text() == "A = 1\n"
+    assert (trees["change"] / "pkg/m.py").read_text() == "A = 2\n"
+    assert (trees["change"] / "new.py").exists() and not (trees["parent"] / "new.py").exists()
+    assert not (trees["change"] / "run.log").exists()
+    assert (trees["parent"] / "gone.py").exists() and not (trees["change"] / "gone.py").exists()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from transfid import preprocess
-from transfid.errors import CropLosesRoi, InvalidScheme
+from transfid.errors import CropLosesRoi, InvalidScheme, NonFiniteVoxel
 from transfid.phantom import generate_phantom
 from transfid.preprocess import (
     MAX_LEVELS,
@@ -21,7 +21,7 @@ from transfid.preprocess import (
 )
 from transfid.volume import DIRECTIONS_13, RoiMask, flat_position_dtype, neighbor_sum
 
-from conftest import discretized_volumes, make_mask, make_volume
+from conftest import discretized_volumes, make_mask, make_volume, overflowing_phantom
 
 
 class TestMinMaxNormalize:
@@ -32,6 +32,13 @@ class TestMinMaxNormalize:
     def test_constant_maps_to_zeros(self):
         vol = make_volume(np.full((3, 1, 1), 5.0))
         np.testing.assert_array_equal(min_max_normalize(vol).flat, [0.0, 0.0, 0.0])
+
+    def test_range_that_overflows_float64_is_refused(self):
+        with pytest.raises(NonFiniteVoxel, match=r"intensity range \[-1e\+308, 1e\+308\] overflows float64"):
+            min_max_normalize(overflowing_phantom()[0])
+        # 1.6e308 is still finite
+        vol = make_volume(np.array([-8e307, 0.0, 8e307]).reshape(3, 1, 1))
+        np.testing.assert_array_equal(min_max_normalize(vol).flat, [0.0, 0.5, 1.0])
 
     def test_already_normalized_unchanged(self):
         vol = make_volume(np.array([0.0, 1.0]).reshape(2, 1, 1))
@@ -194,6 +201,19 @@ class TestDiscretize:
         np.testing.assert_array_equal(d.roi_levels, d.levels[mask.flags])
         assert not d.roi_levels.flags.writeable
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(d=discretized_volumes())
+    def test_level_counts_tally_the_roi_levels_once_and_read_only(self, d):
+        expected = np.bincount(d.roi_levels, minlength=d.ng + 1)[1:]
+        assert d.level_counts.dtype == expected.dtype and d.level_counts.shape == (d.ng,)
+        np.testing.assert_array_equal(d.level_counts, expected)
+        assert d.level_counts is d.level_counts and not d.level_counts.flags.writeable
+
+    def test_level_counts_of_a_single_level_roi(self):
+        vol = make_volume(np.full((3, 2, 2), 0.25))
+        d = discretize(vol, make_mask(np.ones((3, 2, 2), dtype=bool)), DiscretizationScheme("FBN", 8))
+        assert d.ng == 1 and d.level_counts.tolist() == [12]
+
     @pytest.mark.parametrize("bad", [0, 4])
     def test_in_mask_levels_outside_1_to_ng_are_refused(self, bad):
         flags = np.array([True, True, False]).reshape(3, 1, 1)
@@ -265,6 +285,14 @@ class TestDiscretize:
         v, m = generate_phantom(0, (8, 8, 8))
         with pytest.raises(InvalidScheme, match="bin range"):
             discretize(v, m, DiscretizationScheme("FBS", width=width, origin=origin))
+
+    def test_fbn_range_that_overflows_float64_is_refused(self):
+        # max - min is finite, but 32 times it is not, and neither is 32 * (roi - min)
+        vol = make_volume(np.array([-1e307, 0.0, 1e307]).reshape(3, 1, 1))
+        mask = make_mask(np.ones((3, 1, 1), dtype=bool))
+        with pytest.raises(InvalidScheme, match=r"FBN\(bins=32\) overflows float64 on the ROI range"):
+            discretize(vol, mask, DiscretizationScheme("FBN", 32))
+        assert discretize(vol, mask, DiscretizationScheme("FBN", 8)).roi_levels.tolist() == [1, 5, 8]
 
     def test_fbs_bins_at_the_exact_range_edge_kept(self):
         # bins 2**53 - 1 and 2**53 are exact, so the two voxels keep two levels

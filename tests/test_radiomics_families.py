@@ -11,7 +11,7 @@ from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics import extract_all
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
-from transfid.radiomics.ids import DISTRIBUTION_NAMES, IH_NAMES, IS_NAMES
+from transfid.radiomics.ids import DISTRIBUTION_NAMES, IH_NAMES, IS_NAMES, IVH_NAMES
 from transfid.radiomics.intensity import (
     _sphere_geometry,
     basic_distribution_stats,
@@ -42,7 +42,7 @@ from transfid.radiomics.texture import (
     zone_features,
 )
 
-from conftest import make_mask, make_volume, nan_names
+from conftest import make_mask, make_volume, nan_names, overflowing_phantom
 
 
 def make_disc(levels, ng=None):
@@ -245,6 +245,11 @@ class TestIvh:
         assert feats["i10"] == 0.3
         assert feats["area_under_curve"] == 1.0
         assert len(flagged) == 7
+
+    def test_range_that_overflows_float64_has_no_curve(self):
+        feats, flagged = ivh_features(*overflowing_phantom(), ivh_bins=1000)
+        assert sorted(feats) == sorted(IVH_NAMES) and all(math.isnan(v) for v in feats.values())
+        assert not flagged
 
     def test_linear_ramp_auc(self):
         values = np.linspace(0.0, 1.0, 1000).reshape(1000, 1, 1)

@@ -394,11 +394,6 @@ class TestTypes:
         with pytest.raises(DimsMismatch, match=r"mask dims \(2, 2, 2\) != volume dims \(2, 2, 1\)"):
             mask.check_aligned(volume)
 
-    def test_flat_values_are_read_x_fastest(self):
-        values = np.arange(24.0).reshape((2, 3, 4))
-        flat = Volume3D((2, 3, 4), (1, 1, 1), values.ravel(order="F"))
-        np.testing.assert_array_equal(flat.values, values)
-
     def test_int_and_flat_masks_give_the_flags_of_the_bool_mask(self, rng):
         flags = rng.random((3, 4, 5)) < 0.5
         flags[0, 0, 0] = True
