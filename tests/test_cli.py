@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
@@ -26,6 +27,7 @@ from transfid.preprocess import crop_centered, min_max_normalize
 from transfid.radiomics import ALL_FEATURE_KEYS, FeatureVector
 
 from conftest import overflowing_phantom
+from test_volume_io import write_nifti_reference
 
 # frozen once from `transfid phantom --seed 7 --dims 16,16,16`
 PHANTOM7_SHA256 = "dec66bd39cc20943ae1ce8edad05d2b4506223b48aa8bb8d57b8a768465b9d6d"
@@ -396,6 +398,39 @@ class TestPipeline:
         assert "warning: excluded patient p0: InvalidScheme: FBN(bins=32) overflows float64 on the " \
             "ROI range [-1e+308, 1e+308]: bins * (max - min) is inf" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "metrics"])
+    @pytest.mark.parametrize("signaling", [ORIGINAL_SOURCE, "mask"])
+    def test_a_signaling_nan_is_a_named_exclusion_under_either_warning_filter(
+        self, tmp_path, capsys, command, signaling
+    ):
+        # 0x7f800001 is a signaling NaN: its cast to float64 raises the invalid
+        # flag, which under error::RuntimeWarning must not escape as a traceback
+        rows = ["patient_id,source,path"]
+        for pid in ("p0", "p1"):
+            v, m = generate_phantom(0, (16, 16, 16))
+            files = {ORIGINAL_SOURCE: v.values, "mask": m.flags.astype(float), "synth_a": v.values * 0.9}
+            for source, values in files.items():
+                stored = values.astype(np.float32)
+                if pid == "p0" and source == signaling:
+                    stored.reshape(-1)[100:101].view(np.uint32)[0] = 0x7F800001
+                write_nifti_reference(tmp_path / f"{pid}_{source}.nii", stored)
+                rows.append(f"{pid},{source},{tmp_path / f'{pid}_{source}.nii'}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        outcomes = []
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                code = main([command, "--manifest", str(manifest), "--out", str(out), "--jobs", "1"])
+            outcomes.append((code, capsys.readouterr().err, out.read_bytes()))
+            out.unlink()
+        assert outcomes[0] == outcomes[1]
+        code, err, written = outcomes[0]
+        assert code == 0
+        assert f"excluded patient p0: NonFiniteVoxel: {tmp_path / f'p0_{signaling}.nii'}: " in err
+        assert {line.split(b",")[0] for line in written.splitlines()[1:]} == {b"p1"}
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160])
     def test_underflowing_squared_errors_exclude_the_patient(self, tmp_path, capsys, scale):
