@@ -113,8 +113,10 @@ def load_nifti(path: str | Path) -> Volume3D:
     are rejected.
     """
     dims, spacing, stored, scl_slope, scl_inter = _read_stored(path)
-    # one conversion straight into the C-ordered array the volume keeps
-    data = stored.reshape(dims, order="F").astype(np.float64, order="C")
+    # one conversion straight into the C-ordered array the volume keeps; a
+    # signaling NaN sets the invalid flag here, and _scale_checked names it
+    with np.errstate(invalid="ignore"):
+        data = stored.reshape(dims, order="F").astype(np.float64, order="C")
     _scale_checked(data, scl_slope, scl_inter, path)
     return _adopt(dims, spacing, data)
 
@@ -135,7 +137,8 @@ def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
     slab = np.empty((dims[0], dims[1], planes))
     for z in range(0, dims[2], planes):
         values = slab[:, :, : min(planes, dims[2] - z)]
-        values[...] = stored[:, :, z : z + planes]
+        with np.errstate(invalid="ignore"):  # as in load_nifti
+            values[...] = stored[:, :, z : z + planes]
         _scale_checked(values, scl_slope, scl_inter, path)
         np.not_equal(values, 0.0, out=flags[:, :, z : z + planes])
     if dims != reference.dims:
