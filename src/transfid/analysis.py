@@ -140,13 +140,15 @@ def _check_defined(network: str, metrics: MetricSet) -> None:
     it. PSNR is inf exactly when MSE is 0, and stays when the images are
     equal. On finite voxels only an overflow, or squared errors that
     underflow on tiny intensities (to 0, or to subnormals that keep a few
-    bits), gets here; normalization keeps every value in [0, 1]."""
+    bits), gets here; normalization keeps every value in [0, 1], unless
+    the intensity range itself overflows float64, which it refuses too."""
     for name in METRICS:
         value = getattr(metrics, name)
         if math.isnan(value) or (name in ("mae", "mse") and math.isinf(value)):
             raise UndefinedMetric(
                 f"{name} of {network} is {value}: the intensities overflow float64; "
-                "set preprocess.normalize to true"
+                "set preprocess.normalize to true, unless max - min overflows float64 too, "
+                "a range that normalization refuses as well"
             )
     if metrics.mae != 0.0 and metrics.mse < np.finfo(np.float64).tiny:
         raise UndefinedMetric(

@@ -399,6 +399,19 @@ class TestPipeline:
             "ROI range [-1e+308, 1e+308]: bins * (max - min) is inf" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_unnormalized_overflow_advice_names_a_range_that_overflows(self, tmp_path, capsys):
+        # normalizing this range is refused too, so the advice must not stop at normalizing
+        manifest = self.write_overflowing_cohort(tmp_path)
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps({"preprocess": {"normalize": False}}))
+        assert main([
+            "metrics", "--manifest", str(manifest), "--config", str(config),
+            "--out", str(tmp_path / "metrics.csv"), "--jobs", "1",
+        ]) == 2
+        assert "warning: excluded patient p0: UndefinedMetric: ssim of synth_a is nan: the intensities " \
+            "overflow float64; set preprocess.normalize to true, unless max - min overflows float64 " \
+            "too, a range that normalization refuses as well\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["extract", "metrics"])
     @pytest.mark.parametrize("signaling", [ORIGINAL_SOURCE, "mask"])
     def test_a_signaling_nan_is_a_named_exclusion_under_either_warning_filter(
