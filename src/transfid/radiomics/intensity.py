@@ -35,12 +35,14 @@ def fast_length(n: int) -> int:
 
 
 def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
-    """`values -> scipy.signal.fftconvolve(values, kernel, mode="same")` for
-    real arrays `values` of `shape`, bit-identical to it but made of
-    `numpy.fft` calls, so that extraction loads no scipy. The kernel's
-    spectrum is taken here, once, so each call costs one forward and one
-    inverse transform. The result is a view into the inverse transform's
-    output, which is not copied out.
+    """`(values, window=None) -> scipy.signal.fftconvolve(values, kernel,
+    mode="same")[window]` for real arrays `values` of `shape`, bit-identical
+    to it but made of `numpy.fft` calls, so that extraction loads no scipy.
+    `window` is one step-1 slice per axis of `shape`, as `RoiMask.box`
+    gives; None is the whole array. The kernel's spectrum is taken here,
+    once, so each call costs one forward and one inverse transform. The
+    result is a view into the inverse transform's output, which is not
+    copied out.
 
     Both libraries run pocketfft one axis at a time, so the bits follow
     from the order of the axes and of the scaling, which are scipy's:
@@ -50,8 +52,11 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     lengths and 1/N rounded from long double. numpy's own `rfftn` takes
     the axes the other way round, which moves bits. Each transform runs in
     place on a zero-padded buffer and only on the lines the result needs:
-    lines of zeros, or lines outside the "same" window once their axis is
-    transformed back, are left alone, which keeps each line's bits.
+    lines of zeros, or lines outside the window once their axis is
+    transformed back, are left alone, which keeps each line's bits. So the
+    forward transform and the first axis's inverse span the whole padded
+    grid, each later inverse runs on the lines that cross the window in the
+    axes already transformed back, and only the window is scaled.
     """
     ndim = len(shape)
     # an axis where either side has length 1 is broadcast in the product, not transformed
@@ -60,9 +65,16 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
         shape[a] + kernel.shape[a] - 1 if a in axes else max(shape[a], kernel.shape[a]) for a in range(ndim)
     ]
     start = [(n - s) // 2 for n, s in zip(full, shape)]
-    same = tuple(slice(b, b + s) for b, s in zip(start, shape))
+
+    def result_lines(window) -> tuple[slice, ...]:
+        """The window's lines in the coordinates of the "full" result."""
+        if window is None:
+            window = (slice(None),) * ndim
+        spans = [range(n)[w] for n, w in zip(shape, window)]
+        return tuple(slice(b + r.start, b + r.stop) for b, r in zip(start, spans))
+
     if not axes:
-        return lambda values: (values * kernel)[same]
+        return lambda values, window=None: (values * kernel)[result_lines(window)]
     length = {a: fast_length(full[a]) for a in axes}
     last = axes[-1]
     scale = float(1 / np.longdouble(math.prod(length.values())))
@@ -84,17 +96,19 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
 
     spectrum = forward(kernel)
 
-    def convolve(values: np.ndarray) -> np.ndarray:
+    def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
+        keep = result_lines(window)
         product = forward(np.broadcast_to(values, wide))
         product *= spectrum
-        lines = [slice(None) if a in axes else same[a] for a in range(ndim)]
+        lines = [slice(None) if a in axes else keep[a] for a in range(ndim)]
         for a in axes[:-1]:
             view = product[tuple(lines)]
             np.fft.ifft(view, axis=a, norm="forward", out=view)
-            lines[a] = same[a]
+            lines[a] = keep[a]
         out = np.fft.irfft(product[tuple(lines)], length[last], axis=last, norm="forward")
+        out = out[(slice(None),) * last + (keep[last],)]
         out *= scale
-        return out[(slice(None),) * last + (same[last],)]
+        return out
 
     return convolve
 
@@ -115,7 +129,8 @@ def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, fl
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
     convolve = same_convolution(dims, kernel)
-    counts = convolve(np.ones(dims)).copy()  # not the transform's padded output
+    # ones that take no grid of memory; copied out of the transform's padded output
+    counts = convolve(np.broadcast_to(1.0, dims)).copy()
     counts.flags.writeable = False
     return convolve, counts
 
@@ -127,17 +142,24 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     A voxel's sphere mean is taken over the voxels of the 1 cm^3 sphere
     centered on it whose centers fall inside the volume. The sums are
     convolved on the whole grid, whose dims set the FFT size and so the
-    values' last bits, and divided out at ROI voxels only.
+    values' last bits: the forward transform spans the grid, and the
+    inverse stops at the lines that cross the ROI's box (`RoiMask.box`).
+    Sums, counts and values are read on that box, which keeps the ROI
+    voxels in their x-fastest order, and divided out at ROI voxels only.
     """
     mask.check_aligned(v)
     convolve, counts = _sphere_geometry(v.dims, v.spacing)
-    sums = convolve(v.values)
+    box, box_mask = mask.box
+    sums = convolve(v.values, box)
+    counts = counts[box]
+    values = v.values[box]
+    flags = box_mask.flags
 
-    brightest = mask.flags & (v.values == v.values[mask.flags].max())
-    center = np.unravel_index(np.argmax(brightest.ravel(order="F")), v.dims, order="F")
+    brightest = flags & (values == values[flags].max())
+    center = np.unravel_index(np.argmax(brightest.ravel(order="F")), box_mask.dims, order="F")
 
     local_peak = float(sums[center] / counts[center])
-    global_peak = float((sums[mask.flags] / counts[mask.flags]).max())
+    global_peak = float((sums[flags] / counts[flags]).max())
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 

@@ -117,6 +117,29 @@ class TestLocalIntensity:
             for values in (values, rng.random(values_shape)):
                 assert np.array_equal(convolve(values), fftconvolve(values, kernel, mode="same"))
 
+    def test_a_window_keeps_every_bit_of_the_whole_convolution(self, rng):
+        # an axis of length 1 on either side is not transformed; (1, 1, 1) on
+        # both sides takes the path with no transform at all
+        shapes = [((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (3, 5, 2)), ((5, 1, 4), (1, 3, 3)),
+                  ((4, 4, 4), (1, 1, 1)), ((6, 5, 1), (3, 3, 1)), ((7, 6, 5), (1, 3, 1))]
+        shapes += [(tuple(rng.integers(1, 12, 3)), tuple(rng.integers(1, 8, 3))) for _ in range(40)]
+        for values_shape, kernel_shape in shapes:
+            values = rng.random(values_shape)
+            kernel = (rng.random(kernel_shape) < 0.7).astype(float)
+            convolve = same_convolution(values_shape, kernel)
+            whole = convolve(values)
+            windows = []
+            for _ in range(3):
+                lo = [int(rng.integers(0, n)) for n in values_shape]
+                windows.append(tuple(slice(b, int(rng.integers(b + 1, n + 1))) for b, n in zip(lo, values_shape)))
+            # boxes of one voxel at either corner, clipped at the grid's faces
+            for corner in ((0, 0, 0), tuple(n - 1 for n in values_shape)):
+                flags = np.zeros(values_shape, dtype=bool)
+                flags[corner] = True
+                windows.append(make_mask(flags).box[0])
+            for window in windows:
+                assert np.array_equal(convolve(values, window), whole[window]), (values_shape, window)
+
     def test_fft_length_is_scipys_next_fast_len(self):
         from scipy.fft import next_fast_len
 
