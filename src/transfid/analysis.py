@@ -106,32 +106,50 @@ def process_patient(
     """Load, preprocess, extract, and score one patient; never raises on data errors.
 
     Each network is loaded, extracted and scored against the original before
-    the next one is loaded, so a worker holds the original and one network."""
+    the next one is loaded, so a worker that scores holds the original and
+    one network. With no metric wanted (`extract`), nothing reads a grid once
+    it is extracted: each preprocessed grid reaches `extract_all` held by no
+    name here, and `extract_all` drops it once its box is cropped, so no full
+    grid is alive while the texture families run. That takes CPython 3.11 or
+    later, where a call's argument references move into the callee; 3.10
+    keeps them in this frame until the call returns."""
     result = PatientResult()
     try:
         original = load_nifti(record.source_paths[ORIGINAL_SOURCE])
         mask = load_mask(record.mask_path, original)
         original, roi = preprocess_pair(original, mask, config)
+        if not want_metrics:
+            handover = [original]  # the list gives the original up to the call
+            del original
+            result.features[ORIGINAL_SOURCE] = extract_all(handover.pop(), roi, config)
+            for source in record.synthetic_sources:
+                result.features[source] = extract_all(_prepared(record, source, mask, config), roi, config)
+            return result
         if want_features:
             result.features[ORIGINAL_SOURCE] = extract_all(original, roi, config)
         metric_mask = roi if config.metrics_roi_only else None
         for source in record.synthetic_sources:
-            network = load_nifti(record.source_paths[source])
-            mask.check_aligned(network)
-            network, _ = preprocess_pair(network, mask, config)
+            network = _prepared(record, source, mask, config)
             if want_features:
                 result.features[source] = extract_all(network, roi, config)
-            if want_metrics:
-                # an overflow shows as inf or NaN, which the check names
-                metrics = compute_metrics(
-                    original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
-                )
-                _check_defined(source, metrics)
-                result.metrics[source] = metrics
+            # an overflow shows as inf or NaN, which the check names
+            metrics = compute_metrics(
+                original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
+            )
+            _check_defined(source, metrics)
+            result.metrics[source] = metrics
             del network  # the next network loads beside the original only
     except (TransfidError, OSError, ValueError, MemoryError) as exc:
         return PatientResult(error=f"{type(exc).__name__}: {exc}")
     return result
+
+
+def _prepared(record: PatientRecord, source: str, mask: RoiMask, config: RunConfig) -> Volume3D:
+    """`source`'s volume, checked against the patient's mask and
+    preprocessed as the original was."""
+    network = load_nifti(record.source_paths[source])
+    mask.check_aligned(network)
+    return preprocess_pair(network, mask, config)[0]
 
 
 def _check_defined(network: str, metrics: MetricSet) -> None:

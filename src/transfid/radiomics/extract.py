@@ -64,6 +64,7 @@ def extract_all(
 
     box, box_mask = mask.box
     d = discretize(Volume3D(box_mask.dims, v.spacing, v.values[box]), box_mask, config.scheme)
+    del v  # the rest reads the box only; a grid the caller handed over is freed here
     run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
     run(lambda: {("GLCM", agg): r for agg, r in glcm_features(d).items()})
     run(lambda: {("GLRLM", agg): r for agg, r in glrlm_features(d).items()})
