@@ -55,8 +55,8 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     lines of zeros, or lines outside the window once their axis is
     transformed back, are left alone, which keeps each line's bits. So the
     forward transform and the first axis's inverse span the whole padded
-    grid, each later inverse runs on the lines that cross the window in the
-    axes already transformed back, and only the window is scaled.
+    grid, and each later inverse, and the scaling, run on the lines that
+    cross the window in the axes already transformed back.
     """
     ndim = len(shape)
     # an axis where either side has length 1 is broadcast in the product, not transformed
@@ -106,9 +106,8 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
             np.fft.ifft(view, axis=a, norm="forward", out=view)
             lines[a] = keep[a]
         out = np.fft.irfft(product[tuple(lines)], length[last], axis=last, norm="forward")
-        out = out[(slice(None),) * last + (keep[last],)]
-        out *= scale
-        return out
+        out *= scale  # whole: in place on a strided view, numpy would copy it first
+        return out[(slice(None),) * last + (keep[last],)]
 
     return convolve
 

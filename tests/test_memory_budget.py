@@ -111,8 +111,8 @@ def texture_peak(roi, tmp_path, monkeypatch) -> int:
 
 BUDGETS = [
     # (layer, input, budget in grids)
-    pytest.param(local_intensity_peak, large_roi, 2.78, id="local_intensity-spectrum_cached-large"),
-    pytest.param(local_intensity_peak, paper_roi, 1.89, id="local_intensity-spectrum_cached-paper"),
+    pytest.param(local_intensity_peak, large_roi, 2.76, id="local_intensity-spectrum_cached-large"),
+    pytest.param(local_intensity_peak, paper_roi, 1.88, id="local_intensity-spectrum_cached-paper"),
     pytest.param(
         texture_peak, large_roi, 4.89, id="process_patient_extract-texture_families-large",
         marks=pytest.mark.skipif(
