@@ -22,15 +22,20 @@ def extract_all(
     NGLDM tolerance; the vector's provenance records the scheme, the
     effective gray levels and `config.config_hash()`.
 
-    Intensity families (LI, IS, IVH) run on continuous values on the whole
-    grid; LI stays there on purpose, since the grid sets its FFT size and
-    so its bits. The histogram and texture families run on the volume
-    discretized on `mask.box`, the ROI's bounding box plus one voxel per
-    side, which holds every pair, run, zone and neighbourhood they count.
-    The box and its mask-only arrays (border distance, neighbour counts)
-    are cached on `mask`, and LI's sphere spectrum and counts on the grid's
-    dims; every source of a patient is extracted on one mask, so they are
-    built once per patient.
+    Intensity families (LI, IS, IVH) run on continuous values of the whole
+    grid. LI transforms the whole grid forward on purpose, since the grid
+    sets its FFT size and so its bits, and transforms back only the lines
+    that cross `mask.box`: the ROI's bounding box plus one voxel per side,
+    which holds every pair, run, zone and neighbourhood that the histogram
+    and texture families count. Those run on the volume discretized on the
+    box. Once the box is cropped and discretized, the grid is dropped here:
+    a grid the caller handed over with no other reference (`process_patient`
+    does so when it scores nothing) is freed, and only the box's levels and
+    masks stay alive while the histogram and texture families run. The box
+    and its mask-only arrays (border distance, neighbour counts) are cached
+    on `mask`, and LI's sphere spectrum and counts on the grid's dims; every
+    source of a patient is extracted on one mask, so they are built once per
+    patient.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

@@ -106,7 +106,7 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
             np.fft.ifft(view, axis=a, norm="forward", out=view)
             lines[a] = keep[a]
         out = np.fft.irfft(product[tuple(lines)], length[last], axis=last, norm="forward")
-        out *= scale  # whole: in place on a strided view, numpy would copy it first
+        out *= scale
         return out[(slice(None),) * last + (keep[last],)]
 
     return convolve
@@ -128,7 +128,7 @@ def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, fl
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
     convolve = same_convolution(dims, kernel)
-    # ones that take no grid of memory; copied out of the transform's padded output
+    # a broadcast 1.0 allocates no grid of ones; the copy frees the transform's padded output
     counts = convolve(np.broadcast_to(1.0, dims)).copy()
     counts.flags.writeable = False
     return convolve, counts

@@ -54,8 +54,9 @@ def texture(seed: int) -> np.ndarray:
     FBN 32 makes zones and runs longer than one voxel."""
     rng = np.random.default_rng(seed)
     field = 0.3 * rng.standard_normal(GRID)
+    grids = axes()
     for _ in range(6):
-        field += np.cos(sum(k * x for k, x in zip(rng.uniform(0.05, 0.4, 3), axes())) + rng.uniform(0, 2 * np.pi))
+        field += np.cos(sum(k * x for k, x in zip(rng.uniform(0.05, 0.4, 3), grids)) + rng.uniform(0, 2 * np.pi))
     return (field - field.min()) / (field.max() - field.min())
 
 
