@@ -239,6 +239,65 @@ class TestProcessPatient:
         assert not result.features and not result.metrics
 
 
+def feature_bits(result) -> dict:
+    """Each source's feature values as `float.hex`, with its flags and provenance."""
+    return {
+        source: ([(key, value.hex()) for key, value in vector.values.items()], vector.flags, vector.provenance)
+        for source, vector in result.features.items()
+    }
+
+
+class TestModesAgree:
+    @staticmethod
+    def cohort(tmp_path):
+        """Three patients and two networks; p1's network b is missing."""
+        def mutate(v, i, network):
+            return v.with_values(v.values * (0.9 if network == "a" else 1.2) + 0.05 * i)
+
+        manifest = write_cohort(tmp_path, n_patients=3, networks=("a", "b"), mutate=mutate)
+        (tmp_path / "p1_b.nii").unlink()
+        return manifest
+
+    def test_extract_and_metrics_alone_give_what_both_give(self, tmp_path):
+        from transfid.analysis import process_patient
+        from transfid.manifest import parse_manifest
+
+        config = RunConfig.from_dict({"ssim": {"window": 3}})
+        errors = []
+        for record in parse_manifest(self.cohort(tmp_path)):
+            both = process_patient(record, config)
+            extract = process_patient(record, config, want_metrics=False)
+            metrics = process_patient(record, config, want_features=False)
+            assert extract.error == metrics.error == both.error
+            assert feature_bits(extract) == feature_bits(both) and not extract.metrics
+            assert metrics.metrics == both.metrics and not metrics.features
+            errors.append(both.error)
+        assert errors[0] is None and errors[2] is None
+        assert errors[1] == f"FileNotFoundError: [Errno 2] No such file or directory: '{tmp_path / 'p1_b.nii'}'"
+
+    def test_the_library_gives_what_extract_gives_at_any_worker_count(self, tmp_path):
+        from transfid.analysis import process_patient
+        from transfid.manifest import parse_manifest
+
+        manifest = self.cohort(tmp_path)
+        config = RunConfig.from_dict({"ssim": {"window": 3}})
+        alone, pooled = (build_cohort(manifest, config, jobs=jobs) for jobs in (1, 2))
+        assert alone.patients == pooled.patients == ["p0", "p2"]
+        assert alone.networks == pooled.networks == ["a", "b"]
+        assert alone.features.keys() == pooled.features.keys()
+        for source, table in alone.features.items():
+            assert np.array_equal(table, pooled.features[source], equal_nan=True), source
+        assert alone.metrics == pooled.metrics and len(alone.metrics) == 4
+        assert alone.exclusions == pooled.exclusions and [p for p, _ in alone.exclusions] == ["p1"]
+
+        records = {r.patient_id: r for r in parse_manifest(manifest)}
+        for row, patient in enumerate(alone.patients):
+            extract = process_patient(records[patient], config, want_metrics=False)
+            for source, vector in extract.features.items():
+                values = np.array(list(vector.values.values()))
+                assert np.array_equal(alone.features[source][row], values, equal_nan=True), (patient, source)
+
+
 class TestBuildCohort:
     def test_counts_two_patients_one_network(self, tmp_path):
         manifest = write_cohort(tmp_path, n_patients=2)

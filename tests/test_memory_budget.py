@@ -78,17 +78,23 @@ def local_intensity_peak(roi, tmp_path, monkeypatch) -> int:
     return traced_peak(lambda: local_intensity(volume, mask))
 
 
-def texture_peak(roi, tmp_path, monkeypatch) -> int:
-    """The highest peak of any texture family (the memory held when it
-    starts included) inside `process_patient(..., want_metrics=False)` on an
-    original and two networks read from files, the spectrum cached by a run
-    before. A full grid alive while the families run adds 1 to it."""
+def write_patient(roi, tmp_path) -> PatientRecord:
+    """An original and two networks, textures of seeds 0 to 2, and `roi`'s
+    mask, written as files."""
     paths = {}
     for seed, source in enumerate((ORIGINAL_SOURCE, "net_a", "net_b")):
         paths[source] = str(tmp_path / f"{source}.nii")
         save_nifti(paths[source], Volume3D(GRID, SPACING, texture(seed)))
     save_nifti(tmp_path / "mask.nii", Volume3D(GRID, SPACING, roi().astype(np.float64)))
-    record = PatientRecord("p0", paths, str(tmp_path / "mask.nii"))
+    return PatientRecord("p0", paths, str(tmp_path / "mask.nii"))
+
+
+def texture_peak(roi, tmp_path, monkeypatch) -> int:
+    """The highest peak of any texture family (the memory held when it
+    starts included) inside `process_patient(..., want_metrics=False)` on
+    `write_patient`'s files, the spectrum cached by a run before. A full
+    grid alive while the families run adds 1 to it."""
+    record = write_patient(roi, tmp_path)
     config = RunConfig.from_dict({})
     assert process_patient(record, config, want_metrics=False).error is None
 
@@ -110,18 +116,40 @@ def texture_peak(roi, tmp_path, monkeypatch) -> int:
     return max(peaks)
 
 
+def patient_peak(want: dict[str, bool]):
+    """The peak of one whole `process_patient(..., **want)` on
+    `write_patient`'s files, the sphere spectrum and the SSIM window
+    weights cached by a run before."""
+
+    def layer(roi, tmp_path, monkeypatch) -> int:
+        record = write_patient(roi, tmp_path)
+        config = RunConfig.from_dict({})
+        assert process_patient(record, config, **want).error is None
+        return traced_peak(lambda: process_patient(record, config, **want))
+
+    return layer
+
+
+GRIDS_HANDED_OVER = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's frame holds a call's arguments until it returns, "
+    "so each grid handed to extract_all stays alive through the texture families",
+)
+
 BUDGETS = [
     # (layer, input, budget in grids)
     pytest.param(local_intensity_peak, large_roi, 2.76, id="local_intensity-spectrum_cached-large"),
     pytest.param(local_intensity_peak, paper_roi, 1.88, id="local_intensity-spectrum_cached-paper"),
     pytest.param(
         texture_peak, large_roi, 4.89, id="process_patient_extract-texture_families-large",
-        marks=pytest.mark.skipif(
-            sys.version_info < (3, 11),
-            reason="before CPython 3.11 the caller's frame holds a call's arguments until it returns, "
-            "so each grid handed to extract_all stays alive through the texture families",
-        ),
+        marks=GRIDS_HANDED_OVER,
     ),
+    pytest.param(
+        patient_peak({"want_metrics": False}), paper_roi, 3.13, id="process_patient-extract-paper",
+        marks=GRIDS_HANDED_OVER,
+    ),
+    pytest.param(patient_peak({"want_features": False}), large_roi, 9.21, id="process_patient-metrics-large"),
+    pytest.param(patient_peak({}), large_roi, 9.39, id="process_patient-both-large"),
 ]
 
 

@@ -1,12 +1,14 @@
 """Per-family feature checks: hand examples plus brute-force oracle sweeps."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from transfid.config import MAX_IVH_BINS
+from transfid.config import MAX_IVH_BINS, RunConfig
+from transfid.errors import InvalidScheme
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
 from transfid.radiomics import extract_all
@@ -171,6 +173,16 @@ class TestLocalIntensity:
             vol = make_volume(values * gain, spacing)
             expected = oracles.whole_grid_local_intensity(vol.values, flags, spacing)
             assert local_intensity(vol, make_mask(flags)) == expected
+
+    def test_an_overflowing_range_warns_nothing_before_its_exclusion(self):
+        # unnormalized, the sums overflow float64; extract_all flags them, and
+        # FBN then refuses the range, so numpy has nothing to warn about
+        config = RunConfig.from_dict({"preprocess": {"normalize": False}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidScheme, match=r"ROI range \[-1e\+308, 1e\+308\]: bins \* \(max - min\) is inf"):
+                extract_all(*overflowing_phantom(), config)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestIntensityStatistics:
