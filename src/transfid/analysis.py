@@ -105,51 +105,43 @@ def process_patient(
 ) -> PatientResult:
     """Load, preprocess, extract, and score one patient; never raises on data errors.
 
-    Each network is loaded, extracted and scored against the original before
-    the next one is loaded, so a worker that scores holds the original and
-    one network. With no metric wanted (`extract`), nothing reads a grid once
-    it is extracted: each preprocessed grid reaches `extract_all` held by no
-    name here, and `extract_all` drops it once its box is cropped, so no full
-    grid is alive while the texture families run. That takes CPython 3.11 or
-    later, where a call's argument references move into the callee; 3.10
-    keeps them in this frame until the call returns."""
+    One pass per source, the original first: load, check against the mask
+    (the original's load sets it), preprocess, extract, then score a network
+    against the original. A source is dropped before the next one loads, so
+    a worker that scores holds the original and one network. With no metric
+    wanted (`extract`), nothing reads a grid once it is extracted: each
+    preprocessed grid reaches `extract_all` held by no name here, and
+    `extract_all` drops it once its box is cropped and discretized, so while
+    the histogram and texture families run no full grid is alive, only the
+    box's levels and masks. That takes CPython 3.11 or later, where a
+    call's argument references move into the callee; 3.10 keeps them in
+    this frame until the call returns."""
     result = PatientResult()
+    slot: list[Volume3D] = []  # the grid at work; a list can give it up to extract_all
     try:
-        original = load_nifti(record.source_paths[ORIGINAL_SOURCE])
-        mask = load_mask(record.mask_path, original)
-        original, roi = preprocess_pair(original, mask, config)
-        if not want_metrics:
-            handover = [original]  # the list gives the original up to the call
-            del original
-            result.features[ORIGINAL_SOURCE] = extract_all(handover.pop(), roi, config)
-            for source in record.synthetic_sources:
-                result.features[source] = extract_all(_prepared(record, source, mask, config), roi, config)
-            return result
-        if want_features:
-            result.features[ORIGINAL_SOURCE] = extract_all(original, roi, config)
-        metric_mask = roi if config.metrics_roi_only else None
-        for source in record.synthetic_sources:
-            network = _prepared(record, source, mask, config)
+        for source in (ORIGINAL_SOURCE, *record.synthetic_sources):
+            slot.append(load_nifti(record.source_paths[source]))
+            if source == ORIGINAL_SOURCE:
+                mask = load_mask(record.mask_path, slot[-1])
+                slot[-1], roi = preprocess_pair(slot[-1], mask, config)
+                original = slot[-1] if want_metrics else None
+            else:
+                mask.check_aligned(slot[-1])
+                slot[-1] = preprocess_pair(slot[-1], mask, config)[0]
             if want_features:
-                result.features[source] = extract_all(network, roi, config)
-            # an overflow shows as inf or NaN, which the check names
-            metrics = compute_metrics(
-                original, network, ssim_params=config.ssim_params, peak=config.psnr_peak, mask=metric_mask
-            )
-            _check_defined(source, metrics)
-            result.metrics[source] = metrics
-            del network  # the next network loads beside the original only
+                result.features[source] = extract_all(slot[-1] if want_metrics else slot.pop(), roi, config)
+            if want_metrics and source != ORIGINAL_SOURCE:
+                # an overflow shows as inf or NaN, which the check names
+                metrics = compute_metrics(
+                    original, slot[-1], ssim_params=config.ssim_params, peak=config.psnr_peak,
+                    mask=roi if config.metrics_roi_only else None,
+                )
+                _check_defined(source, metrics)
+                result.metrics[source] = metrics
+            slot.clear()  # the next network loads beside the original only
     except (TransfidError, OSError, ValueError, MemoryError) as exc:
         return PatientResult(error=f"{type(exc).__name__}: {exc}")
     return result
-
-
-def _prepared(record: PatientRecord, source: str, mask: RoiMask, config: RunConfig) -> Volume3D:
-    """`source`'s volume, checked against the patient's mask and
-    preprocessed as the original was."""
-    network = load_nifti(record.source_paths[source])
-    mask.check_aligned(network)
-    return preprocess_pair(network, mask, config)[0]
 
 
 def _check_defined(network: str, metrics: MetricSet) -> None:
@@ -181,8 +173,10 @@ def run_pipeline(
     jobs: int = 1,
     want_features: bool = True,
     want_metrics: bool = True,
-) -> list[PatientResult]:
-    """Process all patients in manifest order, on at most `jobs` workers.
+) -> tuple[list[tuple[PatientRecord, PatientResult]], list[tuple[str, str]]]:
+    """Process all patients on at most `jobs` workers; (kept, excluded) in
+    manifest order: each kept patient as (record, result), each excluded
+    one as (patient_id, reason).
 
     The pool gets no more workers than there are patients: it starts all
     of them at the first task. A worker that dies (an out-of-memory kill,
@@ -193,15 +187,19 @@ def run_pipeline(
     work = partial(process_patient, config=config, want_features=want_features, want_metrics=want_metrics)
     workers = min(jobs, len(records))
     if workers <= 1:
-        return [work(r) for r in records]
-    results: list[PatientResult | None] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(work, r) for r in records]:
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                results.append(None)
-    return [_alone(work, r) if result is None else result for r, result in zip(records, results)]
+        results = [work(r) for r in records]
+    else:
+        results = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(work, r) for r in records]:
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool:
+                    results.append(None)
+        results = [_alone(work, r) if result is None else result for r, result in zip(records, results)]
+    kept = [(r, result) for r, result in zip(records, results) if result.error is None]
+    excluded = [(r.patient_id, result.error) for r, result in zip(records, results) if result.error is not None]
+    return kept, excluded
 
 
 def _alone(work, record: PatientRecord) -> PatientResult:
@@ -219,19 +217,11 @@ def _alone(work, record: PatientRecord) -> PatientResult:
 
 def build_cohort(manifest: str | Path, config: RunConfig, jobs: int = 1) -> CohortTable:
     """Assemble the full cohort table; failed patients are excluded with a note."""
-    records = parse_manifest(manifest)
-    results = run_pipeline(records, config, jobs=jobs)
-
-    patients: list[str] = []
+    kept, excluded = run_pipeline(parse_manifest(manifest), config, jobs=jobs)
+    patients = [record.patient_id for record, _ in kept]
     rows: dict[str, list[tuple[int, list[float]]]] = {ORIGINAL_SOURCE: []}
     metrics: dict[tuple[str, str], MetricSet] = {}
-    exclusions: list[tuple[str, str]] = []
-    for record, result in zip(records, results):
-        if result.error is not None:
-            exclusions.append((record.patient_id, result.error))
-            continue
-        row = len(patients)
-        patients.append(record.patient_id)
+    for row, (record, result) in enumerate(kept):
         for source in record.source_paths:
             vector = result.features[source]
             rows.setdefault(source, []).append((row, list(vector.values.values())))
@@ -245,7 +235,7 @@ def build_cohort(manifest: str | Path, config: RunConfig, jobs: int = 1) -> Coho
         networks=[s for s in rows if s != ORIGINAL_SOURCE],
         features={source: feature_table(len(patients), r) for source, r in rows.items()},
         metrics=metrics,
-        exclusions=exclusions,
+        exclusions=excluded,
     )
 
 

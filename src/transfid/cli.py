@@ -79,13 +79,9 @@ def _run_cohort(args, header: list[str], rows_of, **want) -> int:
     images = {Path(p).resolve() for r in records for p in (r.mask_path, *r.source_paths.values())}
     if Path(args.out).resolve() in images:
         raise _UsageError(f"--out names {args.out!r}, an image that --manifest lists")
-    results = analysis.run_pipeline(records, config, jobs=args.jobs, **want)
-    kept = []
-    for record, result in zip(records, results):
-        if result.error is not None:
-            print(f"warning: excluded patient {record.patient_id}: {result.error}", file=sys.stderr)
-        else:
-            kept.append((record, result))
+    kept, excluded = analysis.run_pipeline(records, config, jobs=args.jobs, **want)
+    for patient_id, reason in excluded:
+        print(f"warning: excluded patient {patient_id}: {reason}", file=sys.stderr)
     if not kept:
         raise CohortTooSmall("no patient could be processed")
     _write_csv(args.out, header, (row for pair in kept for row in rows_of(*pair)))

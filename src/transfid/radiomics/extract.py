@@ -28,14 +28,12 @@ def extract_all(
     that cross `mask.box`: the ROI's bounding box plus one voxel per side,
     which holds every pair, run, zone and neighbourhood that the histogram
     and texture families count. Those run on the volume discretized on the
-    box. Once the box is cropped and discretized, the grid is dropped here:
-    a grid the caller handed over with no other reference (`process_patient`
-    does so when it scores nothing) is freed, and only the box's levels and
-    masks stay alive while the histogram and texture families run. The box
-    and its mask-only arrays (border distance, neighbour counts) are cached
-    on `mask`, and LI's sphere spectrum and counts on the grid's dims; every
-    source of a patient is extracted on one mask, so they are built once per
-    patient.
+    box, and this function drops its reference to the grid before they run
+    (what a worker then holds: `analysis.process_patient`). The box and its
+    mask-only arrays (border distance, neighbour counts) are cached on
+    `mask`, and LI's sphere spectrum and counts on the grid's dims; every
+    source of a patient is extracted on one mask, so they are built once
+    per patient.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

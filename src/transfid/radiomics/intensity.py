@@ -149,7 +149,9 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     mask.check_aligned(v)
     convolve, counts = _sphere_geometry(v.dims, v.spacing)
     box, box_mask = mask.box
-    sums = convolve(v.values, box)
+    # unnormalized intensities can overflow the sums, which `extract_all` flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = convolve(v.values, box)
     counts = counts[box]
     values = v.values[box]
     flags = box_mask.flags

@@ -22,12 +22,8 @@ bounding box plus one voxel per side (`RoiMask.box`), which holds every
 pair, run, zone and neighbourhood they count, so they never walk the rest
 of the grid. The mask-only arrays they read, the border distance and
 NGTDM's neighbour counts, are cached properties of that box mask, kept for
-ROI voxels only and built once per patient. By the time they run,
-`extract_all` has dropped its reference to the grid of values, so a worker
-that scores nothing holds the box's levels and masks here, and no full
-grid. Local intensity, which is not built here, transforms the whole grid
-forward on purpose, since the grid sets its FFT size and so its bits, and
-transforms back only the lines that cross the box. No builder uses scipy:
+ROI voxels only and built once per patient. What a worker holds while
+they run is told in `analysis.process_patient`. No builder uses scipy:
 the zones' connected components are found in numpy (`connected_labels`),
 so extraction loads no scipy.
 """
