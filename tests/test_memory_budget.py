@@ -8,6 +8,10 @@ peak lowers its budget in the same change, and one that raises a peak says
 why. The inputs have the shapes of the large benchmark patient (an
 ellipsoid ROI of 313 920 voxels, box 108x108x56) and of the paper's data
 (a radius-15 sphere ROI in the same grid).
+
+Most rows measure with each cache filled by a call before, so they see what
+a call adds. The cold rows clear the caches first, so they also see what a
+worker builds on its first patient and keeps for the rest of its run.
 """
 import math
 import sys
@@ -16,12 +20,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from transfid import iqa
 from transfid.analysis import process_patient
 from transfid.config import RunConfig
+from transfid.iqa import SsimParams
 from transfid.manifest import ORIGINAL_SOURCE, PatientRecord
 from transfid.nifti import save_nifti
 from transfid.radiomics import extract as extract_module
-from transfid.radiomics.intensity import local_intensity
+from transfid.radiomics.intensity import _sphere_geometry, local_intensity
 from transfid.volume import RoiMask, Volume3D
 
 GRID = (128, 128, 64)
@@ -60,14 +66,20 @@ def texture(seed: int) -> np.ndarray:
     return (field - field.min()) / (field.max() - field.min())
 
 
-def traced_peak(call) -> int:
-    """Peak bytes that `call()` allocates over what is already held."""
+def traced_memory(call) -> tuple[int, int]:
+    """(held, peak): the bytes that `call()` allocated and still holds when
+    it returns, and their peak while it ran, over what was already held."""
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that `call()` allocates over what is already held."""
+    return traced_memory(call)[1]
 
 
 def local_intensity_peak(roi, tmp_path, monkeypatch) -> int:
@@ -130,6 +142,21 @@ def patient_peak(want: dict[str, bool]):
     return layer
 
 
+def cold_patient(held: bool):
+    """What one whole `process_patient(..., want_metrics=False)` on
+    `write_patient`'s files holds when it returns (`held`) or its peak, the
+    geometry caches cleared first, as on a worker's first patient."""
+
+    def layer(roi, tmp_path, monkeypatch) -> int:
+        record = write_patient(roi, tmp_path)
+        config = RunConfig.from_dict({})
+        _sphere_geometry.cache_clear()
+        iqa._window_geometry.cache_clear()
+        return traced_memory(lambda: process_patient(record, config, want_metrics=False))[0 if held else 1]
+
+    return layer
+
+
 GRIDS_HANDED_OVER = pytest.mark.skipif(
     sys.version_info < (3, 11),
     reason="before CPython 3.11 the caller's frame holds a call's arguments until it returns, "
@@ -150,6 +177,16 @@ BUDGETS = [
     ),
     pytest.param(patient_peak({"want_features": False}), large_roi, 9.21, id="process_patient-metrics-large"),
     pytest.param(patient_peak({}), large_roi, 9.39, id="process_patient-both-large"),
+    pytest.param(
+        cold_patient(held=False), large_roi, 6.3, id="process_patient-extract-caches_cleared-large",
+        marks=GRIDS_HANDED_OVER,
+    ),
+    pytest.param(
+        cold_patient(held=False), paper_roi, 4.57, id="process_patient-extract-caches_cleared-paper",
+        marks=GRIDS_HANDED_OVER,
+    ),
+    pytest.param(cold_patient(held=True), large_roi, 1.41, id="held_after_process_patient-extract-large"),
+    pytest.param(cold_patient(held=True), paper_roi, 1.41, id="held_after_process_patient-extract-paper"),
 ]
 
 
@@ -157,3 +194,30 @@ BUDGETS = [
 def test_layer_peak_within_budget(layer, roi, budget, tmp_path, monkeypatch):
     peak = layer(roi, tmp_path, monkeypatch)
     assert peak <= budget * GRID_BYTES, f"{peak / GRID_BYTES:.3f} grids"
+
+
+@pytest.mark.parametrize(
+    "build, first, second",
+    [
+        pytest.param(_sphere_geometry, (GRID, SPACING), (GRID[:2] + (63,), SPACING), id="sphere_geometry"),
+        pytest.param(
+            iqa._window_geometry, (GRID, SsimParams().window, SsimParams().sigma),
+            (GRID[:2] + (63,), SsimParams().window, SsimParams().sigma), id="window_geometry",
+        ),
+    ],
+)
+def test_a_new_grid_drops_the_old_entry_before_it_builds(build, first, second):
+    # a one-slot cache that built the new grid's entry beside the old one
+    # would peak at the first build's peak plus the old entry
+    build.cache_clear()
+    tracemalloc.start()
+    try:
+        build(*first)
+        first_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        build(*second)
+        switch_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        build.cache_clear()
+    assert switch_peak <= 1.05 * first_peak, f"{switch_peak / GRID_BYTES:.3f} against {first_peak / GRID_BYTES:.3f} grids"
