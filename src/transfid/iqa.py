@@ -1,7 +1,6 @@
 """Pairwise image-quality metrics over 3D volumes: MAE, MSE, SSIM, PSNR."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -9,7 +8,7 @@ import numpy as np
 
 from .checks import is_int, is_number
 from .errors import DimsMismatch, VolumeTooSmall
-from .volume import RoiMask, Volume3D
+from .volume import OneSlot, RoiMask, Volume3D
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
+@OneSlot
 def _window_geometry(
     dims: tuple[int, int, int], window: int, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:

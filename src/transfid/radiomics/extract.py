@@ -31,7 +31,9 @@ def extract_all(
     box, and this function drops its reference to the grid before they run
     (what a worker then holds: `analysis.process_patient`). The box and its
     mask-only arrays (border distance, neighbour counts) are cached on
-    `mask`, and LI's sphere spectrum and counts on the grid's dims; every
+    `mask`, and LI's sphere counts (one grid) and partial kernel transform
+    (1.2 MiB on a 128x128x64 grid, its spectrum finished slab by slab on
+    each call: `intensity.same_convolution`) on the grid's dims; every
     source of a patient is extracted on one mask, so they are built once
     per patient.
 

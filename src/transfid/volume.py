@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, update_wrapper
 
 import numpy as np
 
@@ -183,6 +184,41 @@ def neighbor_sum(a: np.ndarray) -> np.ndarray:
         wider[head] += box[tail]
         box = wider
     return box - a
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class OneSlot:
+    """`functools.lru_cache(maxsize=1)` for grid geometry that costs whole
+    grids, with its `cache_info()` and `cache_clear()`, except that a miss
+    drops the old entry before it builds the new one: `lru_cache` builds
+    first, so two grids' entries are alive at once. Positional arguments
+    only. The entry is read once and replaced whole, so a caller on another
+    thread sees a consistent entry."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self.cache_clear()
+
+    def __call__(self, *args):
+        entry = self._entry
+        if entry is not None and entry[0] == args:
+            self._hits += 1
+            return entry[1]
+        self._entry = entry = None
+        self._misses += 1
+        value = self._build(*args)
+        self._entry = (args, value)
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, 1, int(self._entry is not None))
+
+    def cache_clear(self) -> None:
+        self._entry = None
+        self._hits = self._misses = 0
 
 
 # The 13 unit offsets that reach each unordered pair of 26-neighbors once.

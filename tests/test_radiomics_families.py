@@ -11,7 +11,7 @@ from transfid.config import MAX_IVH_BINS, RunConfig
 from transfid.errors import InvalidScheme
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
-from transfid.radiomics import extract_all
+from transfid.radiomics import extract_all, intensity
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
 from transfid.radiomics.ids import DISTRIBUTION_NAMES, IH_NAMES, IS_NAMES, IVH_NAMES
 from transfid.radiomics.intensity import (
@@ -106,8 +106,18 @@ class TestLocalIntensity:
         # center must be x=1 (first in flat order); its sphere holds only itself
         assert got["local_peak"] == 1.0
 
-    def test_convolution_is_bit_identical_to_fftconvolve(self, rng):
+    # the kernel's spectrum as it is built: whole on these small shapes, and
+    # finished on each call a slab at a time under budgets of one line
+    # (each slab one line of its last transform) and of a few lines (whole
+    # axes and steps of the next)
+    SLAB_BUDGETS = pytest.mark.parametrize("slab_bytes", [intensity.SLAB_BYTES, 1, 2000],
+                                           ids=["budget", "one_line", "few_lines"])
+
+    @SLAB_BUDGETS
+    def test_convolution_is_bit_identical_to_fftconvolve(self, rng, monkeypatch, slab_bytes):
         from scipy.signal import fftconvolve
+
+        monkeypatch.setattr(intensity, "SLAB_BYTES", slab_bytes)
 
         shapes = [((1, 1, 1), (1, 1, 1)), ((5, 1, 4), (1, 3, 3)), ((4, 4, 4), (1, 1, 1))]
         shapes += [(tuple(rng.integers(1, 10, 3)), tuple(rng.integers(1, 8, 3))) for _ in range(40)]
@@ -119,7 +129,9 @@ class TestLocalIntensity:
             for values in (values, rng.random(values_shape)):
                 assert np.array_equal(convolve(values), fftconvolve(values, kernel, mode="same"))
 
-    def test_a_window_keeps_every_bit_of_the_whole_convolution(self, rng):
+    @SLAB_BUDGETS
+    def test_a_window_keeps_every_bit_of_the_whole_convolution(self, rng, monkeypatch, slab_bytes):
+        monkeypatch.setattr(intensity, "SLAB_BYTES", slab_bytes)
         # an axis of length 1 on either side is not transformed; (1, 1, 1) on
         # both sides takes the path with no transform at all
         shapes = [((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (3, 5, 2)), ((5, 1, 4), (1, 3, 3)),
@@ -142,6 +154,22 @@ class TestLocalIntensity:
             for window in windows:
                 assert np.array_equal(convolve(values, window), whole[window]), (values_shape, window)
 
+    def test_a_spectrum_over_the_budget_is_not_kept(self):
+        # the 13-voxel sphere on a 128x128x64 grid: FFT lengths 144, 144 and
+        # 80, so its whole spectrum is 144x144x41 complex (13.0 MiB), and the
+        # part kept, not yet transformed along axis 1, 144x13x41 (1.2 MiB)
+        r = intensity.PEAK_SPHERE_RADIUS_MM
+        d = np.arange(-6.0, 7.0)
+        kernel = (d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2 <= r * r).astype(float)
+        tracemalloc.start()
+        try:
+            convolve = intensity.same_convolution((128, 128, 64), kernel)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 144 * 13 * 41 * 16 + intensity.SLAB_BYTES, held
+        del convolve
+
     def test_fft_length_is_scipys_next_fast_len(self):
         from scipy.fft import next_fast_len
 
@@ -162,9 +190,11 @@ class TestLocalIntensity:
         assert (info.misses, info.currsize) == (2, 1)
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.5, 2.5), (7.0, 1.5, 4.0), (7.0, 7.0, 7.0)])
-    @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1)])
+    @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1), (128, 128, 64)])
     def test_cached_spectrum_keeps_every_bit_of_the_whole_grid_convolution(self, rng, dims, spacing):
-        # the sphere's radius is 6.2 mm, so a 7 mm spacing leaves it flat along that axis
+        # the sphere's radius is 6.2 mm, so a 7 mm spacing leaves it flat along
+        # that axis; on the 128x128x64 grid its spectrum is over SLAB_BYTES but
+        # at 7 mm, so each call there finishes it slab by slab
         flags = rng.random(dims) < 0.3
         flags[-1, -1, -1] = True
         values = rng.random(dims)
