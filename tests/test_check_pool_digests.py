@@ -1,9 +1,11 @@
-"""The pool digest check's comparison and version guard (tools/check_pool_digests.py)."""
+"""The pool digest check's comparison, version guard and cell diff (tools/check_pool_digests.py)."""
 import importlib.util
+import math
 import platform
 from pathlib import Path
 
 import numpy
+import pytest
 import scipy
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "check_pool_digests.py"
@@ -65,3 +67,52 @@ def test_differing_seeds_are_listed_in_numeric_order_with_their_first_problem():
 def test_matching_seeds_report_ok():
     assert check.differing_seeds({"0": {}, "1": {}}, lambda seed: []) == []
     assert check.seeds_status(2, []) == "analyze_cohort: 2 seeds, ok"
+
+
+OLD_CSV = """patient_id,source,li.local_peak,li.global_peak,glcm.avg.contrast,flags
+L000,original_mri,0.5,0.75,12.0,
+L000,net_a,0.25,0.5,0,
+L001,original_mri,1e-300,2.0,3.0,
+"""
+
+NEW_CSV = """patient_id,source,li.local_peak,li.global_peak,glcm.avg.contrast,flags
+L000,original_mri,0.5,0.7500000000000001,12.0,
+L000,net_a,0.25,0.5,1e-17,
+L001,original_mri,1e-300,2.0,3.0000003,glcm.avg.contrast
+L002,original_mri,1.0,1.0,1.0,
+"""
+
+
+def test_moved_cells_are_printed_with_the_largest_change_per_family():
+    moved = check.moved_cells(OLD_CSV, NEW_CSV)
+    assert check.cell_report(moved) == [
+        "L000/original_mri li.global_peak: 0.75 -> 0.7500000000000001",
+        "L000/net_a glcm.avg.contrast: 0 -> 1e-17",
+        "L001/original_mri glcm.avg.contrast: 3.0 -> 3.0000003",
+        "L001/original_mri flags:  -> glcm.avg.contrast",
+        "L002/original_mri li.local_peak: <missing> -> 1.0",
+        "L002/original_mri li.global_peak: <missing> -> 1.0",
+        "L002/original_mri glcm.avg.contrast: <missing> -> 1.0",
+        "L002/original_mri flags: <missing> -> ",
+        "largest relative change in li: inf at L002/original_mri li.local_peak",
+        "largest relative change in glcm: inf at L000/net_a glcm.avg.contrast",
+        "largest relative change in flags: inf at L001/original_mri flags",
+    ]
+    assert check.cell_report(moved[:3])[3:] == [
+        "largest relative change in li: 1.48e-16 at L000/original_mri li.global_peak",
+        "largest relative change in glcm: inf at L000/net_a glcm.avg.contrast",
+    ]
+
+
+def test_identical_csvs_move_no_cell():
+    assert check.moved_cells(OLD_CSV, OLD_CSV) == []
+    assert check.cell_report([]) == []
+
+
+def test_relative_change_of_two_cells():
+    assert check.relative_change("0.75", "0.7500000000000001") == pytest.approx(1.48e-16, rel=1e-2)
+    assert check.relative_change("2", "3") == 0.5
+    assert check.relative_change("1.0", "1.00") == 0.0
+    assert check.relative_change("0", "1e-17") == math.inf
+    assert check.relative_change("nan", "1") == math.inf
+    assert check.relative_change("", "1") == math.inf

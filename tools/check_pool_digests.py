@@ -1,6 +1,7 @@
 """Check every pool patient's output bytes against the recorded digests.
 
     python3 tools/check_pool_digests.py
+    python3 tools/check_pool_digests.py --against HEAD~1
 
 Runs the CLI on the whole pool of each image workload, exactly as
 `perfbench/record_digests.py` does when it records them: extract_large (12
@@ -12,17 +13,32 @@ reads. It then replays every analyze_cohort seed recorded there, as
 groups.summary.json against the recorded digests. The timed benchmark
 checks only the patients and the seed it picks; this checks all of them.
 
-Exit status: 0 when every block and every seed matches; 1 when any block or
-seed differs, with the differing patients and seeds listed and an image
-workload's output kept at .perfbench_results/pool-digests/<workload>.csv to
-read the moved rows from; 2 when Python, numpy or scipy is not the version
-the digests were recorded with, since the bytes are only comparable there.
+With `--against <rev>`, it also builds each image workload's pool output
+from revision <rev>'s `src/`, unpacked with `git archive` in a temporary
+directory and run by this checkout's `perfbench/`, and prints each cell
+that moved from <rev> to the working tree as `patient/source key: old ->
+new`, then the largest relative change per family (the key's text before
+its first dot; each metric is its own family). That is the cell-level view
+a change that moves bits on purpose needs; each image pool then runs twice.
+
+Exit status: 0 when every block and every seed matches, and no cell moved;
+1 when any block or seed differs, with the differing patients and seeds
+listed and an image workload's output kept at
+.perfbench_results/pool-digests/<workload>.csv to read the moved rows
+from, or when a cell moved; 2 when Python, numpy or scipy is not the
+version the digests were recorded with, since the bytes are only
+comparable there, or when <rev> cannot be read.
 """
 from __future__ import annotations
 
+import argparse
+import csv
+import io
+import math
 import os
 import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -84,7 +100,71 @@ def seeds_status(total: int, differing: list[str]) -> str:
     return f"analyze_cohort: {total} seeds, {status}"
 
 
-def main() -> int:
+MISSING = "<missing>"
+
+
+def read_cells(text: str) -> dict[tuple[str, str], str]:
+    """{(row, column): cell} of a features.csv or metrics.csv, each row named
+    `patient/source` by its first two cells."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return {(f"{row[0]}/{row[1]}", column): cell for row in rows for column, cell in zip(header[2:], row[2:])}
+
+
+def moved_cells(old: str, new: str) -> list[tuple[str, str, str, str]]:
+    """(row, column, old cell, new cell) for each cell that differs between
+    two CSVs, in the old file's order and then the new one's; a cell on one
+    side only reads MISSING on the other."""
+    before, after = read_cells(old), read_cells(new)
+    keys = list(before) + [k for k in after if k not in before]
+    return [(*k, before.get(k, MISSING), after.get(k, MISSING)) for k in keys
+            if before.get(k) != after.get(k)]
+
+
+def relative_change(old: str, new: str) -> float:
+    """|new - old| / |old| of two cells; inf when either is not a finite
+    number, or old is 0, and the numbers differ."""
+    try:
+        before, after = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if before == after:
+        return 0.0
+    if not (math.isfinite(before) and math.isfinite(after)) or before == 0.0:
+        return math.inf
+    return abs(after - before) / abs(before)
+
+
+def cell_report(moved: list[tuple[str, str, str, str]]) -> list[str]:
+    """One line per moved cell, then the largest relative change of each family."""
+    lines = [f"{row} {column}: {old} -> {new}" for row, column, old, new in moved]
+    largest: dict[str, tuple[float, str]] = {}
+    for row, column, old, new in moved:
+        family = column.split(".", 1)[0]
+        change = relative_change(old, new)
+        if family not in largest or change > largest[family][0]:
+            largest[family] = (change, f"{row} {column}")
+    lines += [f"largest relative change in {family}: {change:.3g} at {where}"
+              for family, (change, where) in largest.items()]
+    return lines
+
+
+def unpack(rev: str, tree: Path) -> str | None:
+    """Revision `rev` of this repository unpacked at `tree`; the error when
+    git cannot read it, else None."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        return archive.stderr.decode(errors="replace").strip()
+    tree.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Check every pool patient's output bytes "
+                                     "against the recorded digests.")
+    parser.add_argument("--against", metavar="REV",
+                        help="also print each output cell that moved from revision REV")
+    args = parser.parse_args(argv)
     # the benchmark's modules resolve ./src and each other from the repository root
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -105,8 +185,14 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    differing_blocks = 0
+    differing_blocks = moved = 0
     with tempfile.TemporaryDirectory(prefix="pool-digests-") as tmp:
+        against = Path(tmp) / "against"
+        if args.against:
+            error = unpack(args.against, against / "tree")
+            if error:
+                print(f"check_pool_digests: cannot read {args.against}: {error}", file=sys.stderr)
+                return 2
         for name, patients in pools(inputs).items():
             got = record_digests.record_pool(name, patients, Path(tmp) / name)
             want = reference[name]
@@ -119,6 +205,18 @@ def main() -> int:
             kept = keep_output(name, Path(tmp) / name, bool(problems))
             if kept:
                 print(f"{name}: rows kept at {kept.relative_to(ROOT)}")
+            if args.against:
+                src, run.SRC = run.SRC, against / "tree" / "src"
+                try:
+                    record_digests.record_pool(name, patients, against / name)
+                finally:
+                    run.SRC = src
+                cells = moved_cells((against / name / "out.csv").read_text(encoding="utf-8"),
+                                    (Path(tmp) / name / "out.csv").read_text(encoding="utf-8"))
+                moved += len(cells)
+                print(f"{name}: {len(cells)} cells moved from {args.against}")
+                for line in cell_report(cells):
+                    print(f"  {line}")
 
         analyze = workloads.WORKLOADS["analyze_cohort"]
 
@@ -135,8 +233,9 @@ def main() -> int:
         seeds = reference["analyze_cohort"]["seeds"]
         differing = differing_seeds(seeds, replay)
         print(seeds_status(len(seeds), differing))
-    print(f"{differing_blocks} differing blocks, {len(differing)} differing analyze seeds")
-    return 1 if differing_blocks or differing else 0
+    print(f"{differing_blocks} differing blocks, {len(differing)} differing analyze seeds"
+          + (f", {moved} moved cells against {args.against}" if args.against else ""))
+    return 1 if differing_blocks or differing or moved else 0
 
 
 if __name__ == "__main__":
