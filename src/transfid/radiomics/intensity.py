@@ -141,8 +141,7 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
         partial, finish = forward(kernel, order[:-1]), np.fft.fft
     spectrum_shape = list(partial.shape)
     spectrum_shape[short] = length[short] // 2 + 1 if short == last else length[short]
-    line_bytes = 16 * spectrum_shape[short]
-    slabs = list(_slabs(spectrum_shape, short, SLAB_BYTES // line_bytes))
+    slabs = list(_slabs(spectrum_shape, short, SLAB_BYTES // (16 * spectrum_shape[short])))
     spectrum = finish(partial, length[short], axis=short) if len(slabs) == 1 else None
 
     def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
