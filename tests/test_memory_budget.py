@@ -196,6 +196,25 @@ def test_layer_peak_within_budget(layer, roi, budget, tmp_path, monkeypatch):
     assert peak <= budget * GRID_BYTES, f"{peak / GRID_BYTES:.3f} grids"
 
 
+SLICE = (256, 256, 1)
+
+
+@pytest.mark.parametrize("cold, budget", [pytest.param(False, 1.39, id="spectrum_cached"),
+                                          pytest.param(True, 4.11, id="caches_cleared")])
+def test_local_intensity_on_one_slice_within_budget(cold, budget):
+    # the 13-plane sphere kernel reaches a single slice with its middle plane
+    # only, so the peak is a few of the slice's grids, not 13 planes of them
+    x, y = np.meshgrid(*(np.arange(n) - n // 2 for n in SLICE[:2]), indexing="ij")
+    volume = Volume3D(SLICE, SPACING, np.random.default_rng(0).random(SLICE))
+    mask = RoiMask(SLICE, (x * x + y * y <= 15**2)[..., None])
+    local_intensity(volume, mask)
+    if cold:
+        _sphere_geometry.cache_clear()
+    peak = traced_peak(lambda: local_intensity(volume, mask))
+    _sphere_geometry.cache_clear()
+    assert peak <= budget * 8 * math.prod(SLICE), f"{peak / (8 * math.prod(SLICE)):.3f} grids"
+
+
 @pytest.mark.parametrize(
     "build, first, second",
     [
