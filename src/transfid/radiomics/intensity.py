@@ -96,12 +96,12 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     lines, so the product keeps every bit.
     """
     ndim = len(shape)
+    # on an axis where the values have length 1, "same" keeps the kernel's middle plane only
+    kernel = kernel[tuple(slice((k - 1) // 2, (k + 1) // 2) if n == 1 else slice(None)
+                          for n, k in zip(shape, kernel.shape))]
     # an axis where either side has length 1 is broadcast in the product, not transformed
     axes = [a for a in range(ndim) if shape[a] != 1 and kernel.shape[a] != 1]
-    full = [
-        shape[a] + kernel.shape[a] - 1 if a in axes else max(shape[a], kernel.shape[a]) for a in range(ndim)
-    ]
-    start = [(n - s) // 2 for n, s in zip(full, shape)]
+    start = [(k - 1) // 2 for k in kernel.shape]
 
     def result_lines(window) -> tuple[slice, ...]:
         """The window's lines in the coordinates of the "full" result."""
@@ -112,11 +112,9 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
 
     if not axes:
         return lambda values, window=None: (values * kernel)[result_lines(window)]
-    length = {a: fast_length(full[a]) for a in axes}
+    length = {a: fast_length(shape[a] + kernel.shape[a] - 1) for a in axes}
     last = axes[-1]
     scale = float(1 / np.longdouble(math.prod(length.values())))
-    # values as wide as the kernel on an untransformed axis, so the product fits their buffer
-    wide = tuple(full[a] if a not in axes else shape[a] for a in range(ndim))
     # the forward transform's axes in order; the kernel's stops one short
     order = [last, *axes[:-1]]
     short = order[-1]
@@ -146,7 +144,7 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
 
     def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
         keep = result_lines(window)
-        product = forward(np.broadcast_to(values, wide), order)
+        product = forward(values, order)
         if spectrum is not None:
             product *= spectrum
         else:
