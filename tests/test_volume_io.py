@@ -394,6 +394,20 @@ class TestTypes:
         with pytest.raises(DimsMismatch, match=r"mask dims \(2, 2, 2\) != volume dims \(2, 2, 1\)"):
             mask.check_aligned(volume)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Volume3D((2, 2, 2), (1, 1, 1), np.arange(8.0)), id="volume"),
+            pytest.param(lambda: RoiMask((2, 2, 2), np.arange(8) % 2), id="mask"),
+        ],
+    )
+    def test_instances_compare_and_hash_by_identity(self, make):
+        # their fields hold arrays, so equality by contents has no single truth value
+        x, y = make(), make()
+        assert x == x and not x != x
+        assert x != y and not x == y
+        assert hash(x) == hash(x) and len({x, y}) == 2
+
     def test_int_and_flat_masks_give_the_flags_of_the_bool_mask(self, rng):
         flags = rng.random((3, 4, 5)) < 0.5
         flags[0, 0, 0] = True
