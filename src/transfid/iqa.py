@@ -184,7 +184,7 @@ def _window_geometry(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(taps, weight): the 1-D Gaussian taps and, per voxel, the summed weight
     of the in-bounds part of its window, read-only. Both depend on the grid
-    only, and a worker scores one patient's grid at a time, so one is kept."""
+    only; how long they are kept: `volume.OneSlot`."""
     i = np.arange(-window, window + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma sends off-centre exponents to -inf: taps of 0
         taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
@@ -194,24 +194,11 @@ def _window_geometry(
     return taps, weight
 
 
-# The last original's window moments: (values, window, sigma, mean, variance).
-# One slot, because a caller scores every network of a patient against one
-# original before it moves on. The entry holds `values` itself, so that array
-# cannot be freed and its id reused while the entry lives. It is read once and
-# replaced whole, so a caller on another thread sees a consistent entry.
-_original_memo: tuple | None = None
-
-
-def _original_moments(
-    values: np.ndarray, params: SsimParams, taps: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed mean and variance of `values`, memoized for read-only arrays."""
-    global _original_memo
-    memo = _original_memo
-    if memo is not None and memo[0] is values and memo[1:3] == (params.window, params.sigma):
-        return memo[3], memo[4]
-    # drop the old entry first, so two originals' moments are never alive at once
-    _original_memo = memo = None
+@OneSlot
+def _original_moments(original: Volume3D, window: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed mean and variance of `original`'s values, read-only."""
+    taps, weight = _window_geometry(original.dims, window, sigma)
+    values = original.values
     mu = _windowed_sums(values, taps)
     mu /= weight
     var = _windowed_sums(values * values, taps)
@@ -219,8 +206,6 @@ def _original_moments(
     var -= mu * mu
     mu.flags.writeable = False
     var.flags.writeable = False
-    if not values.flags.writeable:
-        _original_memo = (values, params.window, params.sigma, mu, var)
     return mu, var
 
 
@@ -236,12 +221,12 @@ def ssim3d(
     portion; weighted first and second moments feed the standard SSIM form.
     With `mask`, the per-voxel map is averaged over in-mask centers only.
 
-    The window weights depend on the grid only and are cached; the moments
-    of `a` are kept until another original is scored, so scoring N networks
-    against one original costs 2 + 3N windowed sums, not 6N. Beyond those
-    caches a call holds the network's three windowed sums, one product map
-    while the last of them is taken, and two slab-sized buffers: the map is
-    built in place, slab by slab, over the last sum.
+    The window weights and the moments of `a` are kept in one-slot caches
+    (`volume.OneSlot`), so scoring N networks against one original costs
+    2 + 3N windowed sums, not 6N. Beyond those caches a call holds the
+    network's three windowed sums, one product map while the last of them
+    is taken, and two slab-sized buffers: the map is built in place, slab
+    by slab, over the last sum.
     """
     _check_pair(a, b)
     size = 2 * params.window + 1
@@ -251,7 +236,9 @@ def ssim3d(
         mask.check_aligned(a)
 
     taps, weight = _window_geometry(a.dims, params.window, params.sigma)
-    mu_a, var_a = _original_moments(a.values, params, taps, weight)
+    # values a caller has made writeable may change under the same volume
+    moments = _original_moments.__wrapped__ if a.values.flags.writeable else _original_moments
+    mu_a, var_a = moments(a, params.window, params.sigma)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     av, bv = a.values, b.values

@@ -31,11 +31,9 @@ def extract_all(
     box, and this function drops its reference to the grid before they run
     (what a worker then holds: `analysis.process_patient`). The box and its
     mask-only arrays (border distance, neighbour counts) are cached on
-    `mask`, and LI's sphere counts (one grid) and partial kernel transform
-    (1.2 MiB on a 128x128x64 grid, its spectrum finished slab by slab on
-    each call: `intensity.same_convolution`) on the grid's dims; every
-    source of a patient is extracted on one mask, so they are built once
-    per patient.
+    `mask`, and LI's sphere counts and kernel transform on the grid
+    (`volume.OneSlot`); every source of a patient is extracted on one mask
+    and grid, so they are built once per patient.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

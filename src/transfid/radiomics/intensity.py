@@ -166,16 +166,8 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
 def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, float]):
     """(convolve, counts): `same_convolution` of (dims)-shaped arrays with
     the 1 cm^3 sphere kernel, and, per voxel, how many sphere voxels fall
-    inside the (dims) grid, read-only.
-
-    Both depend on the grid only. Every source of a patient is extracted on
-    one grid, one after another, so one entry serves the whole patient (and
-    every later patient on the same grid). A worker holds one entry, and
-    drops it before it builds the next grid's: the counts, one grid of
-    float64, and what `same_convolution` keeps of the kernel, its whole
-    spectrum up to SLAB_BYTES (0.3 MiB on a 24x24x16 grid) and its partial
-    transform above (1.2 MiB on a 128x128x64 grid, 17.2 MiB on a
-    512x512x300 one, whose whole spectrum is 716 MiB).
+    inside the (dims) grid, read-only. Both depend on the grid only; their
+    size and how long they are kept: `volume.OneSlot`.
     """
     half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
     ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]

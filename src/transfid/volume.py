@@ -27,7 +27,7 @@ def _shaped(array: np.ndarray, dims: tuple[int, int, int], error: type, noun: st
     return array.reshape(dims, order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume3D:
     """A 3D scalar field with voxel counts and physical spacing in mm."""
 
@@ -84,7 +84,7 @@ def _adopt(dims, spacing, values: np.ndarray) -> Volume3D:
     return volume
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoiMask:
     """Boolean region of interest aligned to a Volume3D grid."""
 
@@ -190,12 +190,29 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class OneSlot:
-    """`functools.lru_cache(maxsize=1)` for grid geometry that costs whole
-    grids, with its `cache_info()` and `cache_clear()`, except that a miss
-    drops the old entry before it builds the new one: `lru_cache` builds
-    first, so two grids' entries are alive at once. Positional arguments
-    only. The entry is read once and replaced whole, so a caller on another
-    thread sees a consistent entry."""
+    """`functools.lru_cache(maxsize=1)` for values that cost whole grids,
+    with its `cache_info()` and `cache_clear()`, except that a miss drops
+    the old entry before it builds the new one: `lru_cache` builds first,
+    so two entries are alive at once. Positional arguments only, compared
+    with `==`, so a volume matches only itself. The entry is read once and
+    replaced whole, so a caller on another thread sees a consistent entry.
+
+    Every cache that outlives a call is one of three such slots, or a
+    cached property of the RoiMask it belongs to. A slot keeps its entry
+    until a call with other arguments, so a worker holds its last
+    patient's entries until its next patient:
+    - `radiomics.intensity._sphere_geometry(dims, spacing)`: LI's in-grid
+      sphere counts (one grid) and what `same_convolution` keeps of the
+      sphere kernel (0.3 MiB on a 24x24x16 grid, 1.2 MiB on 128x128x64);
+    - `iqa._window_geometry(dims, window, sigma)`: SSIM's Gaussian taps
+      and each voxel's in-grid window weight (one grid);
+    - `iqa._original_moments(original, window, sigma)`: the original's
+      windowed mean and variance (two grids), and through its key the
+      original itself.
+    The first two depend on the grid only, which every source of a patient
+    shares; the third serves every network of a patient, each scored
+    against the one original before the next patient loads.
+    """
 
     def __init__(self, build):
         update_wrapper(self, build)

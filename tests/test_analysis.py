@@ -168,6 +168,21 @@ class TestProcessPatient:
         assert checked == ["load", "extract"] + ["load", "extract", "metrics"] * 3
 
 
+    def test_the_original_moments_are_built_once_per_patient(self, tmp_path):
+        """Every network is scored against one original, whose windowed mean
+        and variance are built for the first and kept for the others."""
+        from transfid import analysis, iqa
+        from transfid.manifest import parse_manifest
+
+        networks = ("a", "b", "c")
+        (record,) = parse_manifest(write_cohort(tmp_path, n_patients=1, networks=networks))
+        config = RunConfig.from_dict({"ssim": {"window": 3}})  # the phantom is 8^3
+        iqa._original_moments.cache_clear()
+        result = analysis.process_patient(record, config, want_features=False)
+        assert result.error is None and sorted(result.metrics) == list(networks)
+        info = iqa._original_moments.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(networks) - 1, 1)
+
     def test_every_source_shares_the_original_mask(self, tmp_path, monkeypatch):
         """Under a crop, every extraction and every ROI-only score gets the
         one mask cropped with the original, and the patient's own config."""

@@ -215,19 +215,31 @@ def test_local_intensity_on_one_slice_within_budget(cold, budget):
     assert peak <= budget * 8 * math.prod(SLICE), f"{peak / (8 * math.prod(SLICE)):.3f} grids"
 
 
+def two_originals():
+    """The arguments of `_original_moments` for two originals on GRID, with
+    the grid's SSIM window weights built first, so that a build's peak is
+    the moments' own."""
+    params = SsimParams()
+    iqa._window_geometry(GRID, params.window, params.sigma)
+    return [(Volume3D(GRID, SPACING, texture(seed)), params.window, params.sigma) for seed in (0, 1)]
+
+
 @pytest.mark.parametrize(
-    "build, first, second",
+    "build, arguments",
     [
-        pytest.param(_sphere_geometry, (GRID, SPACING), (GRID[:2] + (63,), SPACING), id="sphere_geometry"),
+        pytest.param(_sphere_geometry, lambda: [(GRID, SPACING), (GRID[:2] + (63,), SPACING)], id="sphere_geometry"),
         pytest.param(
-            iqa._window_geometry, (GRID, SsimParams().window, SsimParams().sigma),
-            (GRID[:2] + (63,), SsimParams().window, SsimParams().sigma), id="window_geometry",
+            iqa._window_geometry, lambda: [(GRID, SsimParams().window, SsimParams().sigma),
+                                           (GRID[:2] + (63,), SsimParams().window, SsimParams().sigma)],
+            id="window_geometry",
         ),
+        pytest.param(iqa._original_moments, two_originals, id="original_moments"),
     ],
 )
-def test_a_new_grid_drops_the_old_entry_before_it_builds(build, first, second):
-    # a one-slot cache that built the new grid's entry beside the old one
-    # would peak at the first build's peak plus the old entry
+def test_a_new_grid_drops_the_old_entry_before_it_builds(build, arguments):
+    # a one-slot cache that built the new grid's (or original's) entry beside
+    # the old one would peak at the first build's peak plus the old entry
+    first, second = arguments()
     build.cache_clear()
     tracemalloc.start()
     try:
