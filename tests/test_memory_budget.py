@@ -227,7 +227,9 @@ def two_originals():
 @pytest.mark.parametrize(
     "build, arguments",
     [
-        pytest.param(_sphere_geometry, lambda: [(GRID, SPACING), (GRID[:2] + (63,), SPACING)], id="sphere_geometry"),
+        pytest.param(
+            _sphere_geometry, lambda: [(GRID, SPACING), (GRID[:2] + (63,), SPACING)], id="sphere_geometry"
+        ),
         pytest.param(
             iqa._window_geometry, lambda: [(GRID, SsimParams().window, SsimParams().sigma),
                                            (GRID[:2] + (63,), SsimParams().window, SsimParams().sigma)],
