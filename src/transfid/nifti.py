@@ -128,9 +128,12 @@ def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
     The stored voxels go through load_nifti's conversion and scaling in
     one reused float64 slab of about MASK_CHUNK voxels, so a scaled stored
     1 can read as 0 and NaN/Inf is rejected as there, without a float64
-    copy of the whole volume.
+    copy of the whole volume. A mask on other dims than `reference` is
+    refused before any of that is allocated.
     """
     dims, _, stored, scl_slope, scl_inter = _read_stored(path)
+    if dims != reference.dims:
+        raise DimsMismatch(f"{path}: mask dims {dims} != reference dims {reference.dims}")
     stored = stored.reshape(dims, order="F")
     flags = np.empty(dims, dtype=bool)
     planes = min(dims[2], max(1, MASK_CHUNK // (dims[0] * dims[1])))
@@ -141,8 +144,6 @@ def load_mask(path: str | Path, reference: Volume3D) -> RoiMask:
             values[...] = stored[:, :, z : z + planes]
         _scale_checked(values, scl_slope, scl_inter, path)
         np.not_equal(values, 0.0, out=flags[:, :, z : z + planes])
-    if dims != reference.dims:
-        raise DimsMismatch(f"{path}: mask dims {dims} != reference dims {reference.dims}")
     if not flags.any():
         raise EmptyMask(f"{path}: mask has no nonzero voxels")
     return RoiMask(dims, flags)

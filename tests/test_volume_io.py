@@ -18,7 +18,7 @@ from transfid.errors import (
     UnsupportedDatatype,
 )
 from transfid.manifest import parse_manifest
-from transfid.nifti import load_mask, load_nifti, save_nifti
+from transfid.nifti import _read_stored, load_mask, load_nifti, save_nifti
 from transfid.volume import RoiMask, Volume3D
 
 from conftest import make_volume
@@ -275,13 +275,33 @@ class TestLoadMask:
         with pytest.raises(DimsMismatch):
             load_mask(path, ref)
 
+    def test_a_mask_on_other_dims_is_refused_before_its_flags_are_built(self, tmp_path):
+        # int16 voxels: the file holds 2 MiB, the flags grid would take 1 MiB
+        # more and the float64 slab 0.5 MiB; refused on its header's dims, the
+        # mask costs the file's bytes only
+        dims = (128, 128, 64)
+        path = tmp_path / "mask.nii"
+        write_nifti_reference(path, np.ones(dims, dtype=np.int16), datatype=4, np_dtype="<i2")
+        ref = make_volume(np.zeros((128, 128, 63)))
+        message = f"{path}: mask dims {dims} != reference dims {ref.dims}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimsMismatch) as caught:
+                load_mask(path, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == message
+        assert peak < path.stat().st_size + 2**16, peak
+
     @staticmethod
     def load_mask_through_volume(path, reference):
         """The rule load_mask keeps: nonzero voxels of the volume that
-        load_nifti reads, with its errors first."""
-        vol = load_nifti(path)
-        if vol.dims != reference.dims:
+        load_nifti reads, with the header's errors first, then a mismatch
+        of its dims, then the errors of its voxels."""
+        if _read_stored(path)[0] != reference.dims:
             raise DimsMismatch("dims")
+        vol = load_nifti(path)
         flags = vol.values != 0.0
         if not flags.any():
             raise EmptyMask("empty")
