@@ -1,9 +1,9 @@
 """Run configuration: strict JSON schema, defaults, and hashing."""
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -148,6 +148,8 @@ class RunConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        """Hash of the validated settings, so unused and spelled-out defaults hash alike."""
+        """Hash of the validated settings, so unused and spelled-out defaults
+        hash alike: the CRC-32 of their canonical JSON, as 8 hex digits.
+        zlib, which numpy loads anyway, keeps OpenSSL out of the process."""
         canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
