@@ -189,6 +189,37 @@ class TestLocalIntensity:
         info = _sphere_geometry.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
 
+    @pytest.mark.parametrize("order", ["ABC", "ACB"])
+    def test_counts_on_the_boxes_seen_keep_every_bit(self, rng, order):
+        # the in-grid counts cover the smallest box that holds every ROI box
+        # read on the grid: box B lies inside box A, so it counts nothing,
+        # and box C lies outside it, so the counts are taken again on both.
+        # Each box touches the grid's faces, where the counts differ from
+        # voxel to voxel, so counts read at the wrong offset move a value
+        dims, spacing = (20, 18, 14), (1.0, 1.0, 1.0)
+        values = rng.random(dims)
+        masks = {}
+        for name, block in {"A": np.s_[10:20, 9:18, 6:14], "B": np.s_[13:18, 11:16, 9:13],
+                            "C": np.s_[0:8, 0:8, 0:7]}.items():
+            flags = np.zeros(dims, dtype=bool)
+            flags[block] = rng.random(flags[block].shape) < 0.5
+            flags[tuple(s.start for s in block)] = flags[tuple(s.stop - 1 for s in block)] = True
+            masks[name] = make_mask(flags)
+        vol = make_volume(values, spacing)
+        _sphere_geometry.cache_clear()
+        counts = _sphere_geometry(dims, spacing)[1]
+        counted = []  # the array each box's counts are read from
+        for name in order:
+            mask = masks[name]
+            assert local_intensity(vol, mask) == oracles.whole_grid_local_intensity(values, mask.flags, spacing)
+            counted.append(counts[mask.box[0]].base)
+        b = order.index("B")
+        assert counted[b] is counted[b - 1]
+        assert len({id(array) for array in counted}) == 2
+        # the last counts hold every box seen, so reading one counts nothing
+        assert all(counts[mask.box[0]].base is counted[-1] for mask in masks.values())
+        _sphere_geometry.cache_clear()
+
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.5, 2.5), (7.0, 1.5, 4.0), (7.0, 7.0, 7.0)])
     @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1), (128, 128, 64)])
     def test_cached_spectrum_keeps_every_bit_of_the_whole_grid_convolution(self, rng, dims, spacing):
