@@ -1,9 +1,6 @@
 """Deterministic synthetic volume + ellipsoid mask for self-testing."""
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .volume import RoiMask, Volume3D
@@ -18,65 +15,6 @@ MAX_VOXELS = 256**3
 _CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_state(seed: int) -> list[int]:
-    """The four 64-bit words of `numpy.random.SeedSequence(seed).generate_state(4, np.uint64)`."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, words = 0x8B51F9DD, []
-    for value in itertools.islice(itertools.cycle(pool), 8):
-        value ^= const
-        const = const * 0x58F38DED & _MASK32
-        value = value * const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """`numpy.random.default_rng(seed).random(shape)`, bit for bit: PCG64
-    (XSL-RR output) seeded through SeedSequence, each double the top 53
-    bits of a draw times 2**-53. It runs in Python ints, under a microsecond
-    a draw, because importing numpy.random maps OpenSSL into the process
-    (its `secrets` import loads `hmac`, and so `_hashlib`)."""
-    high, low, inc_high, inc_low = _seed_state(seed)
-    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-    state = ((high << 64 | low) + inc) * _PCG64_MULTIPLIER + inc & _MASK128
-    draws = []
-    for _ in range(math.prod(shape)):
-        state = state * _PCG64_MULTIPLIER + inc & _MASK128
-        rot = state >> 122
-        x = (state >> 64 ^ state) & _MASK64
-        draws.append((x >> rot | x << (-rot & 63)) & _MASK64)
-    return (np.array(draws, dtype=np.uint64) >> 11).astype(np.float64).reshape(shape) * (1.0 / 2**53)
-
-
 def generate_phantom(
     seed: int,
     dims: tuple[int, int, int] = (16, 16, 16),
@@ -87,7 +25,10 @@ def generate_phantom(
     Output is a pure function of (seed, dims, spacing).
     """
     dims = tuple(int(d) for d in dims)
-    lattice = _uniform(int(seed), tuple(d // _NOISE_PITCH + 2 for d in dims))
+    rng = np.random.default_rng(seed)
+
+    lattice_dims = [d // _NOISE_PITCH + 2 for d in dims]
+    lattice = rng.random(lattice_dims)
 
     coords = [np.arange(d) / _NOISE_PITCH for d in dims]
     idx = [c.astype(np.int64) for c in coords]

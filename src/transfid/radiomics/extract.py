@@ -32,9 +32,9 @@ def extract_all(
     (what a worker then holds: `analysis.process_patient`). The box and its
     mask-only arrays (border distance, neighbour counts) are cached on
     `mask`, and LI's kernel transform on the grid, with its sphere counts
-    on the boxes read from that grid (`volume.OneSlot`); every source of a
-    patient is extracted on one mask and grid, so they are built once per
-    patient at most.
+    on the ROI's box (`volume.OneSlot`); every source of a patient is
+    extracted on one mask and grid, so they are built once per patient at
+    most.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

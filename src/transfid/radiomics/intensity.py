@@ -162,55 +162,31 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     return convolve
 
 
-class InGridCounts:
-    """Per voxel of a grid, how many voxels of the sphere centred on it fall
-    inside the grid: `convolve` of a grid of ones. `counts[box]` reads them,
-    read-only, on a box of step-1 slices with explicit bounds, as
-    `RoiMask.box` gives.
-
-    They are counted only on the region read so far: the smallest box that
-    holds every box read. A box that leaves it widens the region to hold
-    both, and the old counts are dropped before the new ones are counted;
-    a box inside it counts nothing. A windowed convolution keeps every bit
-    of the whole grid's (`same_convolution`), so a region's counts are the
-    whole grid's counts there. The region and its counts are read once and
-    replaced together, so a caller on another thread sees a consistent pair.
-    """
-
-    def __init__(self, convolve, dims: tuple[int, int, int]):
-        self._convolve = convolve
-        self._dims = dims
-        self._counted = None  # (region, counts on it)
-
-    def __getitem__(self, box: tuple[slice, slice, slice]) -> np.ndarray:
-        counted = self._counted
-        region = box if counted is None else tuple(
-            slice(min(b.start, r.start), max(b.stop, r.stop)) for b, r in zip(box, counted[0])
-        )
-        if counted is None or region != counted[0]:
-            self._counted = counted = None
-            # a broadcast 1.0 allocates no grid of ones; the copy frees the transform's padded output
-            counts = self._convolve(np.broadcast_to(1.0, self._dims), region).copy()
-            counts.flags.writeable = False
-            self._counted = counted = (region, counts)
-        region, counts = counted
-        return counts[tuple(slice(b.start - r.start, b.stop - r.start) for b, r in zip(box, region))]
-
-
 @OneSlot
 def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, float]):
     """(convolve, counts): `same_convolution` of (dims)-shaped arrays with
-    the 1 cm^3 sphere kernel, and the `InGridCounts` of the (dims) grid,
-    which counts on the ROI boxes read from it, not on the whole grid. Both
-    depend on the grid only; their size and how long they are kept:
-    `volume.OneSlot`.
+    the 1 cm^3 sphere kernel, and `counts(box)`: per voxel of `box` (step-1
+    slices with explicit bounds, as `RoiMask.box` gives), how many sphere
+    voxels fall inside the (dims) grid, read-only. The counts are a
+    windowed convolution of ones, which keeps every bit of the whole
+    grid's (`same_convolution`), and are kept in a `volume.OneSlot` of
+    their own, for the last box read. Both depend on the grid only; their
+    size and how long they are kept: `volume.OneSlot`.
     """
     half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
     ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
     convolve = same_convolution(dims, kernel)
-    return convolve, InGridCounts(convolve, dims)
+
+    @OneSlot
+    def counts(box: tuple[slice, slice, slice]) -> np.ndarray:
+        # a broadcast 1.0 allocates no grid of ones; the copy frees the transform's padded output
+        in_grid = convolve(np.broadcast_to(1.0, dims), box).copy()
+        in_grid.flags.writeable = False
+        return in_grid
+
+    return convolve, counts
 
 
 def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
@@ -224,21 +200,21 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     inverse stops at the lines that cross the ROI's box (`RoiMask.box`).
     Sums, counts and values are read on that box, which keeps the ROI
     voxels in their x-fastest order, and divided out at ROI voxels only.
-    The in-grid counts are convolved the same way, on the smallest box
-    that holds every box read on the grid (`InGridCounts`), so they keep
-    the whole grid's bits and cost a box, not a grid, while they are kept.
+    The in-grid counts are convolved the same way, on the box, so they
+    keep the whole grid's bits and cost a box, not a grid, while they are
+    kept (`_sphere_geometry`).
 
     A call costs one forward and one inverse transform of the grid, plus,
     on a grid whose sphere spectrum exceeds SLAB_BYTES (about 40^3 voxels
     and up), the pass that finishes that spectrum slab by slab: about 5 ms
     of a 24 ms call on a 128x128x64 grid with a radius-15 sphere ROI (2
-    vCPUs, one thread). A box that leaves the counted region costs one
-    more convolution, of ones, for the counts.
+    vCPUs, one thread). A box other than the last one read on the grid
+    costs one more convolution, of ones, for the counts.
     """
     mask.check_aligned(v)
     convolve, counts = _sphere_geometry(v.dims, v.spacing)
     box, box_mask = mask.box
-    counts = counts[box]  # before the sums, so that a recount's transform never sits beside them
+    counts = counts(box)  # before the sums, so that a recount's transform never sits beside them
     # unnormalized intensities can overflow the sums, which `extract_all` flags
     with np.errstate(over="ignore", invalid="ignore"):
         sums = convolve(v.values, box)
@@ -283,10 +259,7 @@ def basic_distribution_stats(
     p25 = nearest_rank_percentile(srt, 25)
     p75 = nearest_rank_percentile(srt, 75)
     p90 = nearest_rank_percentile(srt, 90)
-    # the mean of the middle one or two values, as np.median takes it; its
-    # NaN check imports numpy.ma, about 1 MiB more in every worker
-    middle = (n - 1) // 2
-    median = float(np.mean(srt[middle : n - middle]))
+    median = float(np.median(srt))
 
     if var > 0.0:
         # each power array is freed before the next is made

@@ -203,16 +203,15 @@ class OneSlot:
     patient's entries until its next patient:
     - `radiomics.intensity._sphere_geometry(dims, spacing)`: what
       `same_convolution` keeps of the sphere kernel (0.3 MiB on a 24x24x16
-      grid, 1.2 MiB on 128x128x64) and LI's in-grid sphere counts on the
-      smallest box that holds every ROI box read on the grid (one grid at
-      most; 0.2 MiB for a radius-15 sphere's box, 5.0 MiB for a 108x108x56
-      box), counted again only when a box leaves it;
+      grid, 1.2 MiB on 128x128x64) and, in a slot of its own keyed by the
+      ROI box, LI's in-grid sphere counts on the last box read (0.2 MiB
+      for a radius-15 sphere's box, 5.0 MiB for a 108x108x56 box);
     - `iqa._window_geometry(dims, window, sigma)`: SSIM's Gaussian taps
       and each voxel's in-grid window weight (one grid);
     - `iqa._original_moments(original, window, sigma)`: the original's
       windowed mean and variance (two grids), and through its key the
       original itself.
-    The first two depend on the grid only (LI's counts also on the boxes read),
+    The first two depend on the grid only (LI's counts also on the box),
     which every source of a patient shares; the third serves every network
     of a patient, each scored against the one original before the next
     patient loads.

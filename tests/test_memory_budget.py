@@ -178,15 +178,15 @@ BUDGETS = [
     pytest.param(patient_peak({"want_features": False}), large_roi, 9.21, id="process_patient-metrics-large"),
     pytest.param(patient_peak({}), large_roi, 9.39, id="process_patient-both-large"),
     pytest.param(
-        cold_patient(held=False), large_roi, 5.76, id="process_patient-extract-caches_cleared-large",
+        cold_patient(held=False), large_roi, 5.89, id="process_patient-extract-caches_cleared-large",
         marks=GRIDS_HANDED_OVER,
     ),
     pytest.param(
-        cold_patient(held=False), paper_roi, 3.39, id="process_patient-extract-caches_cleared-paper",
+        cold_patient(held=False), paper_roi, 3.52, id="process_patient-extract-caches_cleared-paper",
         marks=GRIDS_HANDED_OVER,
     ),
-    pytest.param(cold_patient(held=True), large_roi, 0.87, id="held_after_process_patient-extract-large"),
-    pytest.param(cold_patient(held=True), paper_roi, 0.22, id="held_after_process_patient-extract-paper"),
+    pytest.param(cold_patient(held=True), large_roi, 1.00, id="held_after_process_patient-extract-large"),
+    pytest.param(cold_patient(held=True), paper_roi, 0.35, id="held_after_process_patient-extract-paper"),
 ]
 
 
@@ -227,7 +227,7 @@ def two_originals():
 def counts_on(box):
     """LI's in-grid sphere counts on `box` of GRID, read as `local_intensity`
     reads them; `cache_clear` drops the geometry and the counts with it."""
-    return _sphere_geometry(GRID, SPACING)[1][box]
+    return _sphere_geometry(GRID, SPACING)[1](box)
 
 
 counts_on.cache_clear = _sphere_geometry.cache_clear
@@ -245,8 +245,8 @@ counts_on.cache_clear = _sphere_geometry.cache_clear
             id="window_geometry",
         ),
         pytest.param(iqa._original_moments, two_originals, id="original_moments"),
-        # L000's box, then the box one voxel along each axis: it leaves the
-        # counted region, so the counts are taken again on the region holding both
+        # L000's box, then the box one voxel along each axis: the counts
+        # of the first box are dropped before the second's are taken
         pytest.param(
             counts_on, lambda: [(tuple(slice(b, b + n) for b, n in zip(start, (108, 108, 56))),)
                                 for start in ((10, 10, 4), (11, 11, 5))],
@@ -255,9 +255,9 @@ counts_on.cache_clear = _sphere_geometry.cache_clear
     ],
 )
 def test_a_new_grid_drops_the_old_entry_before_it_builds(build, arguments):
-    # a one-slot cache that built the new grid's (or original's, or counted
-    # region's) entry beside the old one would peak at the first build's
-    # peak plus the old entry
+    # a one-slot cache that built the new grid's (or original's, or ROI
+    # box's) entry beside the old one would peak at the first build's peak
+    # plus the old entry
     first, second = arguments()
     build.cache_clear()
     tracemalloc.start()

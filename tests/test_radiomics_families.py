@@ -190,12 +190,13 @@ class TestLocalIntensity:
         assert (info.misses, info.currsize) == (2, 1)
 
     @pytest.mark.parametrize("order", ["ABC", "ACB"])
-    def test_counts_on_the_boxes_seen_keep_every_bit(self, rng, order):
-        # the in-grid counts cover the smallest box that holds every ROI box
-        # read on the grid: box B lies inside box A, so it counts nothing,
-        # and box C lies outside it, so the counts are taken again on both.
-        # Each box touches the grid's faces, where the counts differ from
-        # voxel to voxel, so counts read at the wrong offset move a value
+    def test_counts_on_each_box_keep_every_bit(self, rng, order):
+        # the in-grid counts are taken on the ROI's box and kept for the
+        # last box read: box B lies inside box A and box C outside it, and
+        # each is read twice in a row, so each is counted once. Each box
+        # comes near the grid's faces, where the counts differ from voxel to
+        # voxel, so counts read at the wrong offset, or kept from another
+        # box, move a value
         dims, spacing = (20, 18, 14), (1.0, 1.0, 1.0)
         values = rng.random(dims)
         masks = {}
@@ -208,16 +209,13 @@ class TestLocalIntensity:
         vol = make_volume(values, spacing)
         _sphere_geometry.cache_clear()
         counts = _sphere_geometry(dims, spacing)[1]
-        counted = []  # the array each box's counts are read from
         for name in order:
             mask = masks[name]
-            assert local_intensity(vol, mask) == oracles.whole_grid_local_intensity(values, mask.flags, spacing)
-            counted.append(counts[mask.box[0]].base)
-        b = order.index("B")
-        assert counted[b] is counted[b - 1]
-        assert len({id(array) for array in counted}) == 2
-        # the last counts hold every box seen, so reading one counts nothing
-        assert all(counts[mask.box[0]].base is counted[-1] for mask in masks.values())
+            expected = oracles.whole_grid_local_intensity(values, mask.flags, spacing)
+            for _ in range(2):
+                assert local_intensity(vol, mask) == expected
+        info = counts.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 1)
         _sphere_geometry.cache_clear()
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.5, 2.5), (7.0, 1.5, 4.0), (7.0, 7.0, 7.0)])
