@@ -192,20 +192,21 @@ class TestLocalIntensity:
     @pytest.mark.parametrize("order", ["ABC", "ACB"])
     def test_counts_on_each_box_keep_every_bit(self, rng, order):
         # the in-grid counts are taken on the ROI's box and kept for the
-        # last box read: box B lies inside box A and box C outside it, and
-        # each is read twice in a row, so each is counted once. Each box
-        # comes near the grid's faces, where the counts differ from voxel to
-        # voxel, so counts read at the wrong offset, or kept from another
-        # box, move a value
+        # last box read: box B lies inside box A, and box C, of A's shape,
+        # leaves it. Each is read twice in a row, so each is counted once.
+        # Each box comes near the grid's faces, where the counts differ from
+        # voxel to voxel, so counts taken at the wrong offset, or kept from
+        # another box, move a value
         dims, spacing = (20, 18, 14), (1.0, 1.0, 1.0)
         values = rng.random(dims)
         masks = {}
         for name, block in {"A": np.s_[10:20, 9:18, 6:14], "B": np.s_[13:18, 11:16, 9:13],
-                            "C": np.s_[0:8, 0:8, 0:7]}.items():
+                            "C": np.s_[0:10, 0:9, 0:8]}.items():
             flags = np.zeros(dims, dtype=bool)
             flags[block] = rng.random(flags[block].shape) < 0.5
             flags[tuple(s.start for s in block)] = flags[tuple(s.stop - 1 for s in block)] = True
             masks[name] = make_mask(flags)
+        assert masks["A"].box[1].dims == masks["C"].box[1].dims
         vol = make_volume(values, spacing)
         _sphere_geometry.cache_clear()
         counts = _sphere_geometry(dims, spacing)[1]
