@@ -150,6 +150,6 @@ class RunConfig:
     def config_hash(self) -> str:
         """Hash of the validated settings, so unused and spelled-out defaults
         hash alike: the CRC-32 of their canonical JSON, as 8 hex digits.
-        zlib, which numpy loads anyway, keeps OpenSSL out of the process."""
+        zlib, which numpy loads anyway, maps no OpenSSL, as `import hashlib` does."""
         canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
