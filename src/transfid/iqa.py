@@ -8,7 +8,7 @@ import numpy as np
 
 from .checks import is_int, is_number
 from .errors import DimsMismatch, VolumeTooSmall
-from .volume import OneSlot, RoiMask, Volume3D
+from .volume import OneSlot, RoiMask, Volume3D, edge_class_planes, edge_class_shape
 
 
 @dataclass(frozen=True)
@@ -179,18 +179,21 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 @OneSlot
-def _window_geometry(
-    dims: tuple[int, int, int], window: int, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(taps, weight): the 1-D Gaussian taps and, per voxel, the summed weight
-    of the in-bounds part of its window, read-only. Both depend on the grid
-    only; how long they are kept: `volume.OneSlot`."""
+def _window_geometry(dims: tuple[int, int, int], window: int, sigma: float):
+    """(taps, weight): the 1-D Gaussian taps, read-only, and `weight(planes)`,
+    the summed weight of the in-bounds part of each voxel's window on those
+    planes (an index or a slice of axis 0). The weight is `_windowed_sums`
+    of ones on a grid of at most (2 window + 1)^3 voxels, gathered by edge
+    class (`volume.edge_class_planes`): each voxel gets the operations it
+    gets on the whole grid, so every bit of them, and 2 window + 1 planes
+    are kept, not a grid. Both depend on the grid only; how long they are
+    kept: `volume.OneSlot`."""
     i = np.arange(-window, window + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma sends off-centre exponents to -inf: taps of 0
         taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
-    weight = _windowed_sums(np.ones(dims), taps)
     taps.flags.writeable = False
-    weight.flags.writeable = False
+    half = (window,) * 3
+    weight = edge_class_planes(dims, half, _windowed_sums(np.ones(edge_class_shape(dims, half)), taps))
     return taps, weight
 
 
@@ -200,9 +203,12 @@ def _original_moments(original: Volume3D, window: int, sigma: float) -> tuple[np
     taps, weight = _window_geometry(original.dims, window, sigma)
     values = original.values
     mu = _windowed_sums(values, taps)
-    mu /= weight
     var = _windowed_sums(values * values, taps)
-    var /= weight
+    for z0 in range(0, len(mu), SLAB_PLANES):
+        zs = slice(z0, z0 + SLAB_PLANES)
+        w = weight(zs)
+        mu[zs] /= w
+        var[zs] /= w
     var -= mu * mu
     mu.flags.writeable = False
     var.flags.writeable = False
@@ -221,12 +227,14 @@ def ssim3d(
     portion; weighted first and second moments feed the standard SSIM form.
     With `mask`, the per-voxel map is averaged over in-mask centers only.
 
-    The window weights and the moments of `a` are kept in one-slot caches
-    (`volume.OneSlot`), so scoring N networks against one original costs
-    2 + 3N windowed sums, not 6N. Beyond those caches a call holds the
-    network's three windowed sums, one product map while the last of them
-    is taken, and two slab-sized buffers: the map is built in place, slab
-    by slab, over the last sum.
+    The window weights, as 2 window + 1 edge-class planes, and the moments
+    of `a` are kept in one-slot caches (`volume.OneSlot`), so scoring N
+    networks against one original costs 2 + 3N windowed sums of the grid,
+    and one of (2 window + 1)^3 voxels for the weights, not 6N. Beyond
+    those caches a call holds the network's three windowed sums, one
+    product map while the last of them is taken, and three slab-sized
+    buffers, one the slab's weights gathered from their planes: the map is
+    built in place, slab by slab, over the last sum.
     """
     _check_pair(a, b)
     size = 2 * params.window + 1
@@ -257,7 +265,7 @@ def ssim3d(
     for z0 in range(0, nz, s):
         zs = slice(z0, z0 + s)
         k = min(s, nz - z0)
-        w, ma, mb, vb, cov = weight[zs], mu_a[zs], mu_b[zs], var_b[zs], ssim_map[zs]
+        w, ma, mb, vb, cov = weight(zs), mu_a[zs], mu_b[zs], var_b[zs], ssim_map[zs]
         sq_k, den_k = sq[:k], den[:k]
         mb /= w
         vb /= w

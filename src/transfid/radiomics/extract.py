@@ -23,18 +23,17 @@ def extract_all(
     effective gray levels and `config.config_hash()`.
 
     Intensity families (LI, IS, IVH) run on continuous values of the whole
-    grid. LI transforms the whole grid forward on purpose, since the grid
-    sets its FFT size and so its bits, and transforms back only the lines
-    that cross `mask.box`: the ROI's bounding box plus one voxel per side,
+    grid. LI convolves its sphere sums on `mask.box` widened by the
+    sphere's reach, and takes its in-grid counts as exact integers by edge
+    class. `mask.box` is the ROI's bounding box plus one voxel per side,
     which holds every pair, run, zone and neighbourhood that the histogram
     and texture families count. Those run on the volume discretized on the
     box, and this function drops its reference to the grid before they run
     (what a worker then holds: `analysis.process_patient`). The box and its
     mask-only arrays (border distance, neighbour counts) are cached on
-    `mask`, and LI's kernel transform on the grid, with its sphere counts
-    on the ROI's box (`volume.OneSlot`); every source of a patient is
-    extracted on one mask and grid, so they are built once per patient at
-    most.
+    `mask`, and LI's kernel transform for the widened box's shape
+    (`volume.OneSlot`); every source of a patient is extracted on one mask
+    and grid, so they are built once per patient at most.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

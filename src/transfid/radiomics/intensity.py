@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ..volume import OneSlot, RoiMask, Volume3D
+from ..volume import OneSlot, RoiMask, Volume3D, edge_class_planes, edge_class_shape
 
 # radius of a 1 cm^3 sphere, in mm
 PEAK_SPHERE_RADIUS_MM = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 10.0
@@ -36,6 +36,7 @@ def fast_length(n: int) -> int:
 # `same_convolution` keeps a kernel spectrum of at most this many bytes
 # whole, and rebuilds a larger one on each call, in slabs of at most this
 # many bytes: 1 MiB holds LI's spectrum on grids up to about 40^3 voxels.
+# LI gathers its in-grid counts in slabs of at most this many bytes too.
 SLAB_BYTES = 1 << 20
 
 
@@ -162,31 +163,26 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     return convolve
 
 
+def _half_widths(spacing: tuple[float, float, float]) -> list[int]:
+    """The 1 cm^3 sphere's reach along each axis, in voxels."""
+    return [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
+
+
 @OneSlot
-def _sphere_geometry(dims: tuple[int, int, int], spacing: tuple[float, float, float]):
-    """(convolve, counts): `same_convolution` of (dims)-shaped arrays with
-    the 1 cm^3 sphere kernel, and `counts(box)`: per voxel of `box` (step-1
-    slices with explicit bounds, as `RoiMask.box` gives), how many sphere
-    voxels fall inside the (dims) grid, read-only. The counts are a
-    windowed convolution of ones, which keeps every bit of the whole
-    grid's (`same_convolution`), and are kept in a `volume.OneSlot` of
-    their own, for the last box read. Both depend on the grid only; their
-    size and how long they are kept: `volume.OneSlot`.
-    """
-    half = [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
+def _sphere_geometry(shape: tuple[int, int, int], spacing: tuple[float, float, float]):
+    """(convolve, counts): `same_convolution` of (shape)-shaped arrays with
+    the 1 cm^3 sphere kernel at `spacing`, and the sphere's in-grid counts
+    on the (shape) grid's `volume.edge_class_shape`, exact in float64 (the
+    kernel summed one axis at a time over each axis's 0/1 reach); their
+    size and how long they are kept: `volume.OneSlot`."""
+    half = _half_widths(spacing)
     ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
-    convolve = same_convolution(dims, kernel)
-
-    @OneSlot
-    def counts(box: tuple[slice, slice, slice]) -> np.ndarray:
-        # a broadcast 1.0 allocates no grid of ones; the copy frees the transform's padded output
-        in_grid = convolve(np.broadcast_to(1.0, dims), box).copy()
-        in_grid.flags.writeable = False
-        return in_grid
-
-    return convolve, counts
+    r0, r1, r2 = [((at >= 0) & (at < n)).astype(np.float64) for n, h in zip(edge_class_shape(shape, half), half)
+                  for at in [np.arange(n)[:, None] + np.arange(-h, h + 1)]]
+    counts = r1 @ (r0 @ kernel.reshape(len(r0[0]), -1)).reshape(-1, *kernel.shape[1:]) @ r2.T
+    return same_convolution(shape, kernel), counts
 
 
 def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
@@ -194,38 +190,40 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     order on ties); global_peak: highest sphere mean over all ROI centers.
 
     A voxel's sphere mean is taken over the voxels of the 1 cm^3 sphere
-    centered on it whose centers fall inside the volume. The sums are
-    convolved on the whole grid, whose dims set the FFT size and so the
-    values' last bits: the forward transform spans the grid, and the
-    inverse stops at the lines that cross the ROI's box (`RoiMask.box`).
-    Sums, counts and values are read on that box, which keeps the ROI
-    voxels in their x-fastest order, and divided out at ROI voxels only.
-    The in-grid counts are convolved the same way, on the box, so they
-    keep the whole grid's bits and cost a box, not a grid, while they are
-    kept (`_sphere_geometry`).
-
-    A call costs one forward and one inverse transform of the grid, plus,
-    on a grid whose sphere spectrum exceeds SLAB_BYTES (about 40^3 voxels
-    and up), the pass that finishes that spectrum slab by slab: about 5 ms
-    of a 24 ms call on a 128x128x64 grid with a radius-15 sphere ROI (2
-    vCPUs, one thread). A box other than the last one read on the grid
-    costs one more convolution, of ones, for the counts.
+    centered on it whose centers fall inside the volume. Sums and counts
+    are taken on the ROI's box (`RoiMask.box`) widened by the sphere's
+    reach and clipped at the grid: that sub-grid holds every voxel a
+    sphere centred in the box reads, and ends where the grid does or past
+    them, so a box voxel's count there is its in-grid count. Its shape
+    sets the FFT size and so the sums' last bits; the inverse transform
+    stops at the box's lines. The counts are exact integers, gathered by
+    edge class (`volume.edge_class_planes`) at most SLAB_BYTES at a time,
+    and the means are divided out at ROI voxels only. The kernel's
+    transform and the counts' table are kept per sub-grid shape
+    (`_sphere_geometry`), which every source of a patient shares.
     """
     mask.check_aligned(v)
-    convolve, counts = _sphere_geometry(v.dims, v.spacing)
     box, box_mask = mask.box
-    counts = counts(box)  # before the sums, so that a recount's transform never sits beside them
+    half = _half_widths(v.spacing)
+    around = tuple(slice(max(b.start - h, 0), min(b.stop + h, n)) for b, h, n in zip(box, half, v.dims))
+    inner = tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(around, box))
+    shape = tuple(a.stop - a.start for a in around)
+    convolve, counts = _sphere_geometry(shape, v.spacing)
+    counts = edge_class_planes(shape, half, counts, inner)
     # unnormalized intensities can overflow the sums, which `extract_all` flags
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = convolve(v.values, box)
+        sums = convolve(v.values[around], inner)
     values = v.values[box]
     flags = box_mask.flags
 
     brightest = flags & (values == values[flags].max())
     center = np.unravel_index(np.argmax(brightest.ravel(order="F")), box_mask.dims, order="F")
 
-    local_peak = float(sums[center] / counts[center])
-    global_peak = float((sums[flags] / counts[flags]).max())
+    local_peak = float(sums[center] / counts(center[0])[center[1:]])
+    step = max(1, SLAB_BYTES // (8 * flags[0].size))  # planes of counts gathered at a time
+    peaks = [np.max(sums[i : i + step][f] / counts(slice(i, i + step))[f])
+             for i in range(0, len(flags), step) if (f := flags[i : i + step]).any()]
+    global_peak = float(np.max(peaks))
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 

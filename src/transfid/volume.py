@@ -186,6 +186,40 @@ def neighbor_sum(a: np.ndarray) -> np.ndarray:
     return box - a
 
 
+def edge_class_shape(dims, half) -> tuple[int, ...]:
+    """The grid on which `edge_class_planes` takes a quantity's table:
+    min(n, 2h + 1) voxels along each axis of n voxels and half width h."""
+    return tuple(min(n, 2 * h + 1) for n, h in zip(dims, half))
+
+
+def edge_class_planes(dims, half, table, window=None):
+    """`at(planes)`: planes (an index or a slice of axis 0) of `window` of
+    a (dims) grid's values of a quantity that depends on a voxel only
+    through its distances to the grid's faces, each clipped at that axis's
+    `half` width, as a window's in-grid weight or count does. `window` is
+    step-1 slices of `dims`, as `RoiMask.box` gives; None is the whole grid.
+
+    Along an axis of n voxels, voxel i has the clipped distances of voxel
+    min(i, h) + max(i - max(n - 1 - h, h), 0) of an axis of min(n, 2h + 1)
+    voxels, on which every pair of clipped distances occurs once: i itself
+    near either face, h between them. `table` is the quantity on a grid of
+    `edge_class_shape(dims, half)`, taken with the same operations per
+    voxel as on the (dims) grid, so every value keeps its bits. It is kept
+    as one plane per class of axis 0, across the window along axes 1 and
+    2: at most 2h + 1 planes, read-only, where the quantity itself would
+    take the window's. `at` gathers the planes asked for.
+    """
+    window = window or (slice(None),) * len(dims)
+    classes = []
+    for n, h, w in zip(dims, half, window):
+        i = np.arange(n)[w]
+        classes.append(np.minimum(i, h) + np.maximum(i - max(n - 1 - h, h), 0))
+    rows, across, down = classes
+    planes = table[:, across][:, :, down]
+    planes.flags.writeable = False
+    return lambda index: planes[rows[index]]
+
+
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -201,18 +235,20 @@ class OneSlot:
     cached property of the RoiMask it belongs to. A slot keeps its entry
     until a call with other arguments, so a worker holds its last
     patient's entries until its next patient:
-    - `radiomics.intensity._sphere_geometry(dims, spacing)`: what
-      `same_convolution` keeps of the sphere kernel (0.3 MiB on a 24x24x16
-      grid, 1.2 MiB on 128x128x64) and, in a slot of its own keyed by the
-      ROI box, LI's in-grid sphere counts on the last box read (0.2 MiB
-      for a radius-15 sphere's box, 5.0 MiB for a 108x108x56 box);
+    - `radiomics.intensity._sphere_geometry(shape, spacing)`: what
+      `same_convolution` keeps of the sphere kernel for LI's sub-grid, the
+      ROI's box widened by the sphere's reach (0.6 MiB on a 24x24x16 grid,
+      0.4 MiB for a radius-15 sphere's 45^3 sub-grid, 1.1 MiB for
+      120x120x64), and the in-grid counts' edge-class table (17 KiB at
+      1 mm);
     - `iqa._window_geometry(dims, window, sigma)`: SSIM's Gaussian taps
-      and each voxel's in-grid window weight (one grid);
+      and the in-grid window weight as 2 window + 1 edge-class planes
+      (`edge_class_planes`; 0.09 grids at 128x128x64 and window 5);
     - `iqa._original_moments(original, window, sigma)`: the original's
       windowed mean and variance (two grids), and through its key the
       original itself.
-    The first two depend on the grid only (LI's counts also on the box),
-    which every source of a patient shares; the third serves every network
+    The first depends on the sub-grid's shape, the second on the grid, and
+    every source of a patient shares both; the third serves every network
     of a patient, each scored against the one original before the next
     patient loads.
     """

@@ -103,22 +103,34 @@ def local_intensity_features(values, mask, spacing):
     return {"local_peak": local_peak, "global_peak": global_peak}
 
 
-def whole_grid_local_intensity(values, mask, spacing):
-    """LI from sphere sums and in-grid counts convolved over the whole grid
-    with `scipy.signal.fftconvolve`, the kernel transformed on every call:
-    the reference for `transfid.radiomics.intensity`, whose cached kernel
-    spectrum must keep every bit of it."""
+def box_local_intensity(values, mask, spacing):
+    """LI from sphere sums convolved with `scipy.signal.fftconvolve`, the
+    kernel transformed on every call, on the ROI's bounding box plus one
+    voxel per side widened by the sphere's reach and clipped at the grid,
+    and in-grid counts found by adding one per sphere offset at each box
+    voxel whose offset voxel lies in the grid: the reference for
+    `transfid.radiomics.intensity`, whose sums must keep every bit of that
+    convolution and whose counts must be these integers."""
     from scipy.signal import fftconvolve
 
+    dims = values.shape
     half = [int(math.floor(SPHERE_RADIUS_MM / s)) for s in spacing]
     ax = [np.arange(-h, h + 1) * s for h, s in zip(half, spacing)]
     dx, dy, dz = np.meshgrid(*ax, indexing="ij")
     kernel = (dx * dx + dy * dy + dz * dz <= SPHERE_RADIUS_MM**2).astype(float)
-    counts = fftconvolve(np.ones(values.shape), kernel, mode="same")
-    mean_map = fftconvolve(values, kernel, mode="same") / counts
+    box = [slice(max(int(i.min()) - 1, 0), min(int(i.max()) + 2, n)) for i, n in zip(np.nonzero(mask), dims)]
+    around = tuple(slice(max(b.start - h, 0), min(b.stop + h, n)) for b, h, n in zip(box, half, dims))
+    sums = np.zeros(dims)
+    sums[around] = fftconvolve(values[around], kernel, mode="same")
+    counts = np.zeros(dims, dtype=np.int64)
+    for offset in np.argwhere(kernel) - half:
+        # the box voxels x with 0 <= x + offset < n on every axis (none where that span is empty)
+        spans = [(max(-o, b.start), min(n - o, b.stop)) for o, b, n in zip(offset, box, dims)]
+        counts[tuple(slice(lo, max(lo, hi)) for lo, hi in spans)] += 1
     flat = np.where(mask, values, -np.inf).ravel(order="F")
-    center = np.unravel_index(np.argmax(flat), values.shape, order="F")
-    return {"local_peak": float(mean_map[center]), "global_peak": float(mean_map[mask].max())}
+    center = np.unravel_index(np.argmax(flat), dims, order="F")
+    return {"local_peak": float(sums[center] / counts[center]),
+            "global_peak": float((sums[mask] / counts[mask]).max())}
 
 
 def percentile_nearest_rank(sorted_vals, p):

@@ -189,50 +189,59 @@ class TestLocalIntensity:
         info = _sphere_geometry.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
 
-    @pytest.mark.parametrize("order", ["ABC", "ACB"])
-    def test_counts_on_each_box_keep_every_bit(self, rng, order):
-        # the in-grid counts are taken on the ROI's box and kept for the
-        # last box read: box B lies inside box A, and box C, of A's shape,
-        # leaves it. Each is read twice in a row, so each is counted once.
-        # Each box comes near the grid's faces, where the counts differ from
-        # voxel to voxel, so counts taken at the wrong offset, or kept from
-        # another box, move a value
-        dims, spacing = (20, 18, 14), (1.0, 1.0, 1.0)
-        values = rng.random(dims)
-        masks = {}
-        for name, block in {"A": np.s_[10:20, 9:18, 6:14], "B": np.s_[13:18, 11:16, 9:13],
-                            "C": np.s_[0:10, 0:9, 0:8]}.items():
-            flags = np.zeros(dims, dtype=bool)
-            flags[block] = rng.random(flags[block].shape) < 0.5
-            flags[tuple(s.start for s in block)] = flags[tuple(s.stop - 1 for s in block)] = True
-            masks[name] = make_mask(flags)
-        assert masks["A"].box[1].dims == masks["C"].box[1].dims
+    def test_boxes_of_one_shape_share_one_transform_and_keep_every_bit(self):
+        # radius-4 ball ROIs: A and B near the x = 0 face, where the counts
+        # differ from plane to plane, at other y and z, so their sub-grids
+        # (box widened by the sphere's reach, clipped at the grid) have one
+        # shape at two positions; C near the three far faces and D in the
+        # near corner each have a shape of their own. Each is read twice in
+        # a row, and A again after D
+        dims, spacing = (40, 36, 30), (1.0, 1.0, 1.0)
+        values = np.random.default_rng(3).random(dims)
+        grid = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
+        masks = {name: make_mask(sum((x - c) ** 2 for x, c in zip(grid, centre)) <= 16)
+                 for name, centre in {"A": (5, 18, 15), "B": (5, 21, 12), "C": (34, 30, 25),
+                                      "D": (3, 3, 3)}.items()}
         vol = make_volume(values, spacing)
         _sphere_geometry.cache_clear()
-        counts = _sphere_geometry(dims, spacing)[1]
-        for name in order:
-            mask = masks[name]
-            expected = oracles.whole_grid_local_intensity(values, mask.flags, spacing)
+        for name in "ABCDA":
+            expected = oracles.box_local_intensity(values, masks[name].flags, spacing)
             for _ in range(2):
-                assert local_intensity(vol, mask) == expected
-        info = counts.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (3, 3, 1)
+                assert local_intensity(vol, masks[name]) == expected, name
+        info = _sphere_geometry.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (6, 4, 1)
         _sphere_geometry.cache_clear()
 
+    @staticmethod
+    def rois(rng, dims):
+        """ROIs whose boxes cover the grid (scattered voxels and the far
+        corner), sit in the near corner, or lie away from the grid's faces
+        where the grid is wide enough: each box is widened and clipped in
+        another way."""
+        scattered = rng.random(dims) < 0.3
+        scattered[-1, -1, -1] = True
+        corner = np.zeros(dims, dtype=bool)
+        corner[:3, :3, :3] = rng.random(corner[:3, :3, :3].shape) < 0.5
+        corner[0, 0, 0] = True
+        inner = np.zeros(dims, dtype=bool)
+        inner[tuple(slice(n // 2, n // 2 + 2) for n in dims)] = True
+        return {"scattered": scattered, "corner": corner, "inner": inner}
+
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.5, 2.5), (7.0, 1.5, 4.0), (7.0, 7.0, 7.0)])
-    @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1), (128, 128, 64)])
-    def test_cached_spectrum_keeps_every_bit_of_the_whole_grid_convolution(self, rng, dims, spacing):
-        # the sphere's radius is 6.2 mm, so a 7 mm spacing leaves it flat along
-        # that axis; on the 128x128x64 grid its spectrum is over SLAB_BYTES but
-        # at 7 mm, so each call there finishes it slab by slab
-        flags = rng.random(dims) < 0.3
-        flags[-1, -1, -1] = True
+    @pytest.mark.parametrize("dims", [(30, 24, 18), (1, 24, 18), (30, 1, 1), (256, 256, 1), (128, 128, 64)])
+    def test_box_sums_and_exact_counts_keep_every_bit(self, rng, dims, spacing):
+        # the sphere's radius is 6.2 mm, so a 7 mm spacing leaves it flat
+        # along that axis, and the grids with an axis of one voxel, or of
+        # fewer than the kernel's 13 at 1 mm, are narrower than it; where a
+        # sub-grid's spectrum is over SLAB_BYTES, each call finishes it slab
+        # by slab
         values = rng.random(dims)
-        _sphere_geometry.cache_clear()
-        for gain in (1.0, 0.9):  # the second source reads the first one's spectrum
-            vol = make_volume(values * gain, spacing)
-            expected = oracles.whole_grid_local_intensity(vol.values, flags, spacing)
-            assert local_intensity(vol, make_mask(flags)) == expected
+        for name, flags in self.rois(rng, dims).items():
+            _sphere_geometry.cache_clear()
+            for gain in (1.0, 0.9):  # the second source reads the first one's transform
+                vol = make_volume(values * gain, spacing)
+                expected = oracles.box_local_intensity(vol.values, flags, spacing)
+                assert local_intensity(vol, make_mask(flags)) == expected, name
 
     def test_an_overflowing_range_warns_nothing_before_its_exclusion(self):
         # unnormalized, the sums overflow float64; extract_all flags them, and
