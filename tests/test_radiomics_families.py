@@ -170,6 +170,21 @@ class TestLocalIntensity:
         assert held <= 144 * 13 * 41 * 16 + intensity.SLAB_BYTES, held
         del convolve
 
+    def test_a_finished_spectrum_is_kept_alone(self):
+        # on a 24x24x16 grid at 1 mm the sphere's FFT lengths are 36, 36 and
+        # 30, so its whole spectrum, 36x36x16 complex (0.32 MiB), is within
+        # SLAB_BYTES and kept; the kernel's partial transform it was finished
+        # from (36x13x16, 0.11 MiB) is not kept beside it
+        _sphere_geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            _sphere_geometry((24, 24, 16), (1.0, 1.0, 1.0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            _sphere_geometry.cache_clear()
+        assert held <= 1.1 * 36 * 36 * 16 * 16, held
+
     def test_fft_length_is_scipys_next_fast_len(self):
         from scipy.fft import next_fast_len
 
@@ -490,6 +505,35 @@ def one_voxel_snake(size: int) -> np.ndarray:
     return flags
 
 
+def zone_case(rng, case: str) -> tuple[np.ndarray, int]:
+    """(levels, ng) of the zone-labelling cases of
+    `test_zone_labels_are_scipys_connected_components`."""
+    if case == "constant":
+        return np.ones((7, 6, 5), dtype=np.int64), 1
+    if case == "all distinct":
+        return np.arange(1, 121).reshape(6, 5, 4), 120
+    if case == "snake":
+        return one_voxel_snake(15).astype(np.int64), 1
+    if case == "checkerboard":
+        x, y, z = np.indices((8, 7, 6))
+        return 1 + (x + y + z) % 2, 2
+    if case == "flat cube":
+        levels = np.full((32, 32, 32), 512)
+        levels[0, 0, 0], levels[-1, -1, -1] = 1, 1024
+        return levels, 1024
+    return random_discretized(rng, dims=(12, 12, 12), ng=3, mask_density=0.7).levels, 3
+
+
+def wide_zone_disc() -> DiscretizedVolume:
+    """One zone of 18 720 voxels beside 480 one-voxel zones of levels
+    2..32: a 32 x 18 720 GLSZM whose cells are 99.9% zero."""
+    dims = (48, 40, 10)
+    levels = np.ones(dims, dtype=np.int64)
+    lattice = levels[::4, ::4, ::3]
+    lattice[...] = 2 + np.arange(lattice.size).reshape(lattice.shape) % 31
+    return make_disc(levels, ng=32)
+
+
 class TestZones:
     def test_constant_cube_single_zone(self):
         d = make_disc(np.ones((2, 2, 2), dtype=int), ng=1)
@@ -578,6 +622,39 @@ class TestZones:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * glszm.nbytes
+
+    def test_zone_features_hold_one_matrix(self):
+        # the GLSZM is counted straight into float64 and is its own zero
+        # buffer, so zone_features holds one matrix of its shape; an int64
+        # count, its float64 copy and a zero buffer peaked at 2.07 matrices
+        d = wide_zone_disc()
+        glszm_bytes = zone_matrices(d)[0].nbytes
+        tracemalloc.start()
+        try:
+            zone_features(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * glszm_bytes, peak / glszm_bytes
+
+    @pytest.mark.parametrize("case", ["constant", "all distinct", "snake", "checkerboard", "flat cube", "random"])
+    def test_zone_labels_from_per_direction_edges_are_scipys(self, rng, case):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        d = make_disc(*zone_case(rng, case))
+        n = d.mask.voxel_count
+        index = np.full(d.dims, -1, dtype=np.int32)
+        index[d.mask.flags] = np.arange(n, dtype=np.int32)
+        heads, tails = equal_level_edges(d, index, by_direction=True)
+        assert len(heads) == len(tails) == len(DIRECTIONS_13)
+        labels, rounds = connected_labels(n, heads, tails)
+        heads, tails = np.concatenate(heads), np.concatenate(tails)
+        _, expected = connected_components(
+            coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n)), directed=False
+        )
+        assert np.array_equal(labels, expected)
+        assert rounds == connected_labels(n, heads, tails)[1]
 
 
 class TestNgtdm:
