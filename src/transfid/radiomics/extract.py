@@ -28,8 +28,12 @@ def extract_all(
     class. `mask.box` is the ROI's bounding box plus one voxel per side,
     which holds every pair, run, zone and neighbourhood that the histogram
     and texture families count. Those run on the volume discretized on the
-    box, and this function drops its reference to the grid before they run
-    (what a worker then holds: `analysis.process_patient`). The box and its
+    box. This function copies the box out and drops its reference to the
+    grid before `discretize` runs, so a grid the caller handed over is
+    freed before the box is discretized (3.72 -> 2.72 grids at the
+    discretize layer on the large benchmark ROI) and is not alive while
+    the texture families run (what a worker then holds:
+    `analysis.process_patient`). The box and its
     mask-only arrays (border distance, neighbour counts) are cached on
     `mask`, and LI's kernel transform for the widened box's shape
     (`volume.OneSlot`); every source of a patient is extracted on one mask
@@ -66,8 +70,10 @@ def extract_all(
     run(ivh)
 
     box, box_mask = mask.box
-    d = discretize(Volume3D(box_mask.dims, v.spacing, v.values[box]), box_mask, config.scheme)
+    boxed = Volume3D(box_mask.dims, v.spacing, v.values[box])  # a copy
     del v  # the rest reads the box only; a grid the caller handed over is freed here
+    d = discretize(boxed, box_mask, config.scheme)
+    del boxed  # d holds the levels
     run(lambda: {("IH", AGG_NONE): intensity_histogram_features(d)})
     run(lambda: {("GLCM", agg): r for agg, r in glcm_features(d).items()})
     run(lambda: {("GLRLM", agg): r for agg, r in glrlm_features(d).items()})

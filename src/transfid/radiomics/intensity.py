@@ -36,7 +36,8 @@ def fast_length(n: int) -> int:
 # `same_convolution` keeps a kernel spectrum of at most this many bytes
 # whole, and rebuilds a larger one on each call, in slabs of at most this
 # many bytes: 1 MiB holds LI's spectrum on grids up to about 40^3 voxels.
-# LI gathers its in-grid counts in slabs of at most this many bytes too.
+# Its inverse transform goes back, and LI reads its sums and counts, in
+# slabs of axis-0 planes of at most this many bytes of the product too.
 SLAB_BYTES = 1 << 20
 
 
@@ -69,8 +70,11 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     mode="same")[window]` for real arrays `values` of `shape`, bit-identical
     to it but made of `numpy.fft` calls, so that extraction loads no scipy.
     `window` is one step-1 slice per axis of `shape`, as `RoiMask.box`
-    gives; None is the whole array. The result is a view into the inverse
-    transform's output, which is not copied out.
+    gives; None is the whole array. `convolve.planes(values, window)`
+    yields the same result as consecutive slabs of whole axis-0 planes,
+    and `convolve` returns those slabs assembled, so there is one inverse
+    path; a caller that reads the slabs one at a time never holds the
+    result whole.
 
     Both libraries run pocketfft one axis at a time, so the bits follow
     from the order of the axes and of the scaling, which are scipy's:
@@ -84,13 +88,17 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     transformed back, are left alone, which keeps each line's bits. So the
     forward transform and the first axis's inverse span the whole padded
     grid, and each later inverse, and the scaling, run on the lines that
-    cross the window in the axes already transformed back.
+    cross the window in the axes already transformed back. Those later
+    axes go back one slab of the window's axis-0 planes at a time, at most
+    SLAB_BYTES of the product each: 11 planes, and a 0.7 MiB slab of the
+    result, for LI on the large benchmark ROI's 120x120x64 sub-grid.
 
     The kernel is transformed here along every axis but the forward
     transform's last, on which it keeps its own extent: 1.2 MiB for LI's
     13-voxel sphere on a 128x128x64 grid, against 13.0 MiB for its whole
     spectrum. A whole spectrum of at most SLAB_BYTES is finished here and
-    kept, so a call costs one forward and one inverse transform. A larger
+    kept alone, without that partial transform, so a call costs one
+    forward and one inverse transform. A larger
     one is finished on each call, a slab of at most SLAB_BYTES at a time,
     each slab multiplied into the product and freed: one more pass of the
     kernel's last transform per call. Its lines are the whole spectrum's
@@ -112,7 +120,10 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
         return tuple(slice(b + r.start, b + r.stop) for b, r in zip(start, spans))
 
     if not axes:
-        return lambda values, window=None: (values * kernel)[result_lines(window)]
+        def planes(values: np.ndarray, window: tuple[slice, ...] | None = None):
+            yield (values * kernel)[result_lines(window)]
+
+        return _assembled(planes)
     length = {a: fast_length(shape[a] + kernel.shape[a] - 1) for a in axes}
     last = axes[-1]
     scale = float(1 / np.longdouble(math.prod(length.values())))
@@ -141,9 +152,11 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     spectrum_shape = list(partial.shape)
     spectrum_shape[short] = length[short] // 2 + 1 if short == last else length[short]
     slabs = list(_slabs(spectrum_shape, short, SLAB_BYTES // (16 * spectrum_shape[short])))
-    spectrum = finish(partial, length[short], axis=short) if len(slabs) == 1 else None
+    spectrum = None
+    if len(slabs) == 1:  # finished and kept; the partial transform is not kept beside it
+        spectrum, partial = finish(partial, length[short], axis=short), None
 
-    def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
+    def planes(values: np.ndarray, window: tuple[slice, ...] | None = None):
         keep = result_lines(window)
         product = forward(values, order)
         if spectrum is not None:
@@ -152,14 +165,48 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
             for index in slabs:
                 product[index] *= finish(partial[index], length[short], axis=short)
         lines = [slice(None) if a in axes else keep[a] for a in range(ndim)]
-        for a in axes[:-1]:
-            view = product[tuple(lines)]
-            np.fft.ifft(view, axis=a, norm="forward", out=view)
-            lines[a] = keep[a]
-        out = np.fft.irfft(product[tuple(lines)], length[last], axis=last, norm="forward")
-        out *= scale
-        return out[(slice(None),) * last + (keep[last],)]
+        later = axes[:-1]
+        if later[:1] == [0]:  # axis 0 goes back whole, then only the window's planes
+            whole = tuple(lines)
+            np.fft.ifft(product[whole], axis=0, norm="forward", out=product[whole])
+            lines[0] = keep[0]
+            later = later[1:]
+        if last == 0:  # axis 0 is the only one transformed: one slab
+            steps = [lines[0]]
+        else:
+            step = max(1, SLAB_BYTES // product[0].nbytes)
+            steps = [slice(i, min(i + step, keep[0].stop)) for i in range(keep[0].start, keep[0].stop, step)]
 
+        def back(rows: slice) -> np.ndarray:
+            """The result's planes `rows`: the later axes and the last one
+            transformed back on them, and scaled."""
+            slab = [rows, *lines[1:]]
+            for a in later:
+                view = product[tuple(slab)]
+                np.fft.ifft(view, axis=a, norm="forward", out=view)
+                slab[a] = keep[a]
+            out = np.fft.irfft(product[tuple(slab)], length[last], axis=last, norm="forward")
+            out *= scale
+            return out[(slice(None),) * last + (keep[last],)]
+
+        for rows in steps[:-1]:
+            yield back(rows)
+        out = back(steps[-1])
+        del product  # the last slab, the only one of a small grid, is read with the product freed
+        yield out
+
+    return _assembled(planes)
+
+
+def _assembled(planes):
+    """`convolve(values, window=None)`: the slabs that `planes(values,
+    window)` yields, in one array; `convolve.planes` is `planes`."""
+
+    def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
+        slabs = list(planes(values, window))
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+
+    convolve.planes = planes
     return convolve
 
 
@@ -196,9 +243,12 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     sphere centred in the box reads, and ends where the grid does or past
     them, so a box voxel's count there is its in-grid count. Its shape
     sets the FFT size and so the sums' last bits; the inverse transform
-    stops at the box's lines. The counts are exact integers, gathered by
-    edge class (`volume.edge_class_planes`) at most SLAB_BYTES at a time,
-    and the means are divided out at ROI voxels only. The kernel's
+    stops at the box's lines. The sums are read a slab of box planes at a
+    time as the inverse transform finishes them (`convolve.planes`), and
+    the counts of the same planes, exact integers, are gathered by edge
+    class (`volume.edge_class_planes`); the means are divided out at ROI
+    voxels only and the peak is searched slab by slab, so no box-sized
+    array of sums is held. The kernel's
     transform and the counts' table are kept per sub-grid shape
     (`_sphere_geometry`), which every source of a patient shares.
     """
@@ -210,19 +260,23 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     shape = tuple(a.stop - a.start for a in around)
     convolve, counts = _sphere_geometry(shape, v.spacing)
     counts = edge_class_planes(shape, half, counts, inner)
-    # unnormalized intensities can overflow the sums, which `extract_all` flags
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = convolve(v.values[around], inner)
     values = v.values[box]
     flags = box_mask.flags
 
     brightest = flags & (values == values[flags].max())
     center = np.unravel_index(np.argmax(brightest.ravel(order="F")), box_mask.dims, order="F")
 
-    local_peak = float(sums[center] / counts(center[0])[center[1:]])
-    step = max(1, SLAB_BYTES // (8 * flags[0].size))  # planes of counts gathered at a time
-    peaks = [np.max(sums[i : i + step][f] / counts(slice(i, i + step))[f])
-             for i in range(0, len(flags), step) if (f := flags[i : i + step]).any()]
+    peaks = []
+    at = 0
+    # unnormalized intensities can overflow the sums, which `extract_all` flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sums in convolve.planes(v.values[around], inner):
+            rows = slice(at, at + len(sums))
+            if at <= center[0] < rows.stop:
+                local_peak = float(sums[center[0] - at][center[1:]] / counts(center[0])[center[1:]])
+            if (f := flags[rows]).any():
+                peaks.append(np.max(sums[f] / counts(rows)[f]))
+            at = rows.stop
     global_peak = float(np.max(peaks))
     return {"local_peak": local_peak, "global_peak": global_peak}
 

@@ -37,10 +37,22 @@ from ..volume import DIRECTIONS_13, flat_pairs, flat_step, neighbor_sum
 
 def _tally(levels: np.ndarray, magnitudes: np.ndarray, ng: int) -> np.ndarray:
     """(level x magnitude) count matrix of paired levels 1..ng and
-    magnitudes 1..max, as float64; with no magnitudes, one zero column."""
+    magnitudes 1..max, as float64; with no magnitudes, one zero column.
+
+    Where the matrix has more cells than there are pairs, as a GLSZM as
+    wide as its largest zone does, it is counted straight into float64, a
+    bincount weighted by ones (exact below 2**53), so that it is allocated
+    once; otherwise an int64 count is cast, which holds less than a weight
+    per pair would.
+    """
     width = int(magnitudes.max(initial=1))
-    counts = np.bincount((levels - 1) * width + (magnitudes - 1), minlength=ng * width)
-    return counts.reshape(ng, width).astype(np.float64)
+    keys = (levels - 1) * width + (magnitudes - 1)
+    if keys.size < ng * width:
+        counts = np.bincount(keys, np.ones(keys.size), ng * width)
+    else:
+        counts = np.bincount(keys, minlength=ng * width)
+    # a weighted bincount of no keys is int64 too
+    return counts.astype(np.float64, copy=False).reshape(ng, width)
 
 
 def glcm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
@@ -95,67 +107,119 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     return out
 
 
-def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def equal_level_edges(
+    d: DiscretizedVolume, index: np.ndarray, by_direction: bool = False
+) -> tuple[np.ndarray, np.ndarray] | tuple[list[np.ndarray], list[np.ndarray]]:
     """(heads, tails): `index` at both ends of every in-mask equal-level
     pair, direction by direction in DIRECTIONS_13 order, and within one
-    direction in flat order of the first end.
+    direction in flat order of the first end: a list of one array per
+    direction when `by_direction`, else those arrays concatenated.
 
     Both ends are gathered from the flat numbering at the volume's cached
     pair positions (`pair_positions`), p and p + s.
     """
     flat_index = index.ravel()
-    pairs = list(zip(DIRECTIONS_13, d.pair_positions(0)))
-    heads = [np.take(flat_index, pos) for _, pos in pairs]
-    tails = [np.take(flat_index, pos + flat_step(d.dims, off)) for off, pos in pairs]
+    heads, tails = [], []
+    for off, pos in zip(DIRECTIONS_13, d.pair_positions(0)):
+        heads.append(np.take(flat_index, pos))
+        tails.append(np.take(flat_index, pos + flat_step(d.dims, off)))
+    if by_direction:
+        return heads, tails
     return np.concatenate(heads), np.concatenate(tails)
 
 
-def connected_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, int]:
+def connected_labels(
+    n: int, heads: np.ndarray | list[np.ndarray], tails: np.ndarray | list[np.ndarray]
+) -> tuple[np.ndarray, int]:
     """(labels, rounds): the connected component of each of `n` nodes of
     the undirected graph with int32 edges heads[i] -- tails[i], numbered in
     order of each component's first node, as scipy's `connected_components`
-    numbers them, and the number of hooking rounds it took.
+    numbers them, and the number of hooking rounds it took. The edges come
+    as two arrays, or as two lists of arrays (one per direction, as
+    `equal_level_edges(..., by_direction=True)` gives them), read pairwise.
 
     Every node starts as its own root, and every edge joins two roots.
     Each round hooks the larger root of each edge onto its smallest
-    neighbouring root (`np.minimum.at`), points every node at its new root
-    by pointer jumping, moves each edge's ends to their roots and drops the
-    edges whose ends now agree. Parents only ever decrease, so each root is
-    its component's first node. A graph of zones takes a few rounds: 5 on
-    a 313 920-voxel ROI with 850 098 edges.
+    neighbouring root (`np.minimum.at`), one list at a time, points every
+    node at its new root by pointer jumping (`_flattened`), moves each
+    edge's ends to their roots and drops the edges whose ends now agree
+    (`_apart`). Only the edges that are left are concatenated, so
+    per-direction lists are never copied whole: after the first round,
+    19% of the 850 098 edges of a 313 920-voxel ROI. Parents only ever
+    decrease, so each root is its component's first node. A graph of
+    zones takes a few rounds: 5 on that ROI.
     """
+    if isinstance(heads, np.ndarray):
+        heads, tails = [heads], [tails]
     parent = np.arange(n, dtype=np.int32)
     rounds = 0
-    while heads.size:
+    while any(h.size for h in heads):
         rounds += 1
-        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
-        while True:
-            up = np.take(parent, parent)  # for an int32 index, take is about twice [] here
-            if np.array_equal(up, parent):
-                break
-            parent = up
-        heads = np.take(parent, heads)
-        tails = np.take(parent, tails)
-        apart = heads != tails  # compress runs about twice as fast as [apart] here
-        heads = np.compress(apart, heads)
-        tails = np.compress(apart, tails)
-    labels = np.cumsum(parent == np.arange(n, dtype=np.int32), dtype=np.int32) - 1
-    return np.take(labels, parent), rounds
+        for h, t in zip(heads, tails):
+            np.minimum.at(parent, np.maximum(h, t), np.minimum(h, t))
+        parent = _flattened(parent)
+        heads, tails = _apart(parent, heads, tails)
+    labels = np.cumsum(parent == np.arange(n, dtype=np.int32), dtype=np.int32)
+    labels -= 1
+    return labels[parent], rounds  # [] casts an int32 index in chunks, where take copies it to intp
+
+
+# Nodes whose parents one `np.take` call gathers while pointer jumping:
+# take copies its index to intp, so a chunk keeps that copy small.
+JUMP_CHUNK = 1 << 16
+
+
+def _flattened(parent: np.ndarray) -> np.ndarray:
+    """`parent` with every node pointed at its root, by pointer jumping
+    between two buffers, `parent` and one more, a chunk of nodes at a
+    time."""
+    up = np.empty_like(parent)
+    while True:
+        for i in range(0, parent.size, JUMP_CHUNK):
+            # take with out= buffers its output unless the mode is clip or wrap; every index is in range
+            np.take(parent, parent[i : i + JUMP_CHUNK], out=up[i : i + JUMP_CHUNK], mode="clip")
+        if np.array_equal(up, parent):
+            return parent
+        parent, up = up, parent
+
+
+def _apart(
+    parent: np.ndarray, heads: list[np.ndarray], tails: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The edges of the lists, read pairwise, moved to their ends' roots,
+    and of those only the ones whose roots differ, concatenated into
+    lists of one array each."""
+    kept_heads, kept_tails = [], []
+    for h, t in zip(heads, tails):
+        h = np.take(parent, h)
+        t = np.take(parent, t)
+        apart = h != t  # compress runs about twice as fast as [apart] here
+        kept_heads.append(np.compress(apart, h))
+        kept_tails.append(np.compress(apart, t))
+    return [np.concatenate(kept_heads)], [np.concatenate(kept_tails)]
 
 
 def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     """(GLSZM, GLDZM): 26-connected equal-level zones tallied by size and
-    by minimum border distance.
+    by minimum border distance, as dense float64 matrices.
 
     ROI voxels are numbered in flat order; the equal-level pairs of the 13
     directions are the edges of one graph whose connected components
-    (`connected_labels`) are the zones of every level at once.
+    (`connected_labels`) are the zones of every level at once. The edges
+    are handed over as the 13 per-direction lists, never concatenated.
+    Each matrix is counted straight into float64 (`_tally`), and a GLSZM,
+    as wide as the largest zone, is the zone layer's largest array: on the
+    large benchmark pool's patient L001, 32 x 37 315 cells (9.6 MB, 1.14
+    grids of 128x128x64), 957 of them non-zero.
     """
     m = d.mask.flags
     n = d.mask.voxel_count
     index = np.full(d.dims, -1, dtype=np.int32)
     index[m] = np.arange(n, dtype=np.int32)
-    zone_of, _ = connected_labels(n, *equal_level_edges(d, index))
+    edges = equal_level_edges(d, index, by_direction=True)
+    del index  # the labelling reads the edges only
+    zone_of, _ = connected_labels(n, *edges)
+    del edges  # before the matrices are counted
 
     sizes = np.bincount(zone_of)
     border = d.mask.border_distance

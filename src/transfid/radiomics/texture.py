@@ -94,9 +94,16 @@ class _Cells:
     every sum has the bits of the term taken over all cells. No cell is
     padded: zero padding regroups numpy's pairwise sums and moves their
     last bits.
+
+    The buffer is the layout itself when nothing else reads it: the
+    concatenation of several matrices, which is a copy, or a single matrix
+    the caller hands over (`own`), as `zone_features` does with its fresh
+    GLSZM. Each term overwrites exactly the non-zero cells, whose counts
+    are taken first, so every sum reduces the same array as with a zero
+    buffer of its own, and a wide matrix is held once, not twice.
     """
 
-    def __init__(self, mats: list[np.ndarray]):
+    def __init__(self, mats: list[np.ndarray], own: bool = False):
         rows = mats[0].shape[0]
         widths = np.array([m.shape[1] for m in mats])
         sizes = rows * widths
@@ -105,9 +112,9 @@ class _Cells:
         # matrices of one width are reduced as rows of a (k, cells) view
         self.ends = None if (widths == widths[0]).all() else ends
         flat = mats[0].reshape(-1) if len(mats) == 1 else np.concatenate([m.ravel() for m in mats])
-        self.buffer = np.zeros(flat.size)
         self.at = np.flatnonzero(flat)
         self.c = flat[self.at]
+        self.buffer = flat if own or len(mats) > 1 else np.zeros(flat.size)
         self.matrix = np.searchsorted(ends, self.at, side="right")
         self.row, self.col = np.divmod(self.at - (ends - sizes)[self.matrix], widths[self.matrix])
         self.i, self.j = self.row + 1.0, self.col + 1.0
@@ -266,10 +273,11 @@ def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
     )
 
 
-def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray) -> list[dict[str, float]]:
+def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray, own: bool = False) -> list[dict[str, float]]:
     """The level-by-magnitude emphasis formulas of each count matrix of a
-    batch, each matrix's percentage taken over its entry of `n_voxels`."""
-    cells = _Cells(mats)
+    batch, each matrix's percentage taken over its entry of `n_voxels`;
+    `own` hands a single matrix over to `_Cells` as its zero buffer."""
+    cells = _Cells(mats, own)
     ns, p, i, j = cells.ns, cells.p, cells.i, cells.j
     level_sq, magnitude_sq = cells.squared_marginal_sums()
     mu = cells.sums(i=lambda: i * p, j=lambda: j * p)
@@ -329,11 +337,16 @@ def glrlm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
 
 
 def zone_features(d: DiscretizedVolume) -> tuple[dict[str, float], dict[str, float]]:
-    """(GLSZM, GLDZM) feature sets from a single zone decomposition."""
+    """(GLSZM, GLDZM) feature sets from a single zone decomposition.
+
+    Both matrices are fresh and read by nothing else, so each is handed
+    to the formulas as their zero buffer (`_Cells`): the GLSZM, as wide as
+    the largest zone, is held once.
+    """
     glszm, gldzm = zone_matrices(d)
-    n_voxels = d.mask.voxel_count
-    szm = _mapped(row_column_features(glszm, n_voxels), GLSZM_GENERIC)
-    dzm = _mapped(row_column_features(gldzm, n_voxels), GLDZM_GENERIC)
+    n_voxels = np.array([d.mask.voxel_count])
+    szm = _mapped(_row_column_batch([glszm], n_voxels, own=True)[0], GLSZM_GENERIC)
+    dzm = _mapped(_row_column_batch([gldzm], n_voxels, own=True)[0], GLDZM_GENERIC)
     return szm, dzm
 
 

@@ -5,9 +5,12 @@ Each row of BUDGETS is (layer, input, budget), the budget a multiple of the
 input grid's float64 bytes (8 MiB on the 128x128x64 grid). A budget is the
 peak measured when the row was written plus 10%: a change that lowers a
 peak lowers its budget in the same change, and one that raises a peak says
-why. The inputs have the shapes of the large benchmark patient (an
-ellipsoid ROI of 313 920 voxels, box 108x108x56) and of the paper's data
-(a radius-15 sphere ROI in the same grid).
+why. `tools/memory_rows.py` prints each row's peak beside its budget and
+the budget that peak sets, each row in a fresh interpreter, so a budget is
+re-set from its printed number, not from an assertion's message. The
+inputs have the shapes of the large benchmark patient (an ellipsoid ROI of
+313 920 voxels, box 108x108x56) and of the paper's data (a radius-15
+sphere ROI in the same grid).
 
 Most rows measure with each cache filled by a call before, so they see what
 a call adds. The cold rows clear the caches first, so they also see what a
@@ -30,8 +33,9 @@ from transfid.config import RunConfig
 from transfid.iqa import SsimParams
 from transfid.manifest import ORIGINAL_SOURCE, PatientRecord
 from transfid.nifti import save_nifti
+from transfid.preprocess import discretize
 from transfid.radiomics import extract as extract_module
-from transfid.radiomics.intensity import _sphere_geometry, local_intensity
+from transfid.radiomics.intensity import _sphere_geometry, intensity_statistics, local_intensity
 from transfid.volume import RoiMask, Volume3D
 
 GRID = (128, 128, 64)
@@ -70,13 +74,17 @@ def texture(seed: int) -> np.ndarray:
     return (field - field.min()) / (field.max() - field.min())
 
 
-@pytest.fixture(scope="session", autouse=True)
-def lazy_modules_loaded():
+def load_lazy_modules() -> None:
     """Import what the layers import on first use, before any row is traced."""
     import numpy.fft
 
     np.median(np.arange(3.0))
     numpy.fft.irfft(numpy.fft.rfft(np.ones(4)))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def lazy_modules_loaded():
+    load_lazy_modules()
 
 
 def traced_memory(call) -> tuple[int, int]:
@@ -103,6 +111,24 @@ def local_intensity_peak(roi, tmp_path, monkeypatch) -> int:
     return traced_peak(lambda: local_intensity(volume, mask))
 
 
+def intensity_statistics_peak(roi, tmp_path, monkeypatch) -> int:
+    """One `intensity_statistics` call on float values: every ROI value is
+    distinct, so `np.unique`'s arrays are ROI-sized."""
+    volume = Volume3D(GRID, SPACING, texture(0))
+    mask = RoiMask(GRID, roi())
+    return traced_peak(lambda: intensity_statistics(volume, mask))
+
+
+def discretize_peak(roi, tmp_path, monkeypatch) -> int:
+    """One `discretize` call on the ROI's box, as `extract_all` copies it
+    out of the grid, at the default FBN scheme."""
+    volume = Volume3D(GRID, SPACING, texture(0))
+    box, box_mask = RoiMask(GRID, roi()).box
+    boxed = Volume3D(box_mask.dims, SPACING, volume.values[box])
+    scheme = RunConfig.from_dict({}).scheme
+    return traced_peak(lambda: discretize(boxed, box_mask, scheme))
+
+
 def write_patient(roi, tmp_path) -> PatientRecord:
     """An original and two networks, textures of seeds 0 to 2, and `roi`'s
     mask, written as files."""
@@ -114,31 +140,35 @@ def write_patient(roi, tmp_path) -> PatientRecord:
     return PatientRecord("p0", paths, str(tmp_path / "mask.nii"))
 
 
-def texture_peak(roi, tmp_path, monkeypatch) -> int:
-    """The highest peak of any texture family (the memory held when it
-    starts included) inside `process_patient(..., want_metrics=False)` on
-    `write_patient`'s files, the spectrum cached by a run before. A full
-    grid alive while the families run adds 1 to it."""
-    record = write_patient(roi, tmp_path)
-    config = RunConfig.from_dict({})
-    assert process_patient(record, config, want_metrics=False).error is None
+def in_patient_peak(layers: tuple[str, ...]):
+    """The highest peak of the named `extract_all` layers (the memory held
+    when each starts included) inside `process_patient(...,
+    want_metrics=False)` on `write_patient`'s files, the spectrum cached by
+    a run before. A full grid alive while they run adds 1 to it."""
 
-    peaks = []
+    def layer(roi, tmp_path, monkeypatch) -> int:
+        record = write_patient(roi, tmp_path)
+        config = RunConfig.from_dict({})
+        assert process_patient(record, config, want_metrics=False).error is None
 
-    def traced(family):
-        def call(*args, **kwargs):
-            tracemalloc.reset_peak()
-            out = family(*args, **kwargs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            return out
+        peaks = []
 
-        return call
+        def traced(family):
+            def call(*args, **kwargs):
+                tracemalloc.reset_peak()
+                out = family(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return out
 
-    for name in TEXTURE_FAMILIES:
-        monkeypatch.setattr(extract_module, name, traced(getattr(extract_module, name)))
-    traced_peak(lambda: process_patient(record, config, want_metrics=False))
-    assert len(peaks) == 3 * len(TEXTURE_FAMILIES)
-    return max(peaks)
+            return call
+
+        for name in layers:
+            monkeypatch.setattr(extract_module, name, traced(getattr(extract_module, name)))
+        traced_peak(lambda: process_patient(record, config, want_metrics=False))
+        assert len(peaks) == 3 * len(layers)
+        return max(peaks)
+
+    return layer
 
 
 def patient_peak(want: dict[str, bool]):
@@ -182,10 +212,17 @@ METRICS = {"want_features": False}
 
 BUDGETS = [
     # (layer, input, budget in grids)
-    pytest.param(local_intensity_peak, large_roi, 2.63, id="local_intensity-spectrum_cached-large"),
+    pytest.param(local_intensity_peak, large_roi, 2.01, id="local_intensity-spectrum_cached-large"),
     pytest.param(local_intensity_peak, paper_roi, 0.39, id="local_intensity-spectrum_cached-paper"),
+    pytest.param(intensity_statistics_peak, large_roi, 3.23, id="intensity_statistics-large"),
+    pytest.param(discretize_peak, large_roi, 1.84, id="discretize-large"),
     pytest.param(
-        texture_peak, large_roi, 4.89, id="process_patient_extract-texture_families-large",
+        in_patient_peak(TEXTURE_FAMILIES), large_roi, 3.18, id="process_patient_extract-texture_families-large",
+        marks=GRIDS_HANDED_OVER,
+    ),
+    # the box is copied out and the grid dropped before discretize runs
+    pytest.param(
+        in_patient_peak(("discretize",)), large_roi, 2.84, id="process_patient_extract-discretize-large",
         marks=GRIDS_HANDED_OVER,
     ),
     pytest.param(
@@ -194,7 +231,7 @@ BUDGETS = [
     pytest.param(patient_peak(METRICS), large_roi, 9.21, id="process_patient-metrics-large"),
     pytest.param(patient_peak({}), large_roi, 9.39, id="process_patient-both-large"),
     pytest.param(
-        cold_patient(EXTRACT, held=False), large_roi, 5.05, id="process_patient-extract-caches_cleared-large",
+        cold_patient(EXTRACT, held=False), large_roi, 4.80, id="process_patient-extract-caches_cleared-large",
         marks=GRIDS_HANDED_OVER,
     ),
     pytest.param(
