@@ -30,14 +30,13 @@ def extract_all(
     and texture families count. Those run on the volume discretized on the
     box. This function copies the box out and drops its reference to the
     grid before `discretize` runs, so a grid the caller handed over is
-    freed before the box is discretized (3.72 -> 2.72 grids at the
-    discretize layer on the large benchmark ROI) and is not alive while
-    the texture families run (what a worker then holds:
-    `analysis.process_patient`). The box and its
-    mask-only arrays (border distance, neighbour counts) are cached on
-    `mask`, and LI's kernel transform for the widened box's shape
-    (`volume.OneSlot`); every source of a patient is extracted on one mask
-    and grid, so they are built once per patient at most.
+    freed before the box is discretized (3.72 -> 2.72 grids at that layer
+    on the large benchmark ROI) and is not alive while the texture
+    families run (what a worker then holds: `analysis.process_patient`).
+    The box and its mask-only arrays (border distance, neighbour counts)
+    are cached on `mask`, and LI's kernel transform for the widened box's
+    shape (`volume.OneSlot`); every source of a patient is extracted on one
+    mask and grid, so they are built once per patient at most.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

@@ -98,11 +98,11 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     13-voxel sphere on a 128x128x64 grid, against 13.0 MiB for its whole
     spectrum. A whole spectrum of at most SLAB_BYTES is finished here and
     kept alone, without that partial transform, so a call costs one
-    forward and one inverse transform. A larger
-    one is finished on each call, a slab of at most SLAB_BYTES at a time,
-    each slab multiplied into the product and freed: one more pass of the
-    kernel's last transform per call. Its lines are the whole spectrum's
-    lines, so the product keeps every bit.
+    forward and one inverse transform. A larger one is finished on each
+    call, a slab of at most SLAB_BYTES at a time, each slab multiplied
+    into the product and freed: one more pass of the kernel's last
+    transform per call. Its lines are the whole spectrum's lines, so the
+    product keeps every bit.
     """
     ndim = len(shape)
     # on an axis where the values have length 1, "same" keeps the kernel's middle plane only
@@ -248,9 +248,9 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     the counts of the same planes, exact integers, are gathered by edge
     class (`volume.edge_class_planes`); the means are divided out at ROI
     voxels only and the peak is searched slab by slab, so no box-sized
-    array of sums is held. The kernel's
-    transform and the counts' table are kept per sub-grid shape
-    (`_sphere_geometry`), which every source of a patient shares.
+    array of sums is held. The kernel's transform and the counts' table
+    are kept per sub-grid shape (`_sphere_geometry`), which every source
+    of a patient shares.
     """
     mask.check_aligned(v)
     box, box_mask = mask.box

@@ -273,7 +273,9 @@ def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:
     )
 
 
-def _row_column_batch(mats: list[np.ndarray], n_voxels: np.ndarray, own: bool = False) -> list[dict[str, float]]:
+def _row_column_batch(
+    mats: list[np.ndarray], n_voxels: np.ndarray, own: bool = False
+) -> list[dict[str, float]]:
     """The level-by-magnitude emphasis formulas of each count matrix of a
     batch, each matrix's percentage taken over its entry of `n_voxels`;
     `own` hands a single matrix over to `_Cells` as its zero buffer."""
