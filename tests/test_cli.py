@@ -1141,3 +1141,29 @@ def test_every_module_level_import_is_used():
             unused += [f"{path.relative_to(package)} {name}" for name in names if name not in read]
     assert sorted(set(unused) - IMPORTED_FOR_PROBES) == []
     assert IMPORTED_FOR_PROBES <= set(unused)
+
+
+# defined for readers outside the package
+DEFINED_FOR_CALLERS = {
+    "analysis.py build_cohort",  # README's Library API
+    "iqa.py cache_info",  # the `lru_cache` interface, read by tests
+}
+
+
+def test_every_definition_is_read():
+    """Each function, class and method the package defines is read in the
+    package, as a name or an attribute; the interpreter calls the dunders."""
+    package = Path(transfid.__file__).resolve().parent
+    read, defined = set(), []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((f"{path.relative_to(package)} {node.name}", node.name))
+    unread = {where for where, name in defined if name not in read}
+    assert sorted(unread - DEFINED_FOR_CALLERS) == []
+    assert DEFINED_FOR_CALLERS <= unread
