@@ -118,12 +118,12 @@ def process_patient(
     references move into the callee; 3.10 keeps them in this frame until
     the call returns.
 
-    On the large benchmark ROI (128x128x64, one grid 8 MiB), the highest
+    On the memory table's large ROI (tests/test_memory_budget.py, printed
+    by tools/memory_rows.py; 128x128x64, one grid 8 MiB), the highest
     layer of a worker's first extract-only patient is then the intensity
-    statistics, at 3.47 grids (`tracemalloc`, held memory included), with
-    local intensity at 3.25 and the zones at 2.99; the memory table
-    (tests/test_memory_budget.py, printed by tools/memory_rows.py) pins
-    each layer's peak."""
+    statistics, at 4.22 grids (`tracemalloc`, held memory included), with
+    local intensity at 3.12 and the zones at 2.89, and an extract worker
+    keeps nothing of a patient once it is done."""
     result = PatientResult()
     slot: list[Volume3D] = []  # the grid at work; a list can give it up to extract_all
     try:

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import update_wrapper
 
 import numpy as np
 
 from .checks import is_int, is_number
 from .errors import DimsMismatch, VolumeTooSmall
-from .volume import OneSlot, RoiMask, Volume3D, edge_class_planes, edge_class_shape
+from .volume import RoiMask, Volume3D, edge_class_planes, edge_class_shape
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,6 @@ def _windowed_sums(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-@OneSlot
 def _window_geometry(dims: tuple[int, int, int], window: int, sigma: float):
     """(taps, weight): the 1-D Gaussian taps, read-only, and `weight(planes)`,
     the summed weight of the in-bounds part of each voxel's window on those
@@ -186,8 +187,7 @@ def _window_geometry(dims: tuple[int, int, int], window: int, sigma: float):
     of ones on a grid of at most (2 window + 1)^3 voxels, gathered by edge
     class (`volume.edge_class_planes`): each voxel gets the operations it
     gets on the whole grid, so every bit of them, and 2 window + 1 planes
-    are kept, not a grid. Both depend on the grid only; how long they are
-    kept: `volume.OneSlot`."""
+    are kept, not a grid."""
     i = np.arange(-window, window + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma sends off-centre exponents to -inf: taps of 0
         taps = np.exp(-(i * i) / (2.0 * sigma * sigma))
@@ -197,9 +197,56 @@ def _window_geometry(dims: tuple[int, int, int], window: int, sigma: float):
     return taps, weight
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class OneSlot:
+    """`functools.lru_cache(maxsize=1)` for values that cost whole grids,
+    with its `cache_info()` and `cache_clear()`, except that a miss drops
+    the old entry before it builds the new one: `lru_cache` builds first,
+    so two entries are alive at once. Positional arguments only, compared
+    with `==`, so a volume matches only itself. The entry is read once and
+    replaced whole, so a caller on another thread sees a consistent entry.
+
+    Every cache that outlives a call is this one slot, or a cached
+    property of the RoiMask it belongs to:
+    `_original_moments(original, window, sigma)`, the original's window
+    weights (0.09 grids at 128x128x64 and window 5) and windowed mean and
+    variance (two grids), and through its key the original itself. It
+    serves every network of a patient, each scored against the one
+    original before the next patient loads, and keeps its entry until a
+    call with another original, so a worker holds its last patient's
+    entry until its next patient.
+    """
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self.cache_clear()
+
+    def __call__(self, *args):
+        entry = self._entry
+        if entry is not None and entry[0] == args:
+            self._hits += 1
+            return entry[1]
+        self._entry = entry = None
+        self._misses += 1
+        value = self._build(*args)
+        self._entry = (args, value)
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, 1, int(self._entry is not None))
+
+    def cache_clear(self) -> None:
+        self._entry = None
+        self._hits = self._misses = 0
+
+
 @OneSlot
-def _original_moments(original: Volume3D, window: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed mean and variance of `original`'s values, read-only."""
+def _original_moments(original: Volume3D, window: int, sigma: float):
+    """(taps, weight, mu, var): `_window_geometry` of the original's grid,
+    and the windowed mean and variance of its values, read-only."""
     taps, weight = _window_geometry(original.dims, window, sigma)
     values = original.values
     mu = _windowed_sums(values, taps)
@@ -212,7 +259,7 @@ def _original_moments(original: Volume3D, window: int, sigma: float) -> tuple[np
     var -= mu * mu
     mu.flags.writeable = False
     var.flags.writeable = False
-    return mu, var
+    return taps, weight, mu, var
 
 
 def ssim3d(
@@ -228,13 +275,13 @@ def ssim3d(
     With `mask`, the per-voxel map is averaged over in-mask centers only.
 
     The window weights, as 2 window + 1 edge-class planes, and the moments
-    of `a` are kept in one-slot caches (`volume.OneSlot`), so scoring N
-    networks against one original costs 2 + 3N windowed sums of the grid,
-    and one of (2 window + 1)^3 voxels for the weights, not 6N. Beyond
-    those caches a call holds the network's three windowed sums, one
-    product map while the last of them is taken, and three slab-sized
-    buffers, one the slab's weights gathered from their planes: the map is
-    built in place, slab by slab, over the last sum.
+    of `a` are kept in a one-slot cache (`OneSlot`), so scoring N networks
+    against one original costs 2 + 3N windowed sums of the grid, and one
+    of (2 window + 1)^3 voxels for the weights, not 6N. Beyond that cache
+    a call holds the network's three windowed sums, one product map while
+    the last of them is taken, and three slab-sized buffers, one the
+    slab's weights gathered from their planes: the map is built in place,
+    slab by slab, over the last sum.
     """
     _check_pair(a, b)
     size = 2 * params.window + 1
@@ -243,10 +290,9 @@ def ssim3d(
     if mask is not None:
         mask.check_aligned(a)
 
-    taps, weight = _window_geometry(a.dims, params.window, params.sigma)
     # values a caller has made writeable may change under the same volume
     moments = _original_moments.__wrapped__ if a.values.flags.writeable else _original_moments
-    mu_a, var_a = moments(a, params.window, params.sigma)
+    taps, weight, mu_a, var_a = moments(a, params.window, params.sigma)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     av, bv = a.values, b.values

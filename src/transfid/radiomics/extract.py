@@ -34,9 +34,9 @@ def extract_all(
     on the large benchmark ROI) and is not alive while the texture
     families run (what a worker then holds: `analysis.process_patient`).
     The box and its mask-only arrays (border distance, neighbour counts)
-    are cached on `mask`, and LI's kernel transform for the widened box's
-    shape (`volume.OneSlot`); every source of a patient is extracted on one
-    mask and grid, so they are built once per patient at most.
+    are cached on `mask`; every source of a patient is extracted on one
+    mask, so they are built once per patient at most. LI builds its
+    sphere kernel's transform on each call.
 
     A family says a value is undefined by returning NaN for it, and a
     family that raises leaves all its values NaN, unless it ran out of

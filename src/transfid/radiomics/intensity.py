@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ..volume import OneSlot, RoiMask, Volume3D, edge_class_planes, edge_class_shape
+from ..volume import RoiMask, Volume3D, edge_class_planes, edge_class_shape
 
 # radius of a 1 cm^3 sphere, in mm
 PEAK_SPHERE_RADIUS_MM = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 10.0
@@ -33,11 +33,9 @@ def fast_length(n: int) -> int:
     return best
 
 
-# `same_convolution` keeps a kernel spectrum of at most this many bytes
-# whole, and rebuilds a larger one on each call, in slabs of at most this
-# many bytes: 1 MiB holds LI's spectrum on grids up to about 40^3 voxels.
-# Its inverse transform goes back, and LI reads its sums and counts, in
-# slabs of axis-0 planes of at most this many bytes of the product too.
+# `same_convolution` multiplies the kernel's spectrum into the product, and
+# transforms it back, in slabs of at most this many bytes; LI reads its sums
+# and counts in slabs of axis-0 planes of the product of that size too.
 SLAB_BYTES = 1 << 20
 
 
@@ -65,16 +63,13 @@ def _slabs(shape: list[int], axis: int, most: int):
     yield tuple(index)
 
 
-def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
-    """`(values, window=None) -> scipy.signal.fftconvolve(values, kernel,
-    mode="same")[window]` for real arrays `values` of `shape`, bit-identical
-    to it but made of `numpy.fft` calls, so that extraction loads no scipy.
-    `window` is one step-1 slice per axis of `shape`, as `RoiMask.box`
-    gives; None is the whole array. `convolve.planes(values, window)`
-    yields the same result as consecutive slabs of whole axis-0 planes,
-    and `convolve` returns those slabs assembled, so there is one inverse
-    path; a caller that reads the slabs one at a time never holds the
-    result whole.
+def same_convolution(values: np.ndarray, kernel: np.ndarray, window: tuple[slice, ...] | None = None):
+    """Yields `scipy.signal.fftconvolve(values, kernel, mode="same")[window]`
+    for real arrays, bit-identical to it but made of `numpy.fft` calls, so
+    that extraction loads no scipy, as consecutive slabs of whole axis-0
+    planes: a caller that reads them one at a time never holds the result
+    whole. `window` is one step-1 slice per axis of `values`, as
+    `RoiMask.box` gives; None is the whole array.
 
     Both libraries run pocketfft one axis at a time, so the bits follow
     from the order of the axes and of the scaling, which are scipy's:
@@ -93,37 +88,27 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
     SLAB_BYTES of the product each: 11 planes, and a 0.7 MiB slab of the
     result, for LI on the large benchmark ROI's 120x120x64 sub-grid.
 
-    The kernel is transformed here along every axis but the forward
-    transform's last, on which it keeps its own extent: 1.2 MiB for LI's
-    13-voxel sphere on a 128x128x64 grid, against 13.0 MiB for its whole
-    spectrum. A whole spectrum of at most SLAB_BYTES is finished here and
-    kept alone, without that partial transform, so a call costs one
-    forward and one inverse transform. A larger one is finished on each
-    call, a slab of at most SLAB_BYTES at a time, each slab multiplied
-    into the product and freed: one more pass of the kernel's last
-    transform per call. Its lines are the whole spectrum's lines, so the
-    product keeps every bit.
+    The kernel is transformed along every axis but the forward transform's
+    last, on which it keeps its own extent (1.2 MiB for LI's 13-voxel
+    sphere on a 128x128x64 grid, against 13.0 MiB for its whole spectrum),
+    and that last transform is finished a slab of at most SLAB_BYTES at a
+    time, each slab multiplied into the product and freed. Its lines are
+    the whole spectrum's lines, so the product keeps every bit. The
+    partial transform is dropped before the inverse runs.
     """
+    shape = values.shape
     ndim = len(shape)
     # on an axis where the values have length 1, "same" keeps the kernel's middle plane only
     kernel = kernel[tuple(slice((k - 1) // 2, (k + 1) // 2) if n == 1 else slice(None)
                           for n, k in zip(shape, kernel.shape))]
     # an axis where either side has length 1 is broadcast in the product, not transformed
     axes = [a for a in range(ndim) if shape[a] != 1 and kernel.shape[a] != 1]
-    start = [(k - 1) // 2 for k in kernel.shape]
-
-    def result_lines(window) -> tuple[slice, ...]:
-        """The window's lines in the coordinates of the "full" result."""
-        if window is None:
-            window = (slice(None),) * ndim
-        spans = [range(n)[w] for n, w in zip(shape, window)]
-        return tuple(slice(b + r.start, b + r.stop) for b, r in zip(start, spans))
-
+    # the window's lines in the coordinates of the "full" result
+    spans = [range(n)[w] for n, w in zip(shape, window or (slice(None),) * ndim)]
+    keep = tuple(slice((k - 1) // 2 + r.start, (k - 1) // 2 + r.stop) for k, r in zip(kernel.shape, spans))
     if not axes:
-        def planes(values: np.ndarray, window: tuple[slice, ...] | None = None):
-            yield (values * kernel)[result_lines(window)]
-
-        return _assembled(planes)
+        yield (values * kernel)[keep]
+        return
     length = {a: fast_length(shape[a] + kernel.shape[a] - 1) for a in axes}
     last = axes[-1]
     scale = float(1 / np.longdouble(math.prod(length.values())))
@@ -149,65 +134,36 @@ def same_convolution(shape: tuple[int, ...], kernel: np.ndarray):
         partial, finish = kernel, np.fft.rfft
     else:
         partial, finish = forward(kernel, order[:-1]), np.fft.fft
+    product = forward(values, order)
     spectrum_shape = list(partial.shape)
-    spectrum_shape[short] = length[short] // 2 + 1 if short == last else length[short]
-    slabs = list(_slabs(spectrum_shape, short, SLAB_BYTES // (16 * spectrum_shape[short])))
-    spectrum = None
-    if len(slabs) == 1:  # finished and kept; the partial transform is not kept beside it
-        spectrum, partial = finish(partial, length[short], axis=short), None
+    spectrum_shape[short] = product.shape[short]
+    for index in _slabs(spectrum_shape, short, SLAB_BYTES // (16 * spectrum_shape[short])):
+        product[index] *= finish(partial[index], length[short], axis=short)
+    del partial
+    lines = [slice(None) if a in axes else keep[a] for a in range(ndim)]
+    later = axes[:-1]
+    if later[:1] == [0]:  # axis 0 goes back whole, then only the window's planes
+        whole = tuple(lines)
+        np.fft.ifft(product[whole], axis=0, norm="forward", out=product[whole])
+        lines[0] = keep[0]
+        later = later[1:]
+    if last == 0:  # axis 0 is the only one transformed: one slab
+        steps = [lines[0]]
+    else:
+        step = max(1, SLAB_BYTES // product[0].nbytes)
+        steps = [slice(i, min(i + step, keep[0].stop)) for i in range(keep[0].start, keep[0].stop, step)]
 
-    def planes(values: np.ndarray, window: tuple[slice, ...] | None = None):
-        keep = result_lines(window)
-        product = forward(values, order)
-        if spectrum is not None:
-            product *= spectrum
-        else:
-            for index in slabs:
-                product[index] *= finish(partial[index], length[short], axis=short)
-        lines = [slice(None) if a in axes else keep[a] for a in range(ndim)]
-        later = axes[:-1]
-        if later[:1] == [0]:  # axis 0 goes back whole, then only the window's planes
-            whole = tuple(lines)
-            np.fft.ifft(product[whole], axis=0, norm="forward", out=product[whole])
-            lines[0] = keep[0]
-            later = later[1:]
-        if last == 0:  # axis 0 is the only one transformed: one slab
-            steps = [lines[0]]
-        else:
-            step = max(1, SLAB_BYTES // product[0].nbytes)
-            steps = [slice(i, min(i + step, keep[0].stop)) for i in range(keep[0].start, keep[0].stop, step)]
-
-        def back(rows: slice) -> np.ndarray:
-            """The result's planes `rows`: the later axes and the last one
-            transformed back on them, and scaled."""
-            slab = [rows, *lines[1:]]
-            for a in later:
-                view = product[tuple(slab)]
-                np.fft.ifft(view, axis=a, norm="forward", out=view)
-                slab[a] = keep[a]
-            out = np.fft.irfft(product[tuple(slab)], length[last], axis=last, norm="forward")
-            out *= scale
-            return out[(slice(None),) * last + (keep[last],)]
-
-        for rows in steps[:-1]:
-            yield back(rows)
-        out = back(steps[-1])
-        del product  # the last slab, the only one of a small grid, is read with the product freed
-        yield out
-
-    return _assembled(planes)
-
-
-def _assembled(planes):
-    """`convolve(values, window=None)`: the slabs that `planes(values,
-    window)` yields, in one array; `convolve.planes` is `planes`."""
-
-    def convolve(values: np.ndarray, window: tuple[slice, ...] | None = None) -> np.ndarray:
-        slabs = list(planes(values, window))
-        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
-
-    convolve.planes = planes
-    return convolve
+    for rows in steps:  # the later axes and the last one transformed back on the planes, and scaled
+        slab = [rows, *lines[1:]]
+        for a in later:
+            view = product[tuple(slab)]
+            np.fft.ifft(view, axis=a, norm="forward", out=view)
+            slab[a] = keep[a]
+        out = np.fft.irfft(product[tuple(slab)], length[last], axis=last, norm="forward")
+        out *= scale
+        if rows is steps[-1]:
+            del product  # the last slab, the only one of a small grid, is read with the product freed
+        yield out[(slice(None),) * last + (keep[last],)]
 
 
 def _half_widths(spacing: tuple[float, float, float]) -> list[int]:
@@ -215,21 +171,19 @@ def _half_widths(spacing: tuple[float, float, float]) -> list[int]:
     return [int(math.floor(PEAK_SPHERE_RADIUS_MM / s)) for s in spacing]
 
 
-@OneSlot
 def _sphere_geometry(shape: tuple[int, int, int], spacing: tuple[float, float, float]):
-    """(convolve, counts): `same_convolution` of (shape)-shaped arrays with
-    the 1 cm^3 sphere kernel at `spacing`, and the sphere's in-grid counts
-    on the (shape) grid's `volume.edge_class_shape`, exact in float64 (the
-    kernel summed one axis at a time over each axis's 0/1 reach); their
-    size and how long they are kept: `volume.OneSlot`."""
+    """(kernel, counts): the 1 cm^3 sphere kernel at `spacing`, and its
+    in-grid counts on the (shape) grid's `volume.edge_class_shape`, exact
+    in float64 (the kernel summed one axis at a time over each axis's 0/1
+    reach)."""
     half = _half_widths(spacing)
-    ax = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
-    dx, dy, dz = np.meshgrid(*ax, indexing="ij")
+    dx, dy, dz = [np.arange(-h, h + 1, dtype=np.float64) * s for h, s in zip(half, spacing)]
+    dx, dy = dx[:, None, None], dy[:, None]
     kernel = (dx * dx + dy * dy + dz * dz <= PEAK_SPHERE_RADIUS_MM**2).astype(np.float64)
     r0, r1, r2 = [((at >= 0) & (at < n)).astype(np.float64) for n, h in zip(edge_class_shape(shape, half), half)
                   for at in [np.arange(n)[:, None] + np.arange(-h, h + 1)]]
     counts = r1 @ (r0 @ kernel.reshape(len(r0[0]), -1)).reshape(-1, *kernel.shape[1:]) @ r2.T
-    return same_convolution(shape, kernel), counts
+    return kernel, counts
 
 
 def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
@@ -244,13 +198,12 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     them, so a box voxel's count there is its in-grid count. Its shape
     sets the FFT size and so the sums' last bits; the inverse transform
     stops at the box's lines. The sums are read a slab of box planes at a
-    time as the inverse transform finishes them (`convolve.planes`), and
+    time as the inverse transform finishes them (`same_convolution`), and
     the counts of the same planes, exact integers, are gathered by edge
     class (`volume.edge_class_planes`); the means are divided out at ROI
     voxels only and the peak is searched slab by slab, so no box-sized
-    array of sums is held. The kernel's transform and the counts' table
-    are kept per sub-grid shape (`_sphere_geometry`), which every source
-    of a patient shares.
+    array of sums is held. The kernel, its transform and the counts' table
+    are built on each call and not kept.
     """
     mask.check_aligned(v)
     box, box_mask = mask.box
@@ -258,7 +211,7 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     around = tuple(slice(max(b.start - h, 0), min(b.stop + h, n)) for b, h, n in zip(box, half, v.dims))
     inner = tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(around, box))
     shape = tuple(a.stop - a.start for a in around)
-    convolve, counts = _sphere_geometry(shape, v.spacing)
+    kernel, counts = _sphere_geometry(shape, v.spacing)
     counts = edge_class_planes(shape, half, counts, inner)
     values = v.values[box]
     flags = box_mask.flags
@@ -270,7 +223,7 @@ def local_intensity(v: Volume3D, mask: RoiMask) -> dict[str, float]:
     at = 0
     # unnormalized intensities can overflow the sums, which `extract_all` flags
     with np.errstate(over="ignore", invalid="ignore"):
-        for sums in convolve.planes(v.values[around], inner):
+        for sums in same_convolution(v.values[around], kernel, inner):
             rows = slice(at, at + len(sums))
             if at <= center[0] < rows.stop:
                 local_peak = float(sums[center[0] - at][center[1:]] / counts(center[0])[center[1:]])

@@ -107,13 +107,10 @@ def glrlm_matrices(d: DiscretizedVolume) -> list[np.ndarray]:
     return out
 
 
-def equal_level_edges(
-    d: DiscretizedVolume, index: np.ndarray, by_direction: bool = False
-) -> tuple[np.ndarray, np.ndarray] | tuple[list[np.ndarray], list[np.ndarray]]:
+def equal_level_edges(d: DiscretizedVolume, index: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(heads, tails): `index` at both ends of every in-mask equal-level
-    pair, direction by direction in DIRECTIONS_13 order, and within one
-    direction in flat order of the first end: a list of one array per
-    direction when `by_direction`, else those arrays concatenated.
+    pair, as one array per direction in DIRECTIONS_13 order, and within
+    one direction in flat order of the first end.
 
     Both ends are gathered from the flat numbering at the volume's cached
     pair positions (`pair_positions`), p and p + s.
@@ -123,20 +120,16 @@ def equal_level_edges(
     for off, pos in zip(DIRECTIONS_13, d.pair_positions(0)):
         heads.append(np.take(flat_index, pos))
         tails.append(np.take(flat_index, pos + flat_step(d.dims, off)))
-    if by_direction:
-        return heads, tails
-    return np.concatenate(heads), np.concatenate(tails)
+    return heads, tails
 
 
-def connected_labels(
-    n: int, heads: np.ndarray | list[np.ndarray], tails: np.ndarray | list[np.ndarray]
-) -> tuple[np.ndarray, int]:
+def connected_labels(n: int, heads: list[np.ndarray], tails: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """(labels, rounds): the connected component of each of `n` nodes of
     the undirected graph with int32 edges heads[i] -- tails[i], numbered in
     order of each component's first node, as scipy's `connected_components`
     numbers them, and the number of hooking rounds it took. The edges come
-    as two arrays, or as two lists of arrays (one per direction, as
-    `equal_level_edges(..., by_direction=True)` gives them), read pairwise.
+    as two lists of arrays, read pairwise: one array per direction, as
+    `equal_level_edges` gives them.
 
     Every node starts as its own root, and every edge joins two roots.
     Each round hooks the larger root of each edge onto its smallest
@@ -149,8 +142,6 @@ def connected_labels(
     decrease, so each root is its component's first node. A graph of
     zones takes a few rounds: 5 on that ROI.
     """
-    if isinstance(heads, np.ndarray):
-        heads, tails = [heads], [tails]
     parent = np.arange(n, dtype=np.int32)
     rounds = 0
     while any(h.size for h in heads):
@@ -216,7 +207,7 @@ def zone_matrices(d: DiscretizedVolume) -> tuple[np.ndarray, np.ndarray]:
     n = d.mask.voxel_count
     index = np.full(d.dims, -1, dtype=np.int32)
     index[m] = np.arange(n, dtype=np.int32)
-    edges = equal_level_edges(d, index, by_direction=True)
+    edges = equal_level_edges(d, index)
     del index  # the labelling reads the edges only
     zone_of, _ = connected_labels(n, *edges)
     del edges  # before the matrices are counted

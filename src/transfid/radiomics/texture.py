@@ -232,12 +232,6 @@ def _glcm_batch(mats: list[np.ndarray]) -> list[dict[str, float]]:
     return rows
 
 
-def glcm_features_from_matrix(counts: np.ndarray) -> dict[str, float]:
-    """The 25 co-occurrence features of one symmetric matrix of pair counts
-    or probabilities: it is normalized by its own sum first."""
-    return _glcm_batch([counts])[0]
-
-
 def _aggregate_directional(
     matrices: list[np.ndarray], evaluate, names: tuple[str, ...]
 ) -> dict[str, dict[str, float]]:

@@ -43,6 +43,3 @@ class FeatureVector:
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]
-
-    def is_flagged(self, key: str) -> bool:
-        return key in self.flags

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, update_wrapper
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class Volume3D:
     def flat(self) -> np.ndarray:
         """Values in x-fastest flat order."""
         return self.values.ravel(order="F")
-
-    def value_at(self, x: int, y: int, z: int) -> float:
-        return float(self.values[x, y, z])
 
     def with_values(self, values: np.ndarray) -> "Volume3D":
         """New volume on the same grid with different values."""
@@ -218,63 +214,6 @@ def edge_class_planes(dims, half, table, window=None):
     planes = table[:, across][:, :, down]
     planes.flags.writeable = False
     return lambda index: planes[rows[index]]
-
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class OneSlot:
-    """`functools.lru_cache(maxsize=1)` for values that cost whole grids,
-    with its `cache_info()` and `cache_clear()`, except that a miss drops
-    the old entry before it builds the new one: `lru_cache` builds first,
-    so two entries are alive at once. Positional arguments only, compared
-    with `==`, so a volume matches only itself. The entry is read once and
-    replaced whole, so a caller on another thread sees a consistent entry.
-
-    Every cache that outlives a call is one of three such slots, or a
-    cached property of the RoiMask it belongs to. A slot keeps its entry
-    until a call with other arguments, so a worker holds its last
-    patient's entries until its next patient:
-    - `radiomics.intensity._sphere_geometry(shape, spacing)`: what
-      `same_convolution` keeps of the sphere kernel for LI's sub-grid, the
-      ROI's box widened by the sphere's reach (0.6 MiB on a 24x24x16 grid,
-      0.4 MiB for a radius-15 sphere's 45^3 sub-grid, 1.1 MiB for
-      120x120x64), and the in-grid counts' edge-class table (17 KiB at
-      1 mm);
-    - `iqa._window_geometry(dims, window, sigma)`: SSIM's Gaussian taps
-      and the in-grid window weight as 2 window + 1 edge-class planes
-      (`edge_class_planes`; 0.09 grids at 128x128x64 and window 5);
-    - `iqa._original_moments(original, window, sigma)`: the original's
-      windowed mean and variance (two grids), and through its key the
-      original itself.
-    The first depends on the sub-grid's shape, the second on the grid, and
-    every source of a patient shares both; the third serves every network
-    of a patient, each scored against the one original before the next
-    patient loads.
-    """
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-        self._build = build
-        self.cache_clear()
-
-    def __call__(self, *args):
-        entry = self._entry
-        if entry is not None and entry[0] == args:
-            self._hits += 1
-            return entry[1]
-        self._entry = entry = None
-        self._misses += 1
-        value = self._build(*args)
-        self._entry = (args, value)
-        return value
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, 1, int(self._entry is not None))
-
-    def cache_clear(self) -> None:
-        self._entry = None
-        self._hits = self._misses = 0
 
 
 # The 13 unit offsets that reach each unordered pair of 26-neighbors once.

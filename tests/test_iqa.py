@@ -141,21 +141,13 @@ class TestSsim3d:
         assert -1.0 <= compute_metrics(a, b, SsimParams(**fields)).ssim <= 1.0
 
     def test_tiny_sigma_taps_are_built_without_a_warning(self, rng):
-        # ssim3d called directly, with the window geometry not yet cached
+        # ssim3d called directly, which builds the window geometry for a new original
         a = make_volume(rng.random((12, 12, 12)))
-        iqa._window_geometry.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert ssim3d(a, a, SsimParams(sigma=1e-160)) == pytest.approx(1.0, abs=1e-12)
         taps, _ = iqa._window_geometry(a.dims, SsimParams().window, 1e-160)
         assert taps.tolist() == [0.0] * SsimParams().window + [1.0] + [0.0] * SsimParams().window
-
-    def test_window_geometry_keeps_one_grid(self, rng):
-        # each entry holds a full-grid float64 weight array
-        for dims in ((12, 12, 12), (11, 13, 12)):
-            a = make_volume(rng.random(dims))
-            ssim3d(a, a)
-        assert iqa._window_geometry.cache_info().currsize == 1
 
     @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
     def test_window_must_be_an_int(self, window):
@@ -298,17 +290,12 @@ class TestSharedOriginal:
         dims = (11, 12, 13)
         networks = [make_volume(rng.random(dims)) for _ in range(3)]
 
-        iqa._window_geometry.cache_clear()
-        original = make_volume(rng.random(dims))
-        for network in networks:
-            compute_metrics(original, network)
-        assert len(calls) == 1 + 2 + 3 * 3  # weight map, original, three per network
-
-        calls.clear()
-        original = make_volume(rng.random(dims))
-        for network in networks:
-            ssim3d(original, network)
-        assert len(calls) == 2 + 3 * 3  # the weight map is cached for the grid
+        for score in (compute_metrics, ssim3d):
+            calls.clear()
+            original = make_volume(rng.random(dims))
+            for network in networks:
+                score(original, network)
+            assert len(calls) == 1 + 2 + 3 * 3  # weight map, original, three per network
 
     def test_compute_metrics_equals_the_four_functions(self, rng):
         a = make_volume(rng.random((12, 12, 12)))

@@ -82,7 +82,7 @@ class TestCropCentered:
         flags[2, 3, 1] = True
         out_vol, out_mask = crop_centered(make_volume(values), make_mask(flags), (1, 1, 1))
         assert out_vol.dims == (1, 1, 1)
-        assert out_vol.value_at(0, 0, 0) == values[2, 3, 1]
+        assert out_vol.values[0, 0, 0] == values[2, 3, 1]
         assert out_mask.voxel_count == 1
 
     def test_crop_loses_roi(self):

@@ -11,11 +11,10 @@ from transfid.config import MAX_IVH_BINS, RunConfig
 from transfid.errors import InvalidScheme
 from transfid.phantom import generate_phantom
 from transfid.preprocess import DiscretizationScheme, DiscretizedVolume, discretize
-from transfid.radiomics import extract_all, intensity
+from transfid.radiomics import extract_all, intensity, texture
 from transfid.radiomics.histogram import intensity_histogram_features, ivh_features
 from transfid.radiomics.ids import DISTRIBUTION_NAMES, IH_NAMES, IS_NAMES, IVH_NAMES
 from transfid.radiomics.intensity import (
-    _sphere_geometry,
     basic_distribution_stats,
     fast_length,
     intensity_statistics,
@@ -36,7 +35,6 @@ from transfid.radiomics.matrices import (
 )
 from transfid.radiomics.texture import (
     glcm_features,
-    glcm_features_from_matrix,
     glrlm_features,
     ngldm_features,
     ngtdm_features,
@@ -67,6 +65,11 @@ def assert_close_dict(got, expected, rel=1e-9):
             assert math.isnan(g), name
         else:
             assert g == pytest.approx(e, rel=rel, abs=1e-9), name
+
+
+def convolved(values, kernel, window=None):
+    """The slabs `same_convolution` yields, in one array."""
+    return np.concatenate(list(same_convolution(values, kernel, window)))
 
 
 class TestLocalIntensity:
@@ -106,10 +109,10 @@ class TestLocalIntensity:
         # center must be x=1 (first in flat order); its sphere holds only itself
         assert got["local_peak"] == 1.0
 
-    # the kernel's spectrum as it is built: whole on these small shapes, and
-    # finished on each call a slab at a time under budgets of one line
-    # (each slab one line of its last transform) and of a few lines (whole
-    # axes and steps of the next)
+    # the kernel's spectrum is finished and multiplied in a slab at a time:
+    # whole on these small shapes at the default budget, and under budgets
+    # of one line (each slab one line of its last transform) and of a few
+    # lines (whole axes and steps of the next)
     SLAB_BUDGETS = pytest.mark.parametrize("slab_bytes", [intensity.SLAB_BYTES, 1, 2000],
                                            ids=["budget", "one_line", "few_lines"])
 
@@ -124,10 +127,7 @@ class TestLocalIntensity:
         for values_shape, kernel_shape in shapes:
             values = rng.random(values_shape)
             kernel = (rng.random(kernel_shape) < 0.7).astype(float)
-            convolve = same_convolution(values_shape, kernel)
-            # the kernel's spectrum, taken once, serves every later array
-            for values in (values, rng.random(values_shape)):
-                assert np.array_equal(convolve(values), fftconvolve(values, kernel, mode="same"))
+            assert np.array_equal(convolved(values, kernel), fftconvolve(values, kernel, mode="same"))
 
     @SLAB_BUDGETS
     def test_a_window_keeps_every_bit_of_the_whole_convolution(self, rng, monkeypatch, slab_bytes):
@@ -140,8 +140,7 @@ class TestLocalIntensity:
         for values_shape, kernel_shape in shapes:
             values = rng.random(values_shape)
             kernel = (rng.random(kernel_shape) < 0.7).astype(float)
-            convolve = same_convolution(values_shape, kernel)
-            whole = convolve(values)
+            whole = convolved(values, kernel)
             windows = []
             for _ in range(3):
                 lo = [int(rng.integers(0, n)) for n in values_shape]
@@ -152,59 +151,14 @@ class TestLocalIntensity:
                 flags[corner] = True
                 windows.append(make_mask(flags).box[0])
             for window in windows:
-                assert np.array_equal(convolve(values, window), whole[window]), (values_shape, window)
-
-    def test_a_spectrum_over_the_budget_is_not_kept(self):
-        # the 13-voxel sphere on a 128x128x64 grid: FFT lengths 144, 144 and
-        # 80, so its whole spectrum is 144x144x41 complex (13.0 MiB), and the
-        # part kept, not yet transformed along axis 1, 144x13x41 (1.2 MiB)
-        r = intensity.PEAK_SPHERE_RADIUS_MM
-        d = np.arange(-6.0, 7.0)
-        kernel = (d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2 <= r * r).astype(float)
-        tracemalloc.start()
-        try:
-            convolve = intensity.same_convolution((128, 128, 64), kernel)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held <= 144 * 13 * 41 * 16 + intensity.SLAB_BYTES, held
-        del convolve
-
-    def test_a_finished_spectrum_is_kept_alone(self):
-        # on a 24x24x16 grid at 1 mm the sphere's FFT lengths are 36, 36 and
-        # 30, so its whole spectrum, 36x36x16 complex (0.32 MiB), is within
-        # SLAB_BYTES and kept; the kernel's partial transform it was finished
-        # from (36x13x16, 0.11 MiB) is not kept beside it
-        _sphere_geometry.cache_clear()
-        tracemalloc.start()
-        try:
-            _sphere_geometry((24, 24, 16), (1.0, 1.0, 1.0))
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-            _sphere_geometry.cache_clear()
-        assert held <= 1.1 * 36 * 36 * 16 * 16, held
+                assert np.array_equal(convolved(values, kernel, window), whole[window]), (values_shape, window)
 
     def test_fft_length_is_scipys_next_fast_len(self):
         from scipy.fft import next_fast_len
 
         assert [fast_length(n) for n in range(1, 20001)] == [next_fast_len(n, True) for n in range(1, 20001)]
 
-    def test_one_sphere_transform_per_patient_and_one_grid_held(self):
-        v, mask = generate_phantom(7, (24, 20, 16))
-        _sphere_geometry.cache_clear()
-        for gain in (1.0, 0.9, 0.7):  # an original and two networks on one mask
-            extract_all(v.with_values(v.values * gain), mask)
-        info = _sphere_geometry.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-
-        # the next patient's grid has other dims: its spectrum replaces this one
-        other, other_mask = generate_phantom(8, (30, 20, 16))
-        local_intensity(other, other_mask)
-        info = _sphere_geometry.cache_info()
-        assert (info.misses, info.currsize) == (2, 1)
-
-    def test_boxes_of_one_shape_share_one_transform_and_keep_every_bit(self):
+    def test_boxes_of_one_shape_keep_every_bit(self):
         # radius-4 ball ROIs: A and B near the x = 0 face, where the counts
         # differ from plane to plane, at other y and z, so their sub-grids
         # (box widened by the sphere's reach, clipped at the grid) have one
@@ -218,14 +172,10 @@ class TestLocalIntensity:
                  for name, centre in {"A": (5, 18, 15), "B": (5, 21, 12), "C": (34, 30, 25),
                                       "D": (3, 3, 3)}.items()}
         vol = make_volume(values, spacing)
-        _sphere_geometry.cache_clear()
         for name in "ABCDA":
             expected = oracles.box_local_intensity(values, masks[name].flags, spacing)
             for _ in range(2):
                 assert local_intensity(vol, masks[name]) == expected, name
-        info = _sphere_geometry.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (6, 4, 1)
-        _sphere_geometry.cache_clear()
 
     @staticmethod
     def rois(rng, dims):
@@ -252,8 +202,7 @@ class TestLocalIntensity:
         # by slab
         values = rng.random(dims)
         for name, flags in self.rois(rng, dims).items():
-            _sphere_geometry.cache_clear()
-            for gain in (1.0, 0.9):  # the second source reads the first one's transform
+            for gain in (1.0, 0.9):  # two sources on one mask
                 vol = make_volume(values * gain, spacing)
                 expected = oracles.box_local_intensity(vol.values, flags, spacing)
                 assert local_intensity(vol, make_mask(flags)) == expected, name
@@ -408,7 +357,7 @@ class TestGlcm:
         matrices = glcm_matrices(d)
         x_dir = matrices[DIRECTIONS_13.index((1, 0, 0))]
         np.testing.assert_array_equal(x_dir, [[2.0, 0.0], [0.0, 2.0]])
-        feats = glcm_features_from_matrix(x_dir / x_dir.sum())
+        feats = texture._glcm_batch([x_dir / x_dir.sum()])[0]
         assert feats["contrast"] == 0.0
         assert feats["angular_second_moment"] == 0.5
 
@@ -416,7 +365,7 @@ class TestGlcm:
         d = make_disc(np.ones((3, 3, 3), dtype=int), ng=1)
         for matrix in glcm_matrices(d):
             p = matrix / matrix.sum()
-            feats = glcm_features_from_matrix(p)
+            feats = texture._glcm_batch([p])[0]
             assert feats["contrast"] == 0.0
             assert feats["joint_maximum"] == 1.0
             assert feats["joint_entropy"] == 0.0
@@ -594,8 +543,8 @@ class TestZones:
         n = d.mask.voxel_count
         index = np.full(d.dims, -1, dtype=np.int32)
         index[d.mask.flags] = np.arange(n, dtype=np.int32)
-        heads, tails = equal_level_edges(d, index)
-        labels, rounds = connected_labels(n, heads, tails)
+        heads, tails = map(np.concatenate, equal_level_edges(d, index))
+        labels, rounds = connected_labels(n, [heads], [tails])
         count, expected = connected_components(
             coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n)), directed=False
         )
@@ -646,7 +595,7 @@ class TestZones:
         n = d.mask.voxel_count
         index = np.full(d.dims, -1, dtype=np.int32)
         index[d.mask.flags] = np.arange(n, dtype=np.int32)
-        heads, tails = equal_level_edges(d, index, by_direction=True)
+        heads, tails = equal_level_edges(d, index)
         assert len(heads) == len(tails) == len(DIRECTIONS_13)
         labels, rounds = connected_labels(n, heads, tails)
         heads, tails = np.concatenate(heads), np.concatenate(tails)
@@ -654,7 +603,7 @@ class TestZones:
             coo_matrix((np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(n, n)), directed=False
         )
         assert np.array_equal(labels, expected)
-        assert rounds == connected_labels(n, heads, tails)[1]
+        assert rounds == connected_labels(n, [heads], [tails])[1]
 
 
 class TestNgtdm:
@@ -889,6 +838,6 @@ class TestZoneEdges:
         d = random_discretized(rng, dims=dims, ng=3, mask_density=0.7)
         index = np.full(d.dims, -1, dtype=np.int32)
         index[d.mask.flags] = np.arange(d.mask.voxel_count, dtype=np.int32)
-        got = equal_level_edges(d, index)
+        got = map(np.concatenate, equal_level_edges(d, index))
         expected = self.gathered_edges(d, index)
         assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expected))

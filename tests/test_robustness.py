@@ -124,8 +124,8 @@ class TestFamilyFailureDegradation:
         for key in ALL_FEATURE_KEYS:
             if key.startswith("ngtdm."):
                 assert math.isnan(vec[key])
-                assert vec.is_flagged(key)
-            elif not vec.is_flagged(key):
+                assert key in vec.flags
+            elif key not in vec.flags:
                 assert math.isfinite(vec[key])
 
     def test_failing_directional_family_is_contained(self, monkeypatch):
@@ -141,9 +141,9 @@ class TestFamilyFailureDegradation:
         glrlm_keys = [key for key in ALL_FEATURE_KEYS if key.startswith("glrlm.")]
         assert len(glrlm_keys) == 32
         for key in glrlm_keys:
-            assert math.isnan(vec[key]) and vec.is_flagged(key)
+            assert math.isnan(vec[key]) and key in vec.flags
         others = [key for key in ALL_FEATURE_KEYS if not key.startswith("glrlm.")]
         assert len(others) == 154
         for key in others:
-            assert vec.is_flagged(key) == intact.is_flagged(key), key
+            assert (key in vec.flags) == (key in intact.flags), key
             np.testing.assert_equal(vec[key], intact[key], err_msg=key)

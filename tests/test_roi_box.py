@@ -62,7 +62,7 @@ def assert_box_is_whole_grid(v, mask, config):
     expected = whole_grid_texture(v, mask, config)
     assert len(expected) == 186 - 2 - 18 - 7  # all but LI, IS and IVH
     assert {k: float.hex(vec[k]) for k in expected} == {k: float.hex(x) for k, x in expected.items()}
-    assert {k for k in expected if vec.is_flagged(k)} == {k for k, x in expected.items() if math.isnan(x)}
+    assert {k for k in expected if k in vec.flags} == {k for k, x in expected.items() if math.isnan(x)}
 
 
 def config_of(scheme: dict, alpha: int = 0) -> RunConfig:

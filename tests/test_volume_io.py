@@ -69,7 +69,7 @@ class TestLoadNifti:
         for x in range(2):
             for y in range(2):
                 for z in range(2):
-                    assert vol.value_at(x, y, z) == x + 2 * (y + 2 * z)
+                    assert vol.values[x, y, z] == x + 2 * (y + 2 * z)
 
     def test_scl_slope_and_inter_applied(self, tmp_path):
         path = tmp_path / "scaled.nii"
@@ -81,7 +81,7 @@ class TestLoadNifti:
             scl_slope=2.0,
             scl_inter=1.0,
         )
-        assert load_nifti(path).value_at(0, 0, 0) == 7.0
+        assert load_nifti(path).values[0, 0, 0] == 7.0
 
     def test_zero_slope_means_unscaled(self, tmp_path):
         path = tmp_path / "raw.nii"
@@ -93,7 +93,7 @@ class TestLoadNifti:
             scl_slope=0.0,
             scl_inter=99.0,
         )
-        assert load_nifti(path).value_at(0, 0, 0) == 3.0
+        assert load_nifti(path).values[0, 0, 0] == 3.0
 
     @pytest.mark.parametrize(
         "scl_slope, scl_inter, expected",
@@ -112,7 +112,7 @@ class TestLoadNifti:
             path, np.full((1, 1, 1), 3, dtype=np.int16), datatype=4, np_dtype="i2",
             scl_slope=scl_slope, scl_inter=scl_inter,
         )
-        assert load_nifti(path).value_at(0, 0, 0) == expected
+        assert load_nifti(path).values[0, 0, 0] == expected
 
     def test_big_endian_autodetected(self, tmp_path):
         data = np.arange(6, dtype=np.float64).reshape((3, 2, 1), order="F")
@@ -193,7 +193,7 @@ class TestLoadNifti:
             x = int(rng.integers(0, dims[0]))
             y = int(rng.integers(0, dims[1]))
             z = int(rng.integers(0, dims[2]))
-            assert flat[x + dims[0] * (y + dims[1] * z)] == vol.value_at(x, y, z)
+            assert flat[x + dims[0] * (y + dims[1] * z)] == vol.values[x, y, z]
 
 
 class TestSaveNiftiHeaderFields:
