@@ -1,6 +1,8 @@
 """MAE, MSE, PSNR, SSIM, and cohort summaries."""
 import gc
+import importlib
 import math
+import pkgutil
 import tracemalloc
 import warnings
 import weakref
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+import transfid
 from transfid import iqa
 from transfid.errors import DimsMismatch, VolumeTooSmall
 from transfid.iqa import MetricSet, SsimParams, compute_metrics, mae, mse, psnr, ssim3d
@@ -149,6 +152,18 @@ class TestSsim3d:
         taps, _ = iqa._window_geometry(a.dims, SsimParams().window, 1e-160)
         assert taps.tolist() == [0.0] * SsimParams().window + [1.0] + [0.0] * SsimParams().window
 
+    def test_window_geometry_keeps_one_grid(self, rng):
+        # the window weights are kept with the last original's moments: one
+        # entry, on the last original's grid
+        for dims in ((12, 12, 12), (11, 13, 12)):
+            a = make_volume(rng.random(dims))
+            ssim3d(a, a)
+        info = iqa._original_moments.cache_info()
+        assert info.currsize == 1
+        taps, weight, mu, var = iqa._original_moments(a, SsimParams().window, SsimParams().sigma)
+        assert iqa._original_moments.cache_info().hits == info.hits + 1
+        assert weight(slice(None)).shape == mu.shape == var.shape == (11, 13, 12)
+
     @pytest.mark.parametrize("window", [2.5, True, 0, "5"])
     def test_window_must_be_an_int(self, window):
         with pytest.raises(ValueError, match="window must be an int >= 1"):
@@ -229,6 +244,14 @@ def fresh_copy(vol):
 
 class TestSharedOriginal:
     """ssim3d keeps the grid's window weights and the last original's moments."""
+
+    def test_the_moments_are_the_one_cache_that_outlives_a_call(self):
+        slots = {}
+        for info in pkgutil.walk_packages(transfid.__path__, "transfid."):
+            for value in vars(importlib.import_module(info.name)).values():
+                if isinstance(value, iqa.OneSlot):
+                    slots[id(value)] = value
+        assert list(slots.values()) == [iqa._original_moments]
 
     def test_interleaved_calls_equal_memo_misses(self, rng):
         originals = [make_volume(rng.random((12, 13, 11))) for _ in range(2)]

@@ -272,12 +272,32 @@ def test_local_intensity_on_one_slice_within_budget():
     assert peak <= 0.20 * 8 * math.prod(SLICE), f"{peak / (8 * math.prod(SLICE)):.3f} grids"
 
 
-def test_a_new_original_drops_the_old_entry_before_it_builds():
+@pytest.mark.parametrize("roi", [large_roi, paper_roi], ids=["large", "paper"])
+def test_local_intensity_holds_nothing_when_it_returns(roi):
+    # the kernel, its transform and the counts' table are built in the call
+    # and dropped with it: less than the 13^3 sphere kernel alone (17.6 KB)
+    # is left once the call returns, the mask's box cached by the call before
+    volume = Volume3D(GRID, SPACING, texture(0))
+    mask = RoiMask(GRID, roi())
+    local_intensity(volume, mask)
+    held = traced_memory(lambda: local_intensity(volume, mask))[0]
+    assert held <= 4096, f"{held} bytes"
+
+
+def two_originals():
+    """The arguments of `_original_moments` for two originals on GRID."""
+    params = SsimParams()
+    return [(Volume3D(GRID, SPACING, texture(seed)), params.window, params.sigma) for seed in (0, 1)]
+
+
+# one case per `OneSlot` in the package
+@pytest.mark.parametrize(
+    "build, arguments", [pytest.param(iqa._original_moments, two_originals, id="original_moments")]
+)
+def test_a_new_grid_drops_the_old_entry_before_it_builds(build, arguments):
     # a one-slot cache that built the new original's entry beside the old
     # one would peak at the first build's peak plus the old entry
-    params = SsimParams()
-    first, second = [(Volume3D(GRID, SPACING, texture(seed)), params.window, params.sigma) for seed in (0, 1)]
-    build = iqa._original_moments
+    first, second = arguments()
     build.cache_clear()
     tracemalloc.start()
     try:

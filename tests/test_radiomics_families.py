@@ -1,4 +1,5 @@
 """Per-family feature checks: hand examples plus brute-force oracle sweeps."""
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -152,6 +153,29 @@ class TestLocalIntensity:
                 windows.append(make_mask(flags).box[0])
             for window in windows:
                 assert np.array_equal(convolved(values, kernel, window), whole[window]), (values_shape, window)
+
+    @SLAB_BUDGETS
+    def test_slabs_are_whole_planes_within_the_budget(self, rng, monkeypatch, slab_bytes):
+        # with an axis but axis 0 transformed, the window's axis-0 planes come
+        # a slab of at most SLAB_BYTES at a time, or one plane where one is
+        # more: at the default budget, slabs of 27 and 13 planes on the whole
+        # of the largest shape here
+        monkeypatch.setattr(intensity, "SLAB_BYTES", slab_bytes)
+        shapes = [((40, 60, 50), (13, 13, 13)), ((9, 1, 8), (3, 1, 5)), ((1, 7, 6), (5, 3, 3))]
+        shapes += [(tuple(rng.integers(2, 12, 3)), tuple(rng.integers(2, 8, 3))) for _ in range(20)]
+        for values_shape, kernel_shape in shapes:
+            values = rng.random(values_shape)
+            kernel = (rng.random(kernel_shape) < 0.7).astype(float)
+            lo = [int(rng.integers(0, n)) for n in values_shape]
+            for window in (tuple(slice(0, n) for n in values_shape),
+                           tuple(slice(b, int(rng.integers(b + 1, n + 1))) for b, n in zip(lo, values_shape))):
+                slabs = same_convolution(values, kernel, window)
+                assert inspect.isgenerator(slabs)
+                slabs = list(slabs)
+                extent = [w.stop - w.start for w in window]
+                assert [slab.shape[1:] for slab in slabs] == [tuple(extent[1:])] * len(slabs)
+                assert sum(len(slab) for slab in slabs) == extent[0]
+                assert all(len(slab) == 1 or slab.nbytes <= slab_bytes for slab in slabs), (values_shape, window)
 
     def test_fft_length_is_scipys_next_fast_len(self):
         from scipy.fft import next_fast_len
