@@ -1051,12 +1051,12 @@ def test_analyze_output_bytes_are_pinned(tmp_path, threshold):
     assert digests == ANALYZE_PIN_SHA256[threshold]
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules, and OpenSSL's `_hashlib` (which `import hashlib`
-    maps into the process), that a fresh interpreter holds after running
-    `code`."""
+def _modules_after(code: str, roots: tuple[str, ...]) -> list[str]:
+    """The modules that a fresh interpreter holds after running `code`,
+    among those `roots` names and their submodules."""
     src = str(Path(transfid.__file__).resolve().parents[1])
-    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == '_hashlib')))"
+    loaded = f"(m for m in sys.modules if any(m == r or m.startswith(r + '.') for r in {roots!r}))"
+    report = f"print(json.dumps(sorted({loaded})))"
     result = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": src},
@@ -1065,6 +1065,13 @@ def _scipy_modules_after(code: str) -> list[str]:
         check=True,
     )
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules, and OpenSSL's `_hashlib` (which `import hashlib`
+    maps into the process), that a fresh interpreter holds after running
+    `code`."""
+    return _modules_after(code, ("scipy", "_hashlib"))
 
 
 def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
@@ -1095,6 +1102,21 @@ def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
     ]
     loaded = _scipy_modules_after(f"from transfid.cli import main\nassert main({run_extract!r}) == 0")
     assert loaded == []
+
+
+def test_extract_and_selftest_leave_numpy_ma_unloaded(tmp_path, cohort):
+    """Extraction takes its medians from the sorted values, not through
+    `np.median`, whose NaN check imports numpy.ma (about 16 ms of a
+    worker's start): neither `extract` (in-process, at --jobs 1) nor
+    `selftest` loads it."""
+    manifest, config = cohort
+    run_extract = [
+        "extract", "--manifest", str(manifest), "--config", str(config),
+        "--out", str(tmp_path / "f.csv"), "--jobs", "1",
+    ]
+    for command in (run_extract, ["selftest"]):
+        loaded = _modules_after(f"from transfid.cli import main\nassert main({command!r}) == 0", ("numpy.ma",))
+        assert loaded == [], command[0]
 
 
 def test_no_module_imports_scipy():

@@ -794,6 +794,30 @@ class TestExactMoments:
         assert_same_bits(got, expected)
         assert nan_names(got) == expected_flagged
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.5],
+            [3.0, -1.0],
+            [0.7, 0.1, 0.4],
+            [4.0, 1.0, 3.0, 2.0],
+            [1.0, 2.0, 2.0, 2.0, 5.0, 5.0],
+            [0.3] * 7,
+            [-2.0, -0.0, -0.0, 1.0],
+            [-0.0, -0.0],
+            [0.1, 1e308, 1e308, 0.2],
+        ],
+        ids=["n1", "n2", "n3", "n4", "ties", "all_equal", "negative_zero_pair", "negative_zeros", "overflowing_pair"],
+    )
+    def test_median_equals_np_median(self, values):
+        values = np.array(values)
+        distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        srt = np.repeat(distinct, counts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = basic_distribution_stats(values, srt, distinct, inverse)["median"]
+            expected = float(np.median(srt))
+        assert got.hex() == expected.hex()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_phantom_intensity_statistics_equal_elementwise_formulas(self, seed):
         v, m = generate_phantom(seed, (12, 10, 8))
