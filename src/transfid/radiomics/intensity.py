@@ -246,7 +246,12 @@ def basic_distribution_stats(
     `values`: the third and fourth powers of the centered values are taken
     once per distinct value and gathered. That is the same array as the
     elementwise powers (libm `pow`, the bulk of the cost on a large ROI), so
-    the means keep their bits.
+    the means keep their bits. The median is the mean of `srt`'s middle
+    element or pair, which is what `np.median` takes the mean of after its
+    partition: both callers build `srt` by repeating `distinct`, so equal
+    values in it share their bits (never a -0.0 beside a 0.0). It keeps
+    `np.median`'s bits without its partition copy or the numpy.ma import
+    of its NaN check; the values are finite, so there is no NaN to find.
 
     Skewness, kurtosis, and the coefficient of variation are NaN when the
     variance is zero; the quartile coefficient of dispersion when p25 + p75
@@ -264,7 +269,7 @@ def basic_distribution_stats(
     p25 = nearest_rank_percentile(srt, 25)
     p75 = nearest_rank_percentile(srt, 75)
     p90 = nearest_rank_percentile(srt, 90)
-    median = float(np.median(srt))
+    median = float(np.mean(srt[(n - 1) // 2 : n // 2 + 1]))
 
     if var > 0.0:
         # each power array is freed before the next is made

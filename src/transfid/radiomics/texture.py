@@ -88,19 +88,31 @@ class _Cells:
     probabilities `p` (over their matrix's total `ns`), 0-based `row` and
     `col`, 1-based `i` and `j`, and matrices.
 
-    Summation rule: each term is scattered into one zero buffer of the
+    Summation rule: each term is scattered into a zero buffer of the
     layout, and each matrix's stretch of it is reduced as one np.sum of that
     matrix alone would be. Zero cells add +0.0 in the layout's order, so
     every sum has the bits of the term taken over all cells. No cell is
     padded: zero padding regroups numpy's pairwise sums and moves their
     last bits.
 
-    The buffer is the layout itself when nothing else reads it: the
-    concatenation of several matrices, which is a copy, or a single matrix
-    the caller hands over (`own`), as `zone_features` does with its fresh
-    GLSZM. Each term overwrites exactly the non-zero cells, whose counts
-    are taken first, so every sum reduces the same array as with a zero
-    buffer of its own, and a wide matrix is held once, not twice.
+    Matrices of one width share one buffer, a term at a time, reduced as
+    the rows of a (k, cells) view. It is the layout itself when nothing
+    else reads it: the concatenation of several matrices, which is a copy,
+    or a single matrix the caller hands over (`own`), as `zone_features`
+    does with its fresh GLSZM. Each term overwrites exactly the non-zero
+    cells, whose counts are taken first, so every sum reduces the same
+    array as with a zero buffer of its own, and a wide matrix is held
+    once, not twice, and never beside a stack of its terms.
+
+    Matrices of several widths (GLRLM's 14, whose widths are their longest
+    runs) take all of a call's terms at once: one stacked zero buffer,
+    terms x cells, each term's row scattered as above. Each matrix's
+    stretch of the stack is then reduced along its rows in one call, and
+    each row of that reduction is the pairwise sum one np.sum of the
+    matrix's stretch of that term takes, so one call per matrix replaces
+    one per (term, matrix). A concatenated batch holds at most
+    BATCH_CELLS cells, so the stack holds at most terms x BATCH_CELLS x 8
+    bytes.
     """
 
     def __init__(self, mats: list[np.ndarray], own: bool = False):
@@ -125,17 +137,24 @@ class _Cells:
 
     def sums(self, **terms) -> dict[str, np.ndarray]:
         """One np.sum per matrix of each named term (a callable giving its
-        value at every non-zero cell), over all cells of the layout. The
-        terms go one at a time through the zero buffer, which only the
-        non-zero cells ever overwrite."""
-        out = {}
-        for name, term in terms.items():
-            self.buffer[self.at] = term()
-            if self.ends is None:
+        value at every non-zero cell), over all cells of the layout.
+
+        Matrices of one width take the terms one at a time through the
+        zero buffer, which only the non-zero cells ever overwrite. Matrices
+        of several widths take them all at once, as the rows of one
+        stacked zero buffer, and each matrix's stretch is reduced for
+        every term in one call."""
+        if self.ends is None:
+            out = {}
+            for name, term in terms.items():
+                self.buffer[self.at] = term()
                 out[name] = _per_matrix_sums(self.buffer.reshape(self.k, -1))
-            else:
-                out[name] = _split_sums(self.buffer, self.ends)
-        return out
+            return out
+        stack = np.zeros((len(terms), self.ends[-1]))
+        for row, term in zip(stack, terms.values()):
+            row[self.at] = term()
+        starts = [0, *self.ends[:-1]]
+        return dict(zip(terms, np.stack([stack[:, a:b].sum(axis=1) for a, b in zip(starts, self.ends)], axis=1)))
 
     def entropy_bits(self, p: np.ndarray) -> np.ndarray:
         """Per matrix, the entropy in bits of `p`, positive at every
@@ -241,6 +260,11 @@ def _aggregate_directional(
     are skipped in the average. An all-directions-empty family yields NaN
     for every feature. `evaluate` maps the occupied matrices followed by
     their merged sum to one feature dict each.
+
+    The averages are one row-wise mean of a (features x directions) table,
+    each row reduced as np.mean of that feature's list of directions
+    would be; only a row holding a NaN is averaged again on its own,
+    without its NaN directions.
     """
     occupied = [m for m in matrices if m.sum() > 0]
     if not occupied:
@@ -252,11 +276,14 @@ def _aggregate_directional(
         merged[:, : m.shape[1]] += m
     *per_dir, merged_result = evaluate(occupied + [merged])
 
-    avg_features: dict[str, float] = {}
-    for name in names:
-        vals = [feats[name] for feats in per_dir if not math.isnan(feats[name])]
-        avg_features[name] = float(np.mean(vals)) if vals else math.nan
-    return {"dir_avg": avg_features, "dir_merged": merged_result}
+    # a row holding a NaN means NaN, and takes the mean of its other
+    # directions instead
+    table = np.array([[feats[name] for feats in per_dir] for name in names])
+    avg = table.mean(axis=1)
+    for f in np.flatnonzero(np.isnan(avg)):
+        kept = table[f][~np.isnan(table[f])]
+        avg[f] = kept.mean() if kept.size else math.nan
+    return {"dir_avg": dict(zip(names, avg.tolist())), "dir_merged": merged_result}
 
 
 def glcm_features(d: DiscretizedVolume) -> dict[str, dict[str, float]]:

@@ -17,9 +17,9 @@ a call adds. The cold rows clear the one cache that outlives a call, the
 original's SSIM moments (`iqa.OneSlot`), first, so they also see what a
 worker builds on its first patient and keeps until its next.
 
-The modules that a layer imports on its first call (numpy.ma, through
-`np.median`, and numpy.fft) are imported once per session before any row
-is traced, so that a row reads the same run alone and after the others.
+The module that a layer imports on its first call (numpy.fft) is imported
+once per session before any row is traced, so that a row reads the same
+run alone and after the others.
 """
 import math
 import sys
@@ -79,7 +79,6 @@ def load_lazy_modules() -> None:
     """Import what the layers import on first use, before any row is traced."""
     import numpy.fft
 
-    np.median(np.arange(3.0))
     numpy.fft.irfft(numpy.fft.rfft(np.ones(4)))
 
 
@@ -234,7 +233,7 @@ BUDGETS = [
     pytest.param(patient_peak(METRICS), large_roi, 9.31, id="process_patient-metrics-large"),
     pytest.param(patient_peak({}), large_roi, 9.49, id="process_patient-both-large"),
     pytest.param(
-        cold_patient(EXTRACT, held=False), large_roi, 4.65, id="process_patient-extract-caches_cleared-large",
+        cold_patient(EXTRACT, held=False), large_roi, 4.64, id="process_patient-extract-caches_cleared-large",
         marks=GRIDS_HANDED_OVER,
     ),
     pytest.param(

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import texture_reference as reference
 from transfid.preprocess import DiscretizedVolume
-from transfid.radiomics.matrices import zone_matrices
+from transfid.radiomics.matrices import glcm_matrices, glrlm_matrices, zone_matrices
 from transfid.radiomics.texture import (
+    BATCH_CELLS,
+    _glcm_batch,
+    _in_batches,
     glcm_features,
     glrlm_features,
     row_column_features,
@@ -156,3 +159,56 @@ def test_1024_level_matrices_are_evaluated_in_batches():
     finally:
         tracemalloc.stop()
     assert peak < 23 * matrix_bytes
+
+
+def test_run_matrices_of_three_widths_one_of_them_one():
+    # constant along x, level alternating along z: runs of 6 along x, of 3
+    # along y and its diagonals with x, and of 1 in every direction that
+    # steps in z, so one concatenated layout holds widths 6, 3 and 1
+    levels = np.ones((6, 3, 4), dtype=np.int64) + np.arange(4) % 2
+    d = disc(levels, np.ones(levels.shape, dtype=bool), 2)
+    assert {1, 3, 6} <= {m.shape[1] for m in glrlm_matrices(d)}
+    check(d)
+
+
+def test_directional_average_skips_the_directions_whose_value_is_nan():
+    # four level-1 voxels along x and one level-2 voxel beside the first:
+    # every pair along x is (1, 1), so those directions' correlation is NaN,
+    # while the pairs that reach the level-2 voxel give a defined one
+    levels = np.ones((4, 2, 1), dtype=np.int64)
+    levels[0, 1, 0] = 2
+    flags = np.zeros(levels.shape, dtype=bool)
+    flags[:, 0, 0] = flags[0, 1, 0] = True
+    d = disc(levels, flags, 2)
+    per_direction = [_glcm_batch([m])[0]["correlation"] for m in glcm_matrices(d) if m.sum() > 0]
+    assert any(np.isnan(per_direction)) and not all(np.isnan(per_direction))
+    assert not np.isnan(glcm_features(d)["dir_avg"]["correlation"])
+    check(d)
+
+
+def test_concatenated_run_matrices_stack_their_terms_one_batch_at_a_time():
+    # 1 000 levels, runs of 38 along x and 20 along y, of 1 or 2 elsewhere:
+    # the 14 run matrices (146 000 cells) go through the formulas in three
+    # batches, the largest concatenated one of 61 000 cells
+    rng = np.random.default_rng(5)
+    levels = rng.integers(1, 1001, (40, 40, 4))
+    levels[:38] = levels[0]
+    levels[:, :20] = levels[:, :1]
+    d = disc(levels, np.ones(levels.shape, dtype=bool), 1000)
+    mats = glrlm_matrices(d)
+    mats.append(np.zeros((1000, max(m.shape[1] for m in mats))))
+    batch_cells = _in_batches(mats, lambda batch: [sum(m.size for m in batch)])
+    assert len(batch_cells) == 3 and 0.9 * BATCH_CELLS < max(batch_cells) <= BATCH_CELLS
+    all_cells = sum(m.size for m in mats)
+    glrlm_features(d)
+    tracemalloc.start()
+    try:
+        glrlm_features(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in units of BATCH_CELLS x 8 bytes: the eleven emphasis terms of the
+    # largest batch at once take 10.24, and with the matrices, the batch's
+    # concatenation and its non-zero cells the peak was 13.63 against a
+    # bound of 14.69; the terms of all 14 matrices at once would take 24.5
+    assert peak < 8 * (11 * max(batch_cells) + 2 * all_cells)
