@@ -137,13 +137,9 @@ class _Cells:
 
     def sums(self, **terms) -> dict[str, np.ndarray]:
         """One np.sum per matrix of each named term (a callable giving its
-        value at every non-zero cell), over all cells of the layout.
-
-        Matrices of one width take the terms one at a time through the
-        zero buffer, which only the non-zero cells ever overwrite. Matrices
-        of several widths take them all at once, as the rows of one
-        stacked zero buffer, and each matrix's stretch is reduced for
-        every term in one call."""
+        value at every non-zero cell), over all cells of the layout, by the
+        summation rule: a term at a time for matrices of one width, all
+        terms in one stack for matrices of several."""
         if self.ends is None:
             out = {}
             for name, term in terms.items():
@@ -153,8 +149,8 @@ class _Cells:
         stack = np.zeros((len(terms), self.ends[-1]))
         for row, term in zip(stack, terms.values()):
             row[self.at] = term()
-        starts = [0, *self.ends[:-1]]
-        return dict(zip(terms, np.stack([stack[:, a:b].sum(axis=1) for a, b in zip(starts, self.ends)], axis=1)))
+        per_matrix = [stack[:, a:b].sum(axis=1) for a, b in zip([0, *self.ends[:-1]], self.ends)]
+        return dict(zip(terms, np.stack(per_matrix, axis=1)))
 
     def entropy_bits(self, p: np.ndarray) -> np.ndarray:
         """Per matrix, the entropy in bits of `p`, positive at every
@@ -276,8 +272,6 @@ def _aggregate_directional(
         merged[:, : m.shape[1]] += m
     *per_dir, merged_result = evaluate(occupied + [merged])
 
-    # a row holding a NaN means NaN, and takes the mean of its other
-    # directions instead
     table = np.array([[feats[name] for feats in per_dir] for name in names])
     avg = table.mean(axis=1)
     for f in np.flatnonzero(np.isnan(avg)):

@@ -1106,7 +1106,7 @@ def test_no_command_loads_scipy_at_start_up(tmp_path, cohort):
 
 def test_extract_and_selftest_leave_numpy_ma_unloaded(tmp_path, cohort):
     """Extraction takes its medians from the sorted values, not through
-    `np.median`, whose NaN check imports numpy.ma (about 16 ms of a
+    `np.median`, whose NaN check imports numpy.ma (about 9 ms of a
     worker's start): neither `extract` (in-process, at --jobs 1) nor
     `selftest` loads it."""
     manifest, config = cohort

@@ -188,8 +188,8 @@ def test_directional_average_skips_the_directions_whose_value_is_nan():
 
 def test_concatenated_run_matrices_stack_their_terms_one_batch_at_a_time():
     # 1 000 levels, runs of 38 along x and 20 along y, of 1 or 2 elsewhere:
-    # the 14 run matrices (146 000 cells) go through the formulas in three
-    # batches, the largest concatenated one of 61 000 cells
+    # the 14 run matrices (148 000 cells) go through the formulas in three
+    # batches, the largest concatenated one of 62 000 cells
     rng = np.random.default_rng(5)
     levels = rng.integers(1, 1001, (40, 40, 4))
     levels[:38] = levels[0]
@@ -208,7 +208,7 @@ def test_concatenated_run_matrices_stack_their_terms_one_batch_at_a_time():
     finally:
         tracemalloc.stop()
     # in units of BATCH_CELLS x 8 bytes: the eleven emphasis terms of the
-    # largest batch at once take 10.24, and with the matrices, the batch's
-    # concatenation and its non-zero cells the peak was 13.63 against a
-    # bound of 14.69; the terms of all 14 matrices at once would take 24.5
+    # largest batch at once take 10.41, and with the matrices, the batch's
+    # concatenation and its non-zero cells the peak was 13.84 against a
+    # bound of 14.92; the terms of all 14 matrices at once would take 24.8
     assert peak < 8 * (11 * max(batch_cells) + 2 * all_cells)
